@@ -39,7 +39,7 @@ from .standard_pairs import (
     random_admissible_pair,
     validate_pair,
 )
-from .systems import FastSlowSystem, fixture
+from .systems import FastSlowSystem, fixture, validate_system
 from .ulam import srb_density, ulam_operator
 
 
@@ -80,21 +80,27 @@ class Workspace:
     def seed(self) -> int:
         return self.config.seed
 
-    def system(self, name: str) -> FastSlowSystem:
+    def system(self, name: Optional[str] = None) -> FastSlowSystem:
+        """A fixture by name; with no name, the configured system, fixture or inline."""
         if name not in self._systems:
-            self._systems[name] = fixture(name)
+            if name is not None:
+                self._systems[name] = fixture(name)
+            elif self.config.fixture is not None:
+                self._systems[name] = fixture(self.config.fixture)
+            else:
+                system = FastSlowSystem.from_dict(self.config.system)
+                validate_system(system)
+                self._systems[name] = system
         return self._systems[name]
 
-    def cache(self, name: str) -> SRBCache:
+    def cache(self, name: Optional[str] = None) -> SRBCache:
         if name not in self._caches:
             tol = self.config.tolerances
-            self._caches[name] = SRBCache(
-                self.system(name), N=tol.ulam_n, M=tol.sigma_m,
-                fd_step=tol.fd_step, quantum=tol.drift_quantum,
-            )
+            self._caches[name] = SRBCache(self.system(name), N=tol.ulam_n, M=tol.sigma_m,
+                                          tail_tol=tol.sigma_tail_tol)
         return self._caches[name]
 
-    def averaged(self, name: str, theta0: float = 0.25, T: float = 1.0) -> AveragedTrajectory:
+    def averaged(self, name: Optional[str], theta0: float = 0.25, T: float = 1.0) -> AveragedTrajectory:
         key = (name, theta0, T)
         if key not in self._avg:
             self._avg[key] = solve_averaged(
@@ -103,7 +109,7 @@ class Workspace:
             )
         return self._avg[key]
 
-    def covariance(self, name: str, theta0: float = 0.25, T: float = 1.0) -> CovarianceTrajectory:
+    def covariance(self, name: Optional[str], theta0: float = 0.25, T: float = 1.0) -> CovarianceTrajectory:
         key = (name, theta0, T)
         if key not in self._cov:
             cache = self.cache(name)
@@ -115,7 +121,7 @@ class Workspace:
             )
         return self._cov[key]
 
-    def ensemble(self, name: str, eps: float, n: int, theta0: float = 0.25,
+    def ensemble(self, name: Optional[str], eps: float, n: int, theta0: float = 0.25,
                  T: float = 1.0, threads: Optional[int] = None) -> Ensemble:
         key = (name, eps, n, theta0, T, threads or self.threads)
         if key not in self._ens:
@@ -197,7 +203,8 @@ def criterion_5(ws: Workspace) -> CriterionResult:
                    {"var": var, "skew": row["skew"][0],
                     "excess_kurtosis": row["excess_kurtosis"][0],
                     "mean_consistent": rep.data["mean_consistent"],
-                    "charfn_consistent": rep.data["charfn_consistent"]})
+                    "charfn_consistent": rep.data["charfn_consistent"],
+                    "provider": ws.cache("LIN").stats()})
 
 
 def criterion_6(ws: Workspace) -> CriterionResult:
@@ -211,7 +218,8 @@ def criterion_6(ws: Workspace) -> CriterionResult:
     return _result(6, "fluctuation covariance with drift coupling (CPL)", 600.0, t0,
                    ok, {"cov_rel_err": row["cov_rel_err"], "cov": row["cov"],
                         "sigma_limit": row["sigma_limit"],
-                        "route_cross_check": cov.cross_check})
+                        "route_cross_check": cov.cross_check,
+                        "provider": ws.cache("CPL").stats()})
 
 
 def criterion_7(ws: Workspace) -> CriterionResult:

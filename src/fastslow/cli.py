@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+import traceback
 from pathlib import Path
 
 import click
@@ -24,11 +25,9 @@ from .exceptions import ConfigError, FastSlowError
 from .experiments import clt_test, default_out_times, moment_scaling
 from .limits import covariance_evolve, solve_averaged
 from .shadowing import shadow_solve_batch
-from .srb_cache import SRBCache
 from .standard_pairs import as_family, default_constants, class_margins, \
     constant_pair, pushforward_decompose
 from .svgplot import line_plot
-from .systems import FastSlowSystem, fixture, validate_system
 
 EXIT_ACCEPTANCE = 1
 EXIT_CONFIG = 2
@@ -71,14 +70,6 @@ class Run:
         (self.dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
 
 
-def _system(cfg: ExperimentConfig) -> FastSlowSystem:
-    if cfg.fixture is not None:
-        return fixture(cfg.fixture)
-    system = FastSlowSystem.from_dict(cfg.system)
-    validate_system(system)
-    return system
-
-
 def _resolve(ctx) -> ExperimentConfig:
     data = ctx.obj or {}
     cfg = load_config(data["config"]) if data.get("config") else config_from_dict(
@@ -99,7 +90,8 @@ def _resolve(ctx) -> ExperimentConfig:
 
 
 def _guard(fn):
-    """Map exception classes to the documented exit codes."""
+    """Map exception classes to the documented exit codes; any other
+    exception is a bug, which still exits 3 and writes the manifest."""
 
     def wrapper(ctx, *args, **kwargs):
         # option values are read from ctx.params; do not forward them
@@ -119,6 +111,11 @@ def _guard(fn):
             click.echo(f"numerical failure: {exc}", err=True)
             if run:
                 run.finish("numerical-error")
+            sys.exit(EXIT_NUMERICAL)
+        except Exception:
+            traceback.print_exc()
+            if run:
+                run.finish("internal-error")
             sys.exit(EXIT_NUMERICAL)
 
     wrapper.__name__ = fn.__name__
@@ -149,7 +146,7 @@ def main(ctx, config, fixture_, seed, threads, out_dir, eps, n, t_final, theta0)
 @_guard
 def srb(ctx, cfg, run):
     """Invariant-density sweep: drift, diffusion and tail data per theta."""
-    system = _system(cfg)
+    system = Workspace(config=cfg).system()
     tol = cfg.tolerances
     rows = []
     count = ctx.params["theta_count"]
@@ -175,7 +172,7 @@ def srb(ctx, cfg, run):
 @_guard
 def sigma(ctx, cfg, run):
     """Diffusion matrix at theta0 (default 0)."""
-    system = _system(cfg)
+    system = Workspace(config=cfg).system()
     theta = cfg.theta0 or [0.0] * system.d
     tol = cfg.tolerances
     c = diffusion_matrix(system, theta, tol.ulam_n, M=tol.sigma_m,
@@ -203,10 +200,11 @@ def sigma(ctx, cfg, run):
 @_guard
 def average(ctx, cfg, run):
     """Averaged slow trajectory on [0, horizon], optionally with covariance."""
-    system = _system(cfg)
+    ws = Workspace(config=cfg)
+    system = ws.system()
     tol = cfg.tolerances
-    cache = SRBCache(system, N=tol.ulam_n, M=tol.sigma_m, fd_step=tol.fd_step,
-                     quantum=tol.drift_quantum)
+    cache = ws.cache()
+    click.echo(f"provider: {json.dumps(cache.stats(), sort_keys=True)}")
     theta0 = cfg.theta0 or [0.25] * system.d
     avg = solve_averaged(cache.omega_bar, theta0, cfg.horizon, tol=tol.integrator_tol)
     ts = default_out_times(cfg.horizon, cfg.out_times)
@@ -245,7 +243,7 @@ def average(ctx, cfg, run):
 @_guard
 def decompose(ctx, cfg, run):
     """Iterated pushforward decomposition of a flat standard pair."""
-    system = _system(cfg)
+    system = Workspace(config=cfg).system()
     eps = cfg.eps[0]
     consts = default_constants(system, delta=cfg.tolerances.pair_delta,
                                grid=cfg.tolerances.pair_grid)
@@ -271,7 +269,7 @@ def decompose(ctx, cfg, run):
 @_guard
 def shadow(ctx, cfg, run):
     """Frozen-orbit shadowing diagnostics at the configured eps."""
-    system = _system(cfg)
+    system = Workspace(config=cfg).system()
     tol = cfg.tolerances
     rows = []
     summary = {}
@@ -309,11 +307,12 @@ def shadow(ctx, cfg, run):
 def fluctuate(ctx, cfg, run):
     """Fluctuation ensemble: moment scaling and Gaussian-limit comparison."""
     ws = Workspace(config=cfg, threads=cfg.threads)
-    name = cfg.fixture
+    if ws.system().d != 1:
+        raise ConfigError(f"fluctuate needs a system with d = 1, got d = {ws.system().d}")
     theta0 = (cfg.theta0 or [0.25])[0]
     eps = cfg.eps[0]
-    ens = ws.ensemble(name, eps, cfg.n_trajectories, theta0=theta0, T=cfg.horizon)
-    cov = ws.covariance(name, theta0=theta0, T=cfg.horizon)
+    ens = ws.ensemble(None, eps, cfg.n_trajectories, theta0=theta0, T=cfg.horizon)
+    cov = ws.covariance(None, theta0=theta0, T=cfg.horizon)
     clt = clt_test(ens, cov, slack_c=cfg.tolerances.residual_slack)
     mom = moment_scaling(ens)
     (run.dir / "clt.json").write_text(clt.to_json())
@@ -353,9 +352,7 @@ def verify_all(ctx, cfg, run):
     if ctx.params["criteria"]:
         ids = [int(tok) for tok in ctx.params["criteria"].split(",")]
     elif ctx.obj.get("fixture"):
-        ids = FIXTURE_CRITERIA.get(ctx.obj["fixture"].upper())
-        if ids is None:
-            raise ConfigError(f"unknown fixture {ctx.obj['fixture']!r}")
+        ids = FIXTURE_CRITERIA[ctx.obj["fixture"].upper()]
     ws = Workspace(config=cfg, threads=cfg.threads)
     results = run_all(ws, ids=ids, echo=click.echo)
     (run.dir / "acceptance.json").write_text(results_to_json(results))

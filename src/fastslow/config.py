@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .exceptions import ConfigError
+from .systems import FIXTURES
 
 
 @dataclass
@@ -21,16 +22,13 @@ class Tolerances:
     """Numerical knobs shared across the modules."""
 
     eps_max: float = 0.05              # largest admissible time-scale separation
-    max_orbit_steps: int = 50_000_000  # orbit length guard
     ulam_n: int = 4096                 # transfer-operator grid cells
     sigma_m: Optional[int] = None      # autocovariance cutoff; None -> decay rule
     sigma_tail_tol: float = 1e-9       # bound on ||Gamma_k|| over the tail window
-    density_residual: float = 1e-12    # L1 fixed-point residual target
     integrator_tol: float = 1e-10      # averaged-trajectory local tolerance
     covariance_tol: float = 1e-11      # covariance ODE local tolerance
     covariance_agree: float = 1e-8     # direct vs conjugated route agreement
     fd_step: float = 1e-3              # central-difference step for the drift Jacobian
-    drift_quantum: float = 1e-3        # cache grid spacing for drift/diffusion lookups
     pair_grid: int = 64                # intervals per standard-pair grid
     pair_delta: float = 0.1            # standard-curve base length delta
     shadow_c: float = 1.0              # n <= shadow_c * eps**-0.5 admissibility
@@ -111,6 +109,8 @@ def load_config(path: str) -> ExperimentConfig:
 def _check(cfg: ExperimentConfig) -> None:
     if cfg.fixture is None and cfg.system is None:
         raise ConfigError("either 'fixture' or 'system' must be given")
+    if cfg.fixture is not None and str(cfg.fixture).upper() not in FIXTURES:
+        raise ConfigError(f"unknown fixture {cfg.fixture!r}; known: {', '.join(FIXTURES)}")
     if not isinstance(cfg.eps, list):
         cfg.eps = [cfg.eps]
     for e in cfg.eps:

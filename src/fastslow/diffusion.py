@@ -81,7 +81,7 @@ def autocovariances(system: FastSlowSystem, op: UlamOperator, density: SRBDensit
     for k in range(kmax + 1):
         gam[k] = (what.T @ push) / density.N
         if k < kmax:
-            push = np.column_stack([op.P @ push[:, j] for j in range(d)])
+            push = op.P @ push
     return gam
 
 
@@ -99,6 +99,38 @@ def autocovariance(system: FastSlowSystem, density: SRBDensity, k: int,
         what = centered_drift_values(system, density)
         return (what.T @ (what * density.rho[:, None])) / density.N
     return autocovariances(system, op, density, k)[k]
+
+
+def green_kubo(gam: np.ndarray, tail_tol: float,
+               clamp_tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray, float]:
+    """Green-Kubo sum of Gamma_0..Gamma_M with the checks every caller needs.
+
+    Returns (sigma2, eigenvalues clamped at zero, tail estimate). Raises if
+    the sum is not symmetric to 1e-12, if max ||Gamma_k|| over k in [M/2, M]
+    exceeds tail_tol, or if an eigenvalue lies below -clamp_tol (eigenvalues
+    within -clamp_tol are discretization noise).
+    """
+    M = gam.shape[0] - 1
+    sigma2 = gam[0].copy()
+    for m in range(1, M + 1):
+        sigma2 += gam[m] + gam[m].T
+    asym = float(np.abs(sigma2 - sigma2.T).max())
+    if asym > 1e-12:
+        raise NegativeEigenvalueError(f"sigma2 asymmetry {asym:.2e} above 1e-12")
+    sigma2 = 0.5 * (sigma2 + sigma2.T)
+
+    tail = float(np.linalg.norm(gam[M // 2:], axis=(1, 2)).max())
+    if tail > tail_tol:
+        raise TruncationTailError(
+            f"||Gamma_k|| tail {tail:.2e} above {tail_tol:.1e}; increase M"
+        )
+
+    evals = jacobi_eigh(sigma2)[0]
+    if evals.min() < -clamp_tol:
+        raise NegativeEigenvalueError(
+            f"sigma2 eigenvalue {evals.min():.3e} below -{clamp_tol:.1e}"
+        )
+    return sigma2, np.maximum(evals, 0.0), tail
 
 
 @dataclass(frozen=True)
@@ -126,10 +158,10 @@ def diffusion_matrix(system: FastSlowSystem, theta, N: int,
                      with_jacobian: bool = True) -> DiffusionContext:
     """Assemble the diffusion matrix and its context at frozen theta.
 
-    Negative eigenvalues within -clamp_tol are discretization noise and are
-    clamped to zero; anything more negative raises, signalling a truncation
-    that is too short or a grid that is too coarse. The tail of ||Gamma_k||
-    over [M/2, M] must fall below tail_tol.
+    The sum and its checks are those of green_kubo: a materially negative
+    eigenvalue signals a truncation that is too short or a grid that is too
+    coarse, and the tail of ||Gamma_k|| over [M/2, M] must fall below
+    tail_tol.
     """
     if M is None:
         M = default_truncation(system.lam, tail_tol)
@@ -138,33 +170,11 @@ def diffusion_matrix(system: FastSlowSystem, theta, N: int,
     wbar = average_drift(system, density)
     gam = autocovariances(system, op, density, M)
 
-    sigma2 = gam[0].copy()
-    for m in range(1, M + 1):
-        sigma2 += gam[m] + gam[m].T
-    asym = float(np.abs(sigma2 - sigma2.T).max())
-    if asym > 1e-12:
-        raise NegativeEigenvalueError(f"sigma2 asymmetry {asym:.2e} above 1e-12")
-    sigma2 = 0.5 * (sigma2 + sigma2.T)
-
-    norms = np.linalg.norm(gam, axis=(1, 2))
-    tail = float(norms[M // 2:].max())
-    if tail > tail_tol:
-        raise TruncationTailError(
-            f"||Gamma_k|| tail {tail:.2e} above {tail_tol:.1e}; increase M"
-        )
-
-    evals, evecs = jacobi_eigh(sigma2)
-    if evals.min() < -clamp_tol:
-        raise NegativeEigenvalueError(
-            f"sigma2 eigenvalue {evals.min():.3e} below -{clamp_tol:.1e}"
-        )
-    evals = np.maximum(evals, 0.0)
-    sigma = (evecs * np.sqrt(evals)) @ evecs.T
-    sigma = 0.5 * (sigma + sigma.T)
-
+    sigma2, evals, tail = green_kubo(gam, tail_tol, clamp_tol)
+    sigma = sym_sqrt(sigma2, clamp_tol)
     scale = max(float(np.trace(gam[0])), 1e-30)
     coboundary = bool(evals.min() <= coboundary_tol * scale)
-    decay = _fit_decay(norms)
+    decay = _fit_decay(np.linalg.norm(gam, axis=(1, 2)))
 
     dbar = (
         drift_jacobian(system, theta, fd_step, N)

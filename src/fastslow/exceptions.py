@@ -59,6 +59,10 @@ class TruncationTailError(FastSlowError):
     """Autocovariance tail did not pass the decay check at the chosen cutoff."""
 
 
+class TableResolutionError(FastSlowError):
+    """A drift/diffusion table kept refining up to its node ceiling."""
+
+
 class NegativeEigenvalueError(FastSlowError):
     """Assembled diffusion matrix has a materially negative eigenvalue."""
 

@@ -1,128 +1,126 @@
-"""Quantized, thread-safe cache of drift / diffusion data over theta.
+"""Drift and diffusion over the slow torus as a trigonometric interpolant.
 
-Every evaluation of omega_bar, its Jacobian or sigma2 costs at least one
-transfer-operator solve, so values are computed on a grid with spacing
-``quantum`` and interpolated multilinearly in between. Readers are lock-free
-after insertion; insertion holds an exclusive lock. Node values are keyed by
-the quantized index reduced by the period, so a trajectory winding around the
-torus reuses its nodes.
+omega_bar and sigma2 are tabulated once, at construction, on a uniform grid
+of n^d nodes; each node is one frozen solve (one Ulam matrix, one invariant
+density, the averaged drift and the checked Green-Kubo sum). Queries evaluate
+the interpolant of the immutable table and d_omega_bar is its exact
+derivative, so the providers are smooth, thread-safe and cost no solve.
+
+The grid starts at 8 nodes per dimension and doubles in all dimensions,
+keeping the old nodes. Each doubling measures the coarse interpolant's worst
+miss at the new nodes, relative to sup |value|, for omega_bar and sigma2. The
+miss levels off at the noise of the Ulam solves, so refinement stops at the
+first doubling that does not halve the larger miss, or when it is 0, and
+keeps the finer table; outgrowing MAX_NODES raises TableResolutionError.
 """
 from __future__ import annotations
 
-import threading
+import time
 from typing import Optional
 
 import numpy as np
 
-from .diffusion import average_drift, diffusion_matrix, drift_jacobian, sym_sqrt
+from .config import default_truncation
+from .diffusion import autocovariances, average_drift, green_kubo
+from .exceptions import TableResolutionError
 from .systems import FastSlowSystem
 from .ulam import srb_density, ulam_operator
+
+START_NODES = 8        # nodes per dimension of the first table
+MAX_NODES = 4096       # ceiling on the total node count
+
+
+def _fit(table: np.ndarray, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fourier coefficients of an (n^d, m) table, and 2 pi i times the frequencies."""
+    coef = np.fft.fftn(table.reshape((n,) * d + (-1,)), axes=range(d)) / n ** d
+    return coef, 2j * np.pi * np.fft.fftfreq(n, 1.0 / n)
+
+
+def _evaluate(coef: np.ndarray, wave: np.ndarray, thetas: np.ndarray,
+              wrt: Optional[int] = None) -> np.ndarray:
+    """Real part of sum_k c_k e^{2 pi i <k, theta>} at (P, d) points: (P, m).
+
+    With wrt = j, the derivative along theta_j. Taking the real part splits
+    the Nyquist mode symmetrically, so this is the real interpolant of the
+    table and its exact derivative.
+    """
+    P, d = thetas.shape
+    n = wave.shape[0]
+    basis = np.exp(wave * np.mod(thetas, 1.0)[..., None])     # (P, d, n)
+    if wrt is not None:
+        basis[:, wrt] *= wave
+    out = basis[:, 0] @ coef.reshape(n, -1)
+    for j in range(1, d):
+        out = np.einsum("pa,par->pr", basis[:, j], out.reshape(P, n, -1))
+    return out.real
 
 
 class SRBCache:
     def __init__(self, system: FastSlowSystem, N: int = 4096,
-                 M: Optional[int] = None, fd_step: float = 1e-3,
-                 quantum: float = 1e-3, tail_tol: float = 1e-9):
+                 M: Optional[int] = None, tail_tol: float = 1e-9):
+        t0 = time.perf_counter()
         self.system = system
         self.N = int(N)
-        self.M = M
-        self.fd_step = float(fd_step)
-        self.quantum = float(quantum)
         self.tail_tol = float(tail_tol)
-        self._values: dict[tuple, np.ndarray] = {}
-        self._lock = threading.Lock()
-        per = 1.0 / self.quantum
-        self._period = int(round(per)) if abs(per - round(per)) < 1e-9 else None
-
-    # -- node-level computations ------------------------------------------
-
-    def _node_key(self, idx: np.ndarray, kind: str) -> tuple:
-        if self._period is not None:
-            idx = np.mod(idx, self._period)
-        return (kind, *idx.tolist())
-
-    def _node_value(self, idx: np.ndarray, kind: str) -> np.ndarray:
-        key = self._node_key(idx, kind)
-        val = self._values.get(key)
-        if val is not None:
-            return val
-        with self._lock:
-            val = self._values.get(key)
-            if val is not None:
-                return val
-            theta = np.mod(idx * self.quantum, 1.0)
-            if kind == "wbar":
-                val = average_drift(
-                    self.system, srb_density(ulam_operator(self.system, theta, self.N))
+        self.M = default_truncation(system.lam, self.tail_tol) if M is None else int(M)
+        d = self.d = system.d
+        n, table, last = START_NODES, None, np.inf
+        while True:
+            if (2 * n) ** d > MAX_NODES:
+                raise TableResolutionError(
+                    f"drift/diffusion table still refining at {n}^{d} nodes "
+                    f"(miss {last:.2e}); the next doubling exceeds {MAX_NODES} nodes"
                 )
-            elif kind == "jac":
-                val = drift_jacobian(self.system, theta, self.fd_step, self.N)
-            elif kind == "sigma2":
-                ctx = diffusion_matrix(
-                    self.system, theta, self.N, M=self.M,
-                    tail_tol=self.tail_tol, with_jacobian=False,
-                )
-                val = ctx.sigma2
-            else:
-                raise KeyError(kind)
-            self._values[key] = val
-            return val
+            if table is None:       # every table is doubled at least once
+                table = self._solve(np.indices((n,) * d).reshape(d, -1).T / n)
+            idx = np.indices((2 * n,) * d).reshape(d, -1).T
+            new = (idx % 2).any(axis=1)     # in C order the rest is the old table
+            values = self._solve(idx[new] / (2 * n))
+            err = np.abs(_evaluate(*_fit(table, n, d), idx[new] / (2 * n)) - values)
+            fine = np.empty((new.size, table.shape[1]))
+            fine[~new], fine[new] = table, values
+            self.miss = {key: float(err[:, cols].max()
+                                    / max(np.abs(fine[:, cols]).max(), np.finfo(float).tiny))
+                         for key, cols in (("omega_bar", slice(0, d)),
+                                           ("sigma2", slice(d, None)))}
+            table, n = fine, 2 * n
+            worst = max(self.miss.values())
+            if worst == 0.0 or worst > 0.5 * last:
+                break
+            last = worst
+        self.n = n
+        self._series = _fit(table, n, d)
+        self.fill_s = time.perf_counter() - t0
 
-    def _interp(self, theta, kind: str) -> np.ndarray:
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        base = np.floor(theta / self.quantum).astype(np.int64)
-        frac = theta / self.quantum - base
-        d = self.system.d
-        out = None
-        for corner in range(1 << d):
-            bits = np.array([(corner >> j) & 1 for j in range(d)], dtype=np.int64)
-            w = float(np.prod(np.where(bits == 1, frac, 1.0 - frac)))
-            if w == 0.0:
-                continue
-            v = self._node_value(base + bits, kind)
-            out = w * v if out is None else out + w * v
-        return out
+    def _solve(self, thetas: np.ndarray) -> np.ndarray:
+        """Frozen solve at each row of thetas: (P, d + d*d) of omega_bar, sigma2."""
+        rows = []
+        for theta in thetas:
+            op = ulam_operator(self.system, theta, self.N)
+            density = srb_density(op)
+            gam = autocovariances(self.system, op, density, self.M)
+            sigma2 = green_kubo(gam, self.tail_tol)[0]
+            rows.append(np.concatenate([average_drift(self.system, density), sigma2.ravel()]))
+        return np.array(rows)
 
-    def _interp_batch(self, thetas: np.ndarray, kind: str) -> np.ndarray:
-        """Vectorized interpolation over (n, d) points.
-
-        Unique nodes are solved once and gathered, so the cost is bounded by
-        the number of distinct grid cells the points fall in, not n.
-        """
-        thetas = np.asarray(thetas, dtype=float)
-        base = np.floor(thetas / self.quantum).astype(np.int64)
-        frac = thetas / self.quantum - base
-        d = self.system.d
-        out = None
-        for corner in range(1 << d):
-            bits = np.array([(corner >> j) & 1 for j in range(d)], dtype=np.int64)
-            w = np.prod(np.where(bits == 1, frac, 1.0 - frac), axis=-1)
-            idx = base + bits
-            uniq, inverse = np.unique(idx, axis=0, return_inverse=True)
-            vals = np.stack([self._node_value(row, kind) for row in uniq])
-            term = w.reshape(w.shape + (1,) * (vals.ndim - 1)) * vals[inverse]
-            out = term if out is None else out + term
-        return out
+    def _at(self, theta, wrt: Optional[int] = None) -> np.ndarray:
+        theta = np.asarray(theta, dtype=float).reshape(1, self.d)
+        return _evaluate(*self._series, theta, wrt)[0]
 
     # -- public providers ----------------------------------------------------
 
     def omega_bar(self, theta) -> np.ndarray:
-        return self._interp(theta, "wbar")
-
-    def omega_bar_batch(self, thetas: np.ndarray) -> np.ndarray:
-        return self._interp_batch(thetas, "wbar")
-
-    def sigma2_batch(self, thetas: np.ndarray) -> np.ndarray:
-        return self._interp_batch(thetas, "sigma2")
-
-    def d_omega_bar(self, theta) -> np.ndarray:
-        return self._interp(theta, "jac")
+        return self._at(theta)[: self.d]
 
     def sigma2(self, theta) -> np.ndarray:
-        return self._interp(theta, "sigma2")
+        s = self._at(theta)[self.d:].reshape(self.d, self.d)
+        return 0.5 * (s + s.T)
 
-    def sigma(self, theta) -> np.ndarray:
-        return sym_sqrt(self.sigma2(theta))
+    def d_omega_bar(self, theta) -> np.ndarray:
+        return np.stack([self._at(theta, wrt=j)[: self.d] for j in range(self.d)], axis=1)
 
     def stats(self) -> dict:
-        return {"nodes": len(self._values), "quantum": self.quantum, "N": self.N}
+        return {"nodes": self.n ** self.d, "nodes_per_dim": self.n, "N": self.N,
+                "M": self.M, "fill_s": round(self.fill_s, 3),
+                "miss_omega_bar": self.miss["omega_bar"],
+                "miss_sigma2": self.miss["sigma2"]}

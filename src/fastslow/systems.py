@@ -218,14 +218,6 @@ class FastSlowSystem:
             [self._sum_terms(self.f_terms, x, theta, 0, otj=j) for j in range(self.d)], axis=-1
         )
 
-    def d2f_dx2(self, x, theta):
-        return self._sum_terms(self.f_terms, x, theta, 2)
-
-    def d2f_dxdtheta(self, x, theta):
-        return np.stack(
-            [self._sum_terms(self.f_terms, x, theta, 1, otj=j) for j in range(self.d)], axis=-1
-        )
-
     def d2f_dtheta2(self, x, theta):
         rows = [
             [self._sum_terms(self.f_terms, x, theta, 0, otj=j, otk=k) for k in range(self.d)]
@@ -249,18 +241,6 @@ class FastSlowSystem:
         """Entry (..., i, j) = d omega_i / d theta_j."""
         rows = [
             [self._sum_terms(comp, x, theta, 0, otj=j) for j in range(self.d)]
-            for comp in self.omega_terms
-        ]
-        return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
-
-    def d2omega_dx2(self, x, theta):
-        return np.stack(
-            [self._sum_terms(comp, x, theta, 2) for comp in self.omega_terms], axis=-1
-        )
-
-    def d2omega_dxdtheta(self, x, theta):
-        rows = [
-            [self._sum_terms(comp, x, theta, 1, otj=j) for j in range(self.d)]
             for comp in self.omega_terms
         ]
         return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)

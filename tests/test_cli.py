@@ -3,7 +3,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from fastslow import cli
 from fastslow.cli import main
+from fastslow.systems import fixture
 
 
 @pytest.fixture()
@@ -25,6 +27,20 @@ def test_unknown_config_key_exits_2(runner, tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"fixture": "LIN", "not_a_key": 1}))
     res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path), "sigma"])
+    assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("key", ["drift_quantum", "density_residual", "max_orbit_steps"])
+def test_removed_tolerance_key_exits_2(runner, tmp_path, key):
+    cfg = tmp_path / "old.json"
+    cfg.write_text(json.dumps({"fixture": "LIN", "tolerances": {key: 1}}))
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path), "sigma"])
+    assert res.exit_code == 2
+    assert "unknown config key" in res.output
+
+
+def test_unknown_fixture_exits_2(runner, tmp_path):
+    res = runner.invoke(main, ["--out", str(tmp_path), "--fixture", "XYZ", "sigma"])
     assert res.exit_code == 2
 
 
@@ -131,3 +147,48 @@ def test_decompose_outputs(runner, tmp_path):
     assert fam["format"] == "fastslow-family/1"
     margins = json.loads((tmp_path / "decompose" / "margins.json").read_text())
     assert min(margins["slope"], margins["curvature"], margins["logdensity"]) >= 0.25
+
+
+def test_fluctuate_inline_system(runner, tmp_path):
+    cfg = tmp_path / "inline.json"
+    cfg.write_text(json.dumps({"system": fixture("CPL").to_dict(), "n_trajectories": 200,
+                               "tolerances": {"ulam_n": 512}}))
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path), "fluctuate"])
+    assert res.exit_code == 0, res.output
+    manifest = json.loads((tmp_path / "fluctuate" / "manifest.json").read_text())
+    assert manifest["status"] == "ok"
+    assert (tmp_path / "fluctuate" / "clt.json").exists()
+
+
+def test_fluctuate_rejects_planar_system(runner, tmp_path):
+    planar = {"d": 2, "degree": 3, "f_terms": [],
+              "omega_terms": [[[1.0, 1, 0.0, "cos", [0, 0], 0.0, "none"]],
+                              [[1.0, 1, 0.0, "sin", [0, 0], 0.0, "none"]]]}
+    cfg = tmp_path / "planar.json"
+    cfg.write_text(json.dumps({"system": planar, "n_trajectories": 10}))
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path), "fluctuate"])
+    assert res.exit_code == 2, res.output
+    manifest = json.loads((tmp_path / "fluctuate" / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+
+
+def test_unexpected_exception_exits_3_and_writes_manifest(runner, tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "shadow_solve_batch", broken)
+    res = runner.invoke(main, ["--out", str(tmp_path), "--fixture", "CPL",
+                               "--eps", "1e-4", "shadow", "--points", "2"])
+    assert res.exit_code == 3
+    manifest = json.loads((tmp_path / "shadow" / "manifest.json").read_text())
+    assert manifest["status"] == "internal-error"
+
+
+def test_average_prints_provider_stats(runner, tmp_path):
+    cfg = tmp_path / "cpl.json"
+    cfg.write_text(json.dumps({"fixture": "CPL", "tolerances": {"ulam_n": 512}}))
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path), "average"])
+    assert res.exit_code == 0, res.output
+    line = next(ln for ln in res.output.splitlines() if ln.startswith("provider: "))
+    stats = json.loads(line[len("provider: "):])
+    assert stats["nodes"] == 32 and stats["N"] == 512

@@ -122,6 +122,13 @@ def _guard(fn):
     return wrapper
 
 
+def _single_eps(cfg: ExperimentConfig, command: str) -> float:
+    """The one eps a single-eps command runs at; a longer list is a config error."""
+    if len(cfg.eps) != 1:
+        raise ConfigError(f"{command} takes one eps, got {len(cfg.eps)}: {cfg.eps}")
+    return cfg.eps[0]
+
+
 @click.group()
 @click.option("--config", type=click.Path(exists=True), default=None, help="JSON config file")
 @click.option("--fixture", "fixture_", type=str, default=None, help="LIN | CBD | CPL")
@@ -244,7 +251,7 @@ def average(ctx, cfg, run):
 def decompose(ctx, cfg, run):
     """Iterated pushforward decomposition of a flat standard pair."""
     system = Workspace(config=cfg).system()
-    eps = cfg.eps[0]
+    eps = _single_eps(cfg, "decompose")
     consts = default_constants(system, delta=cfg.tolerances.pair_delta,
                                grid=cfg.tolerances.pair_grid)
     margins = class_margins(system, eps, consts)
@@ -310,7 +317,7 @@ def fluctuate(ctx, cfg, run):
     if ws.system().d != 1:
         raise ConfigError(f"fluctuate needs a system with d = 1, got d = {ws.system().d}")
     theta0 = (cfg.theta0 or [0.25])[0]
-    eps = cfg.eps[0]
+    eps = _single_eps(cfg, "fluctuate")
     ens = ws.ensemble(None, eps, cfg.n_trajectories, theta0=theta0, T=cfg.horizon)
     cov = ws.covariance(None, theta0=theta0, T=cfg.horizon)
     clt = clt_test(ens, cov, slack_c=cfg.tolerances.residual_slack)

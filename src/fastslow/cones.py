@@ -55,28 +55,30 @@ def cone_frames(system: FastSlowSystem, eps: float, x0: float, theta0,
     a = c * system.dft_sup / system.lam
 
     orb = orbit(system, eps, x0, theta0, n)
-    d = orb.theta.shape[1]
-    fx = system.df_dx(orb.x, orb.theta)                  # (n+1,)
-    ft = system.df_dtheta(orb.x, orb.theta)              # (n+1, d)
-    ox = system.domega_dx(orb.x, orb.theta)              # (n+1, d)
-    ot = system.domega_dtheta(orb.x, orb.theta)          # (n+1, d, d)
+    der = tangent_data(system, orb.x[:-1, None], orb.theta[:-1, None])   # a batch of one
+    fx, ft, ox, ot = der
+    us, log_v = (arr[:, 0] for arr in tangent_forward(*der, eps))
+    norms = np.linalg.norm(us, axis=-1)
+    bad = np.flatnonzero(norms > c * (1 + 1e-12))
+    if bad.size:
+        raise ConeViolationError(int(bad[0]), float(norms[bad[0]]), c)
+    log_gamma = np.concatenate([[0.0], np.cumsum(np.log(fx[:, 0]))])
 
-    # forward pass: u and the expansion factor v
-    us = np.zeros((n + 1, d))
-    log_v = np.zeros(n + 1)
+    # central slopes for every horizon m = 0..n at once: batch element m runs
+    # the backward recursion from sigma = 0 at step m, so ft is zero at k >= m
+    live = np.arange(n)[:, None] < np.arange(n + 1)                    # (n, n+1)
+    sig = central_slopes(*(np.broadcast_to(arr, (n, n + 1) + arr.shape[2:])
+                           for arr in (fx, np.where(live[..., None], ft, 0.0), ox, ot)), eps)
+    # normalization ratio of the vertical component along the forward sweep
+    eye = np.eye(system.d)
+    step = eye + eps * (ox[..., None] * sig[:-1, :, None, :] + ot)
+    R = np.broadcast_to(eye, (n + 1,) + eye.shape)
     for k in range(n):
-        u = us[k]
-        den = fx[k] + eps * float(ft[k] @ u)
-        num = ox[k] + u + eps * (ot[k] @ u)
-        us[k + 1] = num / den
-        if np.linalg.norm(us[k + 1]) > c * (1 + 1e-12):
-            raise ConeViolationError(k + 1, float(np.linalg.norm(us[k + 1])), c)
-        log_v[k + 1] = log_v[k] + np.log(den)
-    log_gamma = np.concatenate([[0.0], np.cumsum(np.log(fx[:-1]))])
+        R = np.where(live[k, :, None, None], step[k] @ R, R)
+    r = np.linalg.det(R) ** (1.0 / system.d)
 
     frames = []
     for m in range(n + 1):
-        s, r = _central_slope(fx, ft, ox, ot, eps, m, d)
         with np.errstate(over="ignore"):
             frames.append(
                 ConeFrame(
@@ -84,8 +86,8 @@ def cone_frames(system: FastSlowSystem, eps: float, x0: float, theta0,
                     v=float(np.exp(log_v[m])),
                     log_v=float(log_v[m]),
                     u=us[m].copy(),
-                    s=s,
-                    r=r,
+                    s=sig[0, m].copy(),
+                    r=float(r[m]),
                     Gamma=float(np.exp(log_gamma[m])),
                     log_Gamma=float(log_gamma[m]),
                     c=c,
@@ -95,33 +97,44 @@ def cone_frames(system: FastSlowSystem, eps: float, x0: float, theta0,
     return frames
 
 
-def _central_slope(fx, ft, ox, ot, eps, m, d):
-    """Backward solve for the m-step central slope at the base point.
+def tangent_data(system: FastSlowSystem, x, theta):
+    """df/dx, df/dtheta, domega/dx and domega/dtheta at the points, as the recursions take them."""
+    return (system.df_dx(x, theta), system.df_dtheta(x, theta),
+            system.domega_dx(x, theta), system.domega_dtheta(x, theta))
 
-    The defining condition maps (s_m, 1) at the base to the vertical after m
-    steps; backward iteration of the slope is a contraction (factor 1/df/dx),
-    so this is the numerically stable direction.
+
+def tangent_forward(fx, ft, ox, ot, eps):
+    """Forward slope u_k and log expansion factor log v_k for k = 0..n.
+
+    The inputs are the derivatives along n steps of B orbits: fx (n, B), ft
+    and ox (n, B, d), ot (n, B, d, d). Returns u (n+1, B, d) and log_v
+    (n+1, B), both zero at k = 0.
     """
-    sigma = np.zeros(d)
+    n, B, d = ft.shape
+    u = np.zeros((n + 1, B, d))
+    log_v = np.zeros((n + 1, B))
+    for k in range(n):
+        den = fx[k] + eps * np.einsum("nj,nj->n", ft[k], u[k])
+        u[k + 1] = (ox[k] + u[k] + eps * np.einsum("nij,nj->ni", ot[k], u[k])) / den[:, None]
+        log_v[k + 1] = log_v[k] + np.log(den)
+    return u, log_v
+
+
+def central_slopes(fx, ft, ox, ot, eps):
+    """Backward central slopes sigma_k, k = 0..n, from sigma_n = 0; inputs as tangent_forward.
+
+    The defining condition maps (sigma_0, 1) at the base to the vertical after
+    n steps; backward iteration of the slope is a contraction (factor
+    1/df/dx), so this is the numerically stable direction. Returns (n+1, B, d).
+    """
+    n, B, d = ft.shape
+    sigma = np.zeros((n + 1, B, d))
     eye = np.eye(d)
-    ratios = np.empty(m)
-    sigmas = np.empty((m + 1, d))
-    sigmas[m] = sigma
-    for k in range(m - 1, -1, -1):
-        den = fx[k] - eps * float(sigma @ ox[k])
-        sigma = ((eye + eps * ot[k]).T @ sigma - ft[k]) / den
-        sigmas[k] = sigma
-    # normalization ratio of the vertical component along the forward sweep
-    if d == 1:
-        r = 1.0
-        for k in range(m):
-            r *= 1.0 + eps * float(ox[k][0] * sigmas[k][0] + ot[k][0, 0])
-    else:
-        R = eye.copy()
-        for k in range(m):
-            R = (eps * np.outer(ox[k], sigmas[k]) + eye + eps * ot[k]) @ R
-        r = float(np.linalg.det(R)) ** (1.0 / d)
-    return sigmas[0], float(r)
+    for k in range(n - 1, -1, -1):
+        den = fx[k] - eps * np.einsum("nj,nj->n", sigma[k + 1], ox[k])
+        m = eye + eps * ot[k]
+        sigma[k] = (np.einsum("nji,nj->ni", m, sigma[k + 1]) - ft[k]) / den[:, None]
+    return sigma
 
 
 def check_frames(system: FastSlowSystem, frames: list[ConeFrame], eps: float,

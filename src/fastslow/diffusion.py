@@ -6,8 +6,8 @@ centered drift under the frozen dynamics,
     sigma2 = Gamma_0 + sum_{m>=1} (Gamma_m + Gamma_m^T),
 
 truncated where the certified correlation decay makes the tail negligible and
-verified a posteriori. The symmetric PSD square root comes from a cyclic
-Jacobi eigensolver; the slow dimension is small (1-3) so dense d x d work is
+verified a posteriori. The symmetric PSD square root comes from a dense
+eigendecomposition; the slow dimension is small (1-3) so dense d x d work is
 free while the N x N transfer matrix stays sparse.
 """
 from __future__ import annotations
@@ -95,9 +95,6 @@ def autocovariance(system: FastSlowSystem, density: SRBDensity, k: int,
         raise ValueError(f"lag {k} exceeds the configured horizon {max_lag}")
     if op is None and k > 0:
         op = ulam_operator(system, density.theta, density.N)
-    if k == 0:
-        what = centered_drift_values(system, density)
-        return (what.T @ (what * density.rho[:, None])) / density.N
     return autocovariances(system, op, density, k)[k]
 
 
@@ -125,7 +122,7 @@ def green_kubo(gam: np.ndarray, tail_tol: float,
             f"||Gamma_k|| tail {tail:.2e} above {tail_tol:.1e}; increase M"
         )
 
-    evals = jacobi_eigh(sigma2)[0]
+    evals = np.linalg.eigvalsh(sigma2)
     if evals.min() < -clamp_tol:
         raise NegativeEigenvalueError(
             f"sigma2 eigenvalue {evals.min():.3e} below -{clamp_tol:.1e}"
@@ -199,47 +196,9 @@ def _fit_decay(norms: np.ndarray) -> Optional[float]:
     return float(-slope)
 
 
-def jacobi_eigh(A: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60):
-    """Cyclic Jacobi eigendecomposition of a small symmetric matrix.
-
-    Returns (eigenvalues, eigenvectors) with A = V diag(w) V^T. Deterministic
-    and dependency-free; intended for the d x d diffusion blocks, d <= 3.
-    """
-    A = np.array(A, dtype=float)
-    n = A.shape[0]
-    V = np.eye(n)
-    if n == 1:
-        return A.ravel().copy(), V
-    scale = float(np.abs(A).max()) or 1.0
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off = max(off, abs(A[p, q]))
-                if abs(A[p, q]) <= tol * scale:
-                    continue
-                beta = (A[q, q] - A[p, p]) / (2.0 * A[p, q])
-                t = np.sign(beta) / (abs(beta) + np.hypot(1.0, beta))
-                if beta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                A = rot.T @ A @ rot
-                V = V @ rot
-        if off <= tol * scale:
-            break
-    w = np.diag(A).copy()
-    order = np.argsort(w)
-    return w[order], V[:, order]
-
-
 def sym_sqrt(A: np.ndarray, clamp_tol: float = 1e-9) -> np.ndarray:
-    """Symmetric PSD square root via the Jacobi decomposition."""
-    w, V = jacobi_eigh(np.asarray(A, dtype=float))
+    """Symmetric PSD square root via the eigendecomposition."""
+    w, V = np.linalg.eigh(np.asarray(A, dtype=float))
     if w.min() < -clamp_tol:
         raise NegativeEigenvalueError(f"matrix eigenvalue {w.min():.3e} below -{clamp_tol:.1e}")
     w = np.maximum(w, 0.0)

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ShadowSolveError
-from .orbits import orbit
-from .systems import FastSlowSystem
+from .cones import central_slopes, tangent_data, tangent_forward
+from .orbits import step
+from .systems import FastSlowSystem, invert_monotone
 
 
 @dataclass(frozen=True)
@@ -78,37 +79,16 @@ def shadow_solve_batch(system: FastSlowSystem, eps: float, x0: np.ndarray,
                 f"||theta_star - theta0|| = {sep.max():.3e} exceeds eps = {eps:.3e}"
             )
 
-    # true orbits, vectorized over the batch, with tangent data along the way
-    d = system.d
+    # true orbits, vectorized over the batch, and the tangent pass along them
     xs = np.empty((n + 1, N))
-    ths = np.empty((n + 1, N, d))
+    ths = np.empty((n + 1, N, system.d))
     xs[0] = np.mod(x0, 1.0)
     ths[0] = np.mod(theta0, 1.0)
-    fx_o = np.empty((n, N))
-    ft_o = np.empty((n, N, d))
-    ox_o = np.empty((n, N, d))
-    ot_o = np.empty((n, N, d, d))
     for k in range(n):
-        fx_o[k] = system.df_dx(xs[k], ths[k])
-        ft_o[k] = system.df_dtheta(xs[k], ths[k])
-        ox_o[k] = system.domega_dx(xs[k], ths[k])
-        ot_o[k] = system.domega_dtheta(xs[k], ths[k])
-        xs[k + 1] = system.f(xs[k], ths[k])
-        ths[k + 1] = np.mod(ths[k] + eps * system.omega(xs[k], ths[k]), 1.0)
-
-    # forward expansion factor and backward central slope, batched
-    u = np.zeros((N, d))
-    log_v = np.zeros(N)
-    for k in range(n):
-        den = fx_o[k] + eps * np.einsum("nj,nj->n", ft_o[k], u)
-        u = (ox_o[k] + u + eps * np.einsum("nij,nj->ni", ot_o[k], u)) / den[:, None]
-        log_v += np.log(den)
-    sigma = np.zeros((N, d))
-    eye = np.eye(d)
-    for k in range(n - 1, -1, -1):
-        den = fx_o[k] - eps * np.einsum("nj,nj->n", sigma, ox_o[k])
-        m = eye[None, :, :] + eps * ot_o[k]
-        sigma = (np.einsum("nji,nj->ni", m, sigma) - ft_o[k]) / den[:, None]
+        xs[k + 1], ths[k + 1], _ = step(system, eps, xs[k], ths[k])
+    der = tangent_data(system, xs[:-1], ths[:-1])
+    log_v = tangent_forward(*der, eps)[1][n]
+    sigma = central_slopes(*der, eps)[0]
 
     def F(w):
         return system.f_lift(w, theta_star)
@@ -122,8 +102,13 @@ def shadow_solve_batch(system: FastSlowSystem, eps: float, x0: np.ndarray,
     defect = np.zeros(N)
     for k in range(n - 1, -1, -1):
         guess = xs[k]
-        target = shadow[k + 1] + np.round(F(guess) - shadow[k + 1])
-        w = _invert_branch(F, dF, guess, target, system.lam, system.dfx_sup)
+        f_guess = F(guess)
+        target = shadow[k + 1] + np.round(f_guess - shadow[k + 1])
+        # the root lies between guess - delta/lam and guess - delta/dfx_sup
+        delta = f_guess - target
+        lo = guess - np.maximum(delta / system.lam, delta / system.dfx_sup) - 1e-12
+        hi = guess - np.minimum(delta / system.lam, delta / system.dfx_sup) + 1e-12
+        w = invert_monotone(F, dF, lo, hi, target)
         if np.any(np.abs(w - guess) > 0.5 / system.degree + 0.05):
             raise ShadowSolveError(
                 f"branch ambiguity at step {k}: shadow point too far from orbit"
@@ -164,26 +149,3 @@ def shadow_solve_batch(system: FastSlowSystem, eps: float, x0: np.ndarray,
         )
     return out
 
-
-def _invert_branch(F, dF, guess, target, lam, dfx_sup):
-    """Solve F(w) = target on the branch through `guess` (monotone lift).
-
-    The root lies between guess - delta/lam and guess - delta/dfx_sup where
-    delta = F(guess) - target; bracketed bisection down to ~1e-10 followed by
-    Newton polishing. Fully vectorized.
-    """
-    delta = F(guess) - target
-    lo = guess - np.maximum(delta / lam, delta / dfx_sup) - 1e-12
-    hi = guess - np.minimum(delta / lam, delta / dfx_sup) + 1e-12
-    flo = F(lo) - target
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        fm = F(mid) - target
-        keep_lo = (fm <= 0) == (flo <= 0)
-        lo = np.where(keep_lo, mid, lo)
-        flo = np.where(keep_lo, fm, flo)
-        hi = np.where(keep_lo, hi, mid)
-    w = 0.5 * (lo + hi)
-    for _ in range(3):
-        w = w - (F(w) - target) / dF(w)
-    return w

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .exceptions import PairInvariantError
-from .systems import FastSlowSystem
+from .systems import FastSlowSystem, invert_monotone
 
 FAMILY_FORMAT = "fastslow-family/1"
 PRUNE_WEIGHT = 1e-14
@@ -349,19 +349,7 @@ def _decompose_pair(pair: StandardPair, system: FastSlowSystem, eps: float,
 
     # invert all branch grids at once; targets are m*(grid+1) image nodes
     targets = (A0 + piece * (np.arange(m)[:, None] + np.linspace(0, 1, grid + 1)[None, :])).ravel()
-    lo = np.full(targets.shape, a)
-    hi = np.full(targets.shape, b)
-    flo = fG(lo) - targets
-    for _ in range(45):
-        mid = 0.5 * (lo + hi)
-        fm = fG(mid) - targets
-        keep = (fm <= 0) == (flo <= 0)
-        lo = np.where(keep, mid, lo)
-        flo = np.where(keep, fm, flo)
-        hi = np.where(keep, hi, mid)
-    phi = 0.5 * (lo + hi)
-    for _ in range(3):
-        phi = np.clip(phi - (fG(phi) - targets) / dfG(phi), a, b)
+    phi = invert_monotone(fG, dfG, np.full(targets.shape, a), np.full(targets.shape, b), targets)
     resid = np.abs(fG(phi) - targets)
     if resid.max() > 1e-12 * max(1.0, abs(B0)):
         raise PairInvariantError(f"branch inversion residual {resid.max():.2e}")

@@ -12,6 +12,7 @@ bound K are certified by coefficient sums. All evaluators broadcast:
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -62,6 +63,21 @@ def _factor(kind: str, k: float, phase: float, u: np.ndarray, order: int) -> np.
     raise ValueError(f"unknown trig kind {kind!r}")
 
 
+def _coef_sup(terms, ox: int, js: tuple[int, ...]) -> float:
+    """Coefficient-sum bound on sup |d^ox/dx^ox d/dtheta_js| of a sum of terms.
+
+    A 'none' factor is the constant 1, so any derivative through it is zero;
+    its frequency does not count.
+    """
+    total = 0.0
+    for t in terms:
+        if (ox and t.fx == "none") or (js and (t.ft == "none" or not t.lt)):
+            continue
+        freq = abs(t.kx) ** ox * math.prod(abs(t.lt[j]) for j in js)
+        total += abs(t.amp) * _TWO_PI ** (ox + len(js)) * freq
+    return total
+
+
 class FastSlowSystem:
     """Trig-polynomial fast-slow system with analytic derivative accessors.
 
@@ -102,7 +118,13 @@ class FastSlowSystem:
                 raise SystemValidationError("theta frequency vector has wrong length")
 
         # certified coefficient-sum bounds
-        fx_wobble = sum(abs(t.amp) * _TWO_PI * abs(t.kx) for t in self.f_terms if t.fx != "none")
+        fs, comps = [self.f_terms], self.omega_terms
+
+        def sup(lists, ox, nt):
+            return max(_coef_sup(terms, ox, js) for terms in lists
+                       for js in itertools.product(range(d), repeat=nt))
+
+        fx_wobble = sup(fs, 1, 0)
         lam_cert = self.degree - fx_wobble
         self.lam = float(lam) if lam is not None else lam_cert
         if self.lam <= 2.0:
@@ -112,76 +134,25 @@ class FastSlowSystem:
                 f"claimed lam={self.lam} exceeds certified bound {lam_cert:.6f}"
             )
         self.dfx_sup = self.degree + fx_wobble
-        self.dft_sup = max(
-            (sum(abs(t.amp) * _TWO_PI * abs(t.lt[j]) for t in self.f_terms if t.lt) if self.f_terms else 0.0)
-            for j in range(d)
-        ) if self.f_terms else 0.0
-        self.domx_sup = max(
-            sum(abs(t.amp) * _TWO_PI * abs(t.kx) for t in comp) for comp in self.omega_terms
-        )
-        self.domt_sup = max(
-            (
-                max((sum(abs(t.amp) * _TWO_PI * abs(t.lt[j]) for t in comp if t.lt) for j in range(d)))
-                if comp
-                else 0.0
-            )
-            for comp in self.omega_terms
-        )
+        self.dft_sup = sup(fs, 0, 1)
+        self.domx_sup = sup(comps, 1, 0)
+        self.domt_sup = sup(comps, 0, 1)
         K_cert = max(self.domx_sup, self.domt_sup, self.dft_sup)
         self.K = float(K) if K is not None else K_cert
         if self.K + 1e-12 < K_cert:
             raise SystemValidationError(
                 f"claimed K={self.K} below certified bound {K_cert:.6f}"
             )
-        # per-component sup of omega and a Euclidean bound, for Lipschitz checks
-        self.omega_comp_sup = np.array(
-            [sum(abs(t.amp) for t in comp) for comp in self.omega_terms]
-        )
-        self.omega_sup = float(np.linalg.norm(self.omega_comp_sup))
+        # Euclidean bound on omega, for Lipschitz checks
+        self.omega_sup = float(np.linalg.norm([_coef_sup(c, 0, ()) for c in comps]))
         # curvature bounds used by the standard-pair constants
-        self.fxx_sup = sum(abs(t.amp) * _TWO_PI**2 * t.kx**2 for t in self.f_terms)
-        self.fxt_sup = max(
-            (sum(abs(t.amp) * _TWO_PI**2 * abs(t.kx) * abs(t.lt[j]) for t in self.f_terms if t.lt) for j in range(d)),
-            default=0.0,
-        ) if self.f_terms else 0.0
-        self.ftt_sup = max(
-            (
-                sum(abs(t.amp) * _TWO_PI**2 * abs(t.lt[i]) * abs(t.lt[j]) for t in self.f_terms if t.lt)
-                for i in range(d)
-                for j in range(d)
-            ),
-            default=0.0,
-        ) if self.f_terms else 0.0
+        self.fxx_sup = sup(fs, 2, 0)
+        self.fxt_sup = sup(fs, 1, 1)
+        self.ftt_sup = sup(fs, 0, 2)
         self.f_second_sup = max(self.fxx_sup, self.fxt_sup, self.ftt_sup)
-        self.oxx_sup = max(
-            sum(abs(t.amp) * _TWO_PI**2 * t.kx**2 for t in comp) for comp in self.omega_terms
-        )
-        self.oxt_sup = max(
-            (
-                max(
-                    (sum(abs(t.amp) * _TWO_PI**2 * abs(t.kx) * abs(t.lt[j]) for t in comp if t.lt) for j in range(d)),
-                    default=0.0,
-                )
-                if comp
-                else 0.0
-            )
-            for comp in self.omega_terms
-        )
-        self.ott_sup = max(
-            (
-                max(
-                    (
-                        sum(abs(t.amp) * _TWO_PI**2 * abs(t.lt[i]) * abs(t.lt[j]) for t in comp if t.lt)
-                        for i in range(d)
-                        for j in range(d)
-                    ),
-                    default=0.0,
-                )
-                if comp
-                else 0.0
-            )
-            for comp in self.omega_terms
-        )
+        self.oxx_sup = sup(comps, 2, 0)
+        self.oxt_sup = sup(comps, 1, 1)
+        self.ott_sup = sup(comps, 0, 2)
 
     # -- evaluation helpers ------------------------------------------------
 
@@ -217,13 +188,6 @@ class FastSlowSystem:
         return np.stack(
             [self._sum_terms(self.f_terms, x, theta, 0, otj=j) for j in range(self.d)], axis=-1
         )
-
-    def d2f_dtheta2(self, x, theta):
-        rows = [
-            [self._sum_terms(self.f_terms, x, theta, 0, otj=j, otk=k) for k in range(self.d)]
-            for j in range(self.d)
-        ]
-        return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
 
     # -- slow drift ----------------------------------------------------------
 
@@ -286,6 +250,27 @@ class FastSlowSystem:
 
 def dataclass_tuple(t: TrigTerm):
     return (t.amp, t.kx, t.px, t.fx, list(t.lt), t.pt, t.ft)
+
+
+def invert_monotone(F, dF, lo, hi, target) -> np.ndarray:
+    """Solve F(x) = target elementwise for an increasing F with F(lo) <= target <= F(hi).
+
+    Bisects until every bracket is at most 1e-6 wide, with the step count
+    worked out from the widest bracket, then takes three Newton steps clipped
+    to the bracket. Callers check the residual at their own tolerance.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    width = float((hi - lo).max(initial=0.0))
+    for _ in range(math.ceil(math.log2(width / 1e-6)) if width > 1e-6 else 0):
+        mid = 0.5 * (lo + hi)
+        below = F(mid) <= target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    x = 0.5 * (lo + hi)
+    for _ in range(3):
+        x = np.clip(x - (F(x) - target) / dF(x), lo, hi)
+    return x
 
 
 # -- fixture registry --------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .exceptions import BranchInversionError, SRBConvergenceError
-from .systems import FastSlowSystem
+from .systems import FastSlowSystem, invert_monotone
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,7 @@ def ulam_operator(system: FastSlowSystem, theta, N: int) -> UlamOperator:
     F = system.frozen_map(theta)
 
     def dF(x):
-        xs = np.asarray(x, dtype=float)
-        return system.df_dx(xs, np.broadcast_to(theta, xs.shape + (system.d,)))
+        return system.df_dx(x, np.broadcast_to(theta, x.shape + (system.d,)))
 
     xb = np.arange(N + 1) / N
     Fb = F(xb)
@@ -81,20 +80,7 @@ def ulam_operator(system: FastSlowSystem, theta, N: int) -> UlamOperator:
     ylev = klev / N
 
     # preimages of the crossing levels inside their cells
-    lo = xb[col_of].copy()
-    hi = xb[col_of + 1].copy()
-    flo = Fb[col_of] - ylev
-    for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        fm = F(mid) - ylev
-        keep = (fm <= 0) == (flo <= 0)
-        lo = np.where(keep, mid, lo)
-        flo = np.where(keep, fm, flo)
-        hi = np.where(keep, hi, mid)
-    x = 0.5 * (lo + hi)
-    for _ in range(4):
-        x = x - (F(x) - ylev) / dF(x)
-    x = np.clip(x, xb[col_of], xb[col_of + 1])
+    x = invert_monotone(F, dF, xb[col_of], xb[col_of + 1], ylev)
     resid = np.abs(F(x) - ylev)
     if total and resid.max() > 1e-10:
         raise BranchInversionError(

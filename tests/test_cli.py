@@ -172,6 +172,15 @@ def test_fluctuate_rejects_planar_system(runner, tmp_path):
     assert manifest["status"] == "config-error"
 
 
+@pytest.mark.parametrize("command", ["decompose", "fluctuate"])
+def test_single_eps_command_rejects_several_eps(runner, tmp_path, command):
+    res = runner.invoke(main, ["--out", str(tmp_path), "--fixture", "LIN",
+                               "--eps", "1e-3", "--eps", "1e-4", command])
+    assert res.exit_code == 2, res.output
+    manifest = json.loads((tmp_path / command / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+
+
 def test_unexpected_exception_exits_3_and_writes_manifest(runner, tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")

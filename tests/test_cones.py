@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from fastslow.cones import ConeFrame, check_frames, cone_constant, cone_frames
 from fastslow.exceptions import ConeConditionError, ConeViolationError
+from fastslow.orbits import orbit
 from fastslow.systems import FastSlowSystem, TrigTerm
 
 
@@ -48,6 +49,24 @@ def test_cpl_frame_bounds_hold(cpl):
     info = check_frames(cpl, frames, 1e-3)
     assert info["b_measured"] >= 0.0
     assert all(np.linalg.norm(fr.s) <= cpl.K for fr in frames)
+
+
+def test_central_slopes_match_per_horizon_loop(cpl):
+    # scalar backward run from sigma = 0 at each horizon m, as the batch must do
+    eps, n = 1e-3, 12
+    frames = cone_frames(cpl, eps, 0.37, [0.52], n)
+    orb = orbit(cpl, eps, 0.37, [0.52], n)
+    fx = cpl.df_dx(orb.x, orb.theta)
+    ft = cpl.df_dtheta(orb.x, orb.theta)[:, 0]
+    ox = cpl.domega_dx(orb.x, orb.theta)[:, 0]
+    ot = cpl.domega_dtheta(orb.x, orb.theta)[:, 0, 0]
+    for m in range(n + 1):
+        sig = np.zeros(m + 1)
+        for k in range(m - 1, -1, -1):
+            sig[k] = ((1 + eps * ot[k]) * sig[k + 1] - ft[k]) / (fx[k] - eps * sig[k + 1] * ox[k])
+        r = np.prod([1 + eps * (ox[k] * sig[k] + ot[k]) for k in range(m)])
+        assert frames[m].s[0] == pytest.approx(sig[0], rel=1e-14, abs=1e-300)
+        assert frames[m].r == pytest.approx(r, rel=1e-14)
 
 
 def test_standing_assumption_guard(cpl):

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from fastslow.diffusion import (autocovariance, autocovariances, average_drift,
-                                diffusion_matrix, drift_jacobian, jacobi_eigh,
-                                sym_sqrt)
+                                diffusion_matrix, drift_jacobian, sym_sqrt)
 from fastslow.exceptions import NegativeEigenvalueError, TruncationTailError
 from fastslow.systems import FastSlowSystem, TrigTerm
 from fastslow.ulam import srb_density, ulam_operator
@@ -148,16 +147,6 @@ def test_sigma2_theta_continuity(cpl):
 def test_tail_check_raises_for_short_truncation(cpl):
     with pytest.raises(TruncationTailError):
         diffusion_matrix(cpl, [0.25], 512, M=4, with_jacobian=False)
-
-
-def test_jacobi_matches_reference():
-    rng = np.random.default_rng(8)
-    for d in (1, 2, 3, 4):
-        A = rng.normal(size=(d, d))
-        A = A + A.T
-        w, V = jacobi_eigh(A)
-        assert np.allclose(np.sort(w), np.linalg.eigvalsh(A), atol=1e-12)
-        assert np.abs((V * w) @ V.T - A).max() <= 1e-12
 
 
 def test_sym_sqrt_and_negative_rejection():

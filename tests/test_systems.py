@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fastslow.exceptions import SystemValidationError
-from fastslow.systems import FastSlowSystem, TrigTerm, fixture, validate_system
+from fastslow.systems import (FastSlowSystem, TrigTerm, fixture, invert_monotone,
+                              validate_system)
 
 
 def test_fixtures_validate():
@@ -42,7 +43,6 @@ def test_broadcasting_shapes():
     assert cpl.f(x, th).shape == (7,)
     assert cpl.omega(x, th).shape == (7, 1)
     assert cpl.domega_dtheta(x, th).shape == (7, 1, 1)
-    assert cpl.d2f_dtheta2(x, th).shape == (7, 1, 1)
 
 
 def test_roundtrip_serialization():
@@ -94,3 +94,87 @@ def random_trig_systems(draw):
 def test_random_systems_validate(system):
     validate_system(system)
     assert system.lam > 2
+
+
+def test_constant_factor_frequency_does_not_enter_bounds():
+    # fx = "none" makes the x-factor the constant 1 whatever kx says
+    def system(kx):
+        return FastSlowSystem(d=1, degree=3, f_terms=[],
+                              omega_terms=[[TrigTerm(1.0, kx=kx, fx="none", lt=(1,), ft="sin")]])
+
+    plain, padded = system(0), system(5)
+    assert (padded.K, padded.domx_sup, padded.oxx_sup) == (plain.K, plain.domx_sup, plain.oxx_sup)
+    assert padded.K == pytest.approx(2 * np.pi)
+
+
+@st.composite
+def admissible_systems(draw):
+    """Random trig systems with d = 1 or 2, 'none' factors included, lam > 2."""
+    d = draw(st.sampled_from([1, 2]))
+    kinds = st.sampled_from(["sin", "cos", "none"])
+
+    def term(amp):
+        lt = draw(st.one_of(st.just(()), st.tuples(*[st.integers(-2, 2)] * d)))
+        return TrigTerm(amp, kx=draw(st.integers(0, 3)), px=draw(st.floats(0, 1)),
+                        fx=draw(kinds), lt=lt, pt=draw(st.floats(0, 1)), ft=draw(kinds))
+
+    degree = draw(st.integers(3, 5))
+    f_terms = [term(draw(st.floats(-1, 1))) for _ in range(draw(st.integers(0, 3)))]
+    wobble = sum(abs(t.amp) * 2 * np.pi * t.kx for t in f_terms if t.fx != "none")
+    scale = draw(st.floats(0.1, 0.95)) * (degree - 2.05) / wobble if wobble else 1.0
+    f_terms = [TrigTerm(t.amp * scale, t.kx, t.px, t.fx, t.lt, t.pt, t.ft) for t in f_terms]
+    omega_terms = [[term(draw(st.floats(-1.5, 1.5))) for _ in range(draw(st.integers(1, 3)))]
+                   for _ in range(d)]
+    return FastSlowSystem(d=d, degree=degree, f_terms=f_terms, omega_terms=omega_terms)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(admissible_systems())
+def test_certified_bounds_dominate_derivatives(system):
+    rng = np.random.default_rng(5)
+    x = rng.random(64)
+    th = rng.random((64, system.d))
+    h = 1e-5
+
+    def le(values, bound):
+        assert np.abs(values).max() <= bound + 1e-6 * (1 + bound)
+
+    dfx = system.df_dx(x, th)
+    assert dfx.min() >= system.lam - 1e-12 and dfx.max() <= system.dfx_sup + 1e-12
+    le(system.df_dtheta(x, th), system.dft_sup)
+    le(system.domega_dx(x, th), system.domx_sup)
+    le(system.domega_dtheta(x, th), system.domt_sup)
+    le(np.linalg.norm(system.omega(x, th), axis=-1), system.omega_sup)
+    assert system.K >= max(system.dft_sup, system.domx_sup, system.domt_sup)
+
+    # second-order bounds against central differences of the first-order accessors
+    le((system.df_dx(x + h, th) - system.df_dx(x - h, th)) / (2 * h), system.fxx_sup)
+    le((system.domega_dx(x + h, th) - system.domega_dx(x - h, th)) / (2 * h), system.oxx_sup)
+    for j in range(system.d):
+        e = np.zeros(system.d)
+        e[j] = h
+        le((system.df_dx(x, th + e) - system.df_dx(x, th - e)) / (2 * h), system.fxt_sup)
+        le((system.df_dtheta(x, th + e) - system.df_dtheta(x, th - e)) / (2 * h), system.ftt_sup)
+        le((system.domega_dx(x, th + e) - system.domega_dx(x, th - e)) / (2 * h), system.oxt_sup)
+        le((system.domega_dtheta(x, th + e) - system.domega_dtheta(x, th - e)) / (2 * h),
+           system.ott_sup)
+
+
+@pytest.mark.parametrize("width", [1 / 16, 1 / 4096, 0.5])
+def test_invert_monotone_on_cpl_lift(width):
+    # widths of the Ulam cells, the shadowing brackets and the pair intervals
+    cpl = fixture("CPL")
+    theta = np.array([0.3])
+    F = cpl.frozen_map(theta)
+
+    def dF(x):
+        return cpl.df_dx(x, np.broadcast_to(theta, x.shape + (1,)))
+
+    rng = np.random.default_rng(11)
+    lo = rng.random(200) * (1 - width)
+    hi = lo + width
+    target = F(lo + rng.random(200) * width)
+    x = invert_monotone(F, dF, lo, hi, target)
+    assert np.all((lo <= x) & (x <= hi))
+    assert np.abs(F(x) - target).max() <= 1e-12
+    assert invert_monotone(F, dF, np.empty(0), np.empty(0), np.empty(0)).shape == (0,)

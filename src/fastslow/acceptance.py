@@ -28,6 +28,7 @@ from .experiments import (
     observable_library,
 )
 from .limits import AveragedTrajectory, CovarianceTrajectory, covariance_evolve, solve_averaged
+from .orbits import step
 from .shadowing import shadow_solve_batch
 from .srb_cache import SRBCache
 from .standard_pairs import (
@@ -258,8 +259,7 @@ def criterion_8(ws: Workspace) -> CriterionResult:
         out.validate()
 
         def g_pull(x, th, system=system):
-            x1 = system.f(x, th)
-            th1 = np.mod(th + eps * system.omega(x, th), 1.0)
+            x1, th1, _ = step(system, eps, x, th)
             return [g(x1, th1) for g in gs]
 
         pulled = [integrate(pair, lambda x, th, i=i: g_pull(x, th)[i], refine=8)

@@ -25,7 +25,7 @@ from .limits import AveragedTrajectory, CovarianceTrajectory, gaussian_charfn
 from .orbits import sample_paths_batch
 from .rng import stream_uniforms
 from .standard_pairs import StandardPair, sample_from_uniform
-from .systems import FastSlowSystem
+from .systems import FastSlowSystem, torus
 
 CHUNK = 4096   # fixed slice size; results must not depend on thread count
 
@@ -412,7 +412,7 @@ def martingale_residual(ensemble: Ensemble, A: Observable,
     for (ti, Bi) in conditioning:
         if ti >= s:
             raise ValueError("conditioning times must precede s")
-        w = w * np.asarray(Bi(np.mod(ensemble.theta_lift[:, ensemble.time_index(ti)], 1.0)))
+        w = w * np.asarray(Bi(torus(ensemble.theta_lift[:, ensemble.time_index(ti)])))
     if i_t > i_s:
         ts = ensemble.out_times[i_s:i_t + 1]
         integrand = np.zeros((ensemble.n_traj, ts.shape[0]))
@@ -553,6 +553,6 @@ def frozen_fluctuation_sums(system: FastSlowSystem, pair: StandardPair,
     th = np.broadcast_to(theta, (n_traj, system.d))
     acc = np.zeros((n_traj, system.d))
     for _ in range(n_steps):
-        acc += system.omega(x, th) - wbar
-        x = system.f(x, th)
+        x, w = system.f_omega(x, th)
+        acc += w - wbar
     return acc / np.sqrt(n_steps)

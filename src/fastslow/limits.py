@@ -124,10 +124,6 @@ class CovarianceTrajectory:
         out = np.linalg.solve(St, X.T).T
         return 0.5 * (out + out.T)
 
-    def sigma_at(self, t) -> np.ndarray:
-        """Symmetric PSD root of sigma2 along the averaged path."""
-        return sym_sqrt(np.asarray(self.sigma2_provider(self.avg.at(float(t))), dtype=float))
-
     def B_at(self, t) -> np.ndarray:
         return np.asarray(self.jac_provider(self.avg.at(float(t))), dtype=float)
 

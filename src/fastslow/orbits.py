@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import OrbitLengthError
-from .systems import FastSlowSystem
+from .systems import FastSlowSystem, torus
 
 MAX_ORBIT_STEPS = 50_000_000
 
@@ -25,9 +25,9 @@ def step(system: FastSlowSystem, eps: float, x, theta):
     """
     x = np.asarray(x, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    x1 = system.f(x, theta)
-    dtheta = eps * system.omega(x, theta)
-    theta1 = np.mod(theta + dtheta, 1.0)
+    x1, w = system.f_omega(x, theta)
+    dtheta = eps * w
+    theta1 = torus(theta + dtheta)
     return x1, theta1, dtheta
 
 
@@ -56,8 +56,8 @@ def orbit(system: FastSlowSystem, eps: float, x0: float, theta0, n: int,
     xs = np.empty(n + 1)
     ths = np.empty((n + 1, d))
     lifts = np.empty((n + 1, d))
-    xs[0] = x0 % 1.0
-    ths[0] = theta0 % 1.0
+    xs[0] = torus(x0)
+    ths[0] = torus(theta0)
     lifts[0] = ths[0]
     for k in range(n):
         x1, th1, dth = step(system, eps, xs[k], ths[k])
@@ -140,8 +140,8 @@ def sample_paths_batch(system: FastSlowSystem, eps: float, x0: np.ndarray,
         raise OrbitLengthError(f"{n_steps} steps exceed maximum {max_steps}")
     node = np.minimum(np.floor(out_times / eps).astype(int), n_steps)
     frac = out_times / eps - node
-    x = np.mod(np.asarray(x0, dtype=float), 1.0).copy()
-    th = np.mod(np.asarray(theta0, dtype=float), 1.0)
+    x = torus(np.asarray(x0, dtype=float))
+    th = torus(np.asarray(theta0, dtype=float))
     lift = th.copy()
     ptr = 0
     for k in range(n_steps + 1):

@@ -18,7 +18,7 @@ import numpy as np
 from .exceptions import ShadowSolveError
 from .cones import central_slopes, tangent_data, tangent_forward
 from .orbits import step
-from .systems import FastSlowSystem, invert_monotone
+from .systems import FastSlowSystem, invert_monotone, torus
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class ShadowSolution:
 
 
 def _circle_dist(a, b):
-    d = np.abs(np.mod(a - b, 1.0))
+    d = np.abs(torus(a - b))
     return np.minimum(d, 1.0 - d)
 
 
@@ -82,8 +82,8 @@ def shadow_solve_batch(system: FastSlowSystem, eps: float, x0: np.ndarray,
     # true orbits, vectorized over the batch, and the tangent pass along them
     xs = np.empty((n + 1, N))
     ths = np.empty((n + 1, N, system.d))
-    xs[0] = np.mod(x0, 1.0)
-    ths[0] = np.mod(theta0, 1.0)
+    xs[0] = torus(x0)
+    ths[0] = torus(theta0)
     for k in range(n):
         xs[k + 1], ths[k + 1], _ = step(system, eps, xs[k], ths[k])
     der = tangent_data(system, xs[:-1], ths[:-1])
@@ -114,7 +114,7 @@ def shadow_solve_batch(system: FastSlowSystem, eps: float, x0: np.ndarray,
                 f"branch ambiguity at step {k}: shadow point too far from orbit"
             )
         defect = np.maximum(defect, np.abs(F(w) - target))
-        shadow[k] = np.mod(w, 1.0)
+        shadow[k] = torus(w)
     if np.any(defect > tol):
         raise ShadowSolveError(
             f"inversion residual {defect.max():.3e} above tolerance {tol:.1e}"

@@ -23,7 +23,7 @@ import numpy as np
 from .config import default_truncation
 from .diffusion import autocovariances, average_drift, green_kubo
 from .exceptions import TableResolutionError
-from .systems import FastSlowSystem
+from .systems import FastSlowSystem, torus
 from .ulam import srb_density, ulam_operator
 
 START_NODES = 8        # nodes per dimension of the first table
@@ -46,7 +46,7 @@ def _evaluate(coef: np.ndarray, wave: np.ndarray, thetas: np.ndarray,
     """
     P, d = thetas.shape
     n = wave.shape[0]
-    basis = np.exp(wave * np.mod(thetas, 1.0)[..., None])     # (P, d, n)
+    basis = np.exp(wave * torus(thetas)[..., None])     # (P, d, n)
     if wrt is not None:
         basis[:, wrt] *= wave
     out = basis[:, 0] @ coef.reshape(n, -1)

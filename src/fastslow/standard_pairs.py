@@ -24,7 +24,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .exceptions import PairInvariantError
-from .systems import FastSlowSystem, invert_monotone
+from .systems import FastSlowSystem, invert_monotone, torus
 
 FAMILY_FORMAT = "fastslow-family/1"
 PRUNE_WEIGHT = 1e-14
@@ -125,7 +125,7 @@ class StandardPair:
         """Mean slow coordinate of the pair (reduced mod 1)."""
         xg = self.grid_x()
         w = _simpson_weights(xg)
-        return np.mod((w[:, None] * self.curve.values * self.density.values[:, None]).sum(axis=0), 1.0)
+        return torus((w[:, None] * self.curve.values * self.density.values[:, None]).sum(axis=0))
 
 
 def _simpson_weights(xg: np.ndarray) -> np.ndarray:
@@ -269,7 +269,7 @@ def integrate(obj, g: Callable, refine: int = 1) -> float:
     w = _simpson_weights(xg)
     theta = obj.curve.at(xg) if refine > 1 else obj.curve.values
     rho = obj.density.at(xg) if refine > 1 else obj.density.values
-    vals = np.asarray(g(np.mod(xg, 1.0), np.mod(theta, 1.0)), dtype=float)
+    vals = np.asarray(g(torus(xg), torus(theta)), dtype=float)
     return float(w @ (vals * rho))
 
 
@@ -324,12 +324,12 @@ def _decompose_pair(pair: StandardPair, system: FastSlowSystem, eps: float,
     grid = pair.curve.values.shape[0] - 1
 
     def fG(x):
-        return system.f_lift(np.mod(x, 1.0), np.mod(pair.curve.at(x), 1.0)) \
-            + system.degree * (x - np.mod(x, 1.0))
+        return system.f_lift(torus(x), torus(pair.curve.at(x))) \
+            + system.degree * (x - torus(x))
 
     def dfG(x):
-        xm = np.mod(x, 1.0)
-        th = np.mod(pair.curve.at(x), 1.0)
+        xm = torus(x)
+        th = torus(pair.curve.at(x))
         return system.df_dx(xm, th) + np.einsum(
             "...j,...j->...", system.df_dtheta(xm, th), pair.curve.deriv(x, 1)
         )
@@ -362,8 +362,8 @@ def _decompose_pair(pair: StandardPair, system: FastSlowSystem, eps: float,
     for j in range(m):
         xj = phi[j]
         Gx = pair.curve.at(xj)
-        xm = np.mod(xj, 1.0)
-        thm = np.mod(Gx, 1.0)
+        xm = torus(xj)
+        thm = torus(Gx)
         new_vals = Gx + eps * system.omega(xm, thm)
         rho_tilde = pair.density.at(xj) / dfG(xj)
         a_new = A0 + j * piece
@@ -393,8 +393,8 @@ def sample_from_uniform(pair: StandardPair, u) -> tuple[np.ndarray, np.ndarray]:
     cdf /= cdf[-1]
     seg = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, xg.shape[0] - 2)
     x = xg[seg] + (u - cdf[seg]) / (cdf[seg + 1] - cdf[seg]) * h
-    theta = np.mod(pair.curve.at(x), 1.0)
-    return np.mod(x, 1.0), theta
+    theta = torus(pair.curve.at(x))
+    return torus(x), theta
 
 
 def sample(pair: StandardPair, rng: np.random.Generator, n: Optional[int] = None):

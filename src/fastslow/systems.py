@@ -40,27 +40,41 @@ class TrigTerm:
     ft: str = "none"
 
 
-def _factor(kind: str, k: float, phase: float, u: np.ndarray, order: int) -> np.ndarray:
-    """Derivative of order 0/1/2 of sin|cos(2*pi*(k*u + phase)) w.r.t. u."""
-    if kind == "none":
-        if order == 0:
-            return np.ones_like(u)
-        return np.zeros_like(u)
-    arg = _TWO_PI * (k * u + phase)
+def torus(a):
+    """Reduction to [0, 1); on finite floats bitwise equal to np.mod(a, 1.0)."""
+    return a - np.floor(a)
+
+
+def _cached(memo: Optional[dict], key, make):
+    """make(), kept in ``memo`` under ``key`` when a memo is given."""
+    if memo is None:
+        return make()
+    if key not in memo:
+        memo[key] = make()
+    return memo[key]
+
+
+def _factor(memo: Optional[dict], kind: str, k: float, phase: float, var, u: np.ndarray,
+            order: int) -> np.ndarray:
+    """Derivative of order 0/1 of sin|cos(2*pi*(k*u + phase)) w.r.t. u.
+
+    A ``memo`` keeps each sin/cos array under (function, k, phase, var), where
+    ``var`` names the variable u stands for, so sin' = w*cos reuses a cos
+    another term already evaluated at the same point.
+    """
+    if kind not in ("sin", "cos"):
+        raise ValueError(f"unknown trig kind {kind!r}")
+    fn = np.cos if (kind == "sin") == bool(order) else np.sin
+    val = _cached(memo, (fn, k, phase, var), lambda: fn(_TWO_PI * (k * u + phase)))
+    if not order:
+        return val
     w = _TWO_PI * k
-    if kind == "sin":
-        if order == 0:
-            return np.sin(arg)
-        if order == 1:
-            return w * np.cos(arg)
-        return -(w * w) * np.sin(arg)
-    if kind == "cos":
-        if order == 0:
-            return np.cos(arg)
-        if order == 1:
-            return -w * np.sin(arg)
-        return -(w * w) * np.cos(arg)
-    raise ValueError(f"unknown trig kind {kind!r}")
+    return w * val if kind == "sin" else -w * val
+
+
+def _dot(theta: np.ndarray, lt: tuple) -> np.ndarray:
+    """theta.l, zero for a theta-free term."""
+    return theta @ np.asarray(lt, dtype=float) if lt else np.zeros(theta.shape[:-1])
 
 
 def _coef_sup(terms, ox: int, js: tuple[int, ...]) -> float:
@@ -156,30 +170,49 @@ class FastSlowSystem:
 
     # -- evaluation helpers ------------------------------------------------
 
-    def _sum_terms(self, terms, x, theta, ox: int, otj=None, otk=None):
-        """Sum of term derivatives; otj/otk select theta components (None = value)."""
+    def _sum_terms(self, terms, x, theta, ox: int, otj=None, memo=None):
+        """Sum of term derivatives; otj selects a theta component (None = value).
+
+        A 'none' factor is the constant 1: it is left out of the product, and
+        a derivative through it is zero, so the term is skipped. A ``memo``
+        caches theta.l per frequency vector and each trig evaluation; only
+        callers that share it between sums at the same (x, theta) pass one, so
+        without it each factor is freed once its term is added.
+        """
         x = np.asarray(x, dtype=float)
         theta = np.asarray(theta, dtype=float)
         out = np.zeros(np.broadcast_shapes(x.shape, theta.shape[:-1]))
         for t in terms:
-            u = theta @ np.asarray(t.lt, dtype=float) if t.lt else np.zeros(theta.shape[:-1])
-            ot = (otj is not None) + (otk is not None)
-            val = t.amp * _factor(t.fx, t.kx, t.px, x, ox) * _factor(t.ft, 1.0, t.pt, u, ot)
+            if (ox and t.fx == "none") or (otj is not None and (t.ft == "none" or not t.lt)):
+                continue
+            val = t.amp
+            if t.fx != "none":
+                val = val * _factor(memo, t.fx, t.kx, t.px, "x", x, ox)
+            if t.ft != "none":
+                u = _cached(memo, t.lt, lambda: _dot(theta, t.lt))
+                val = val * _factor(memo, t.ft, 1.0, t.pt, t.lt, u, otj is not None)
             if otj is not None:
-                val = val * (t.lt[otj] if t.lt else 0.0)
-            if otk is not None:
-                val = val * (t.lt[otk] if t.lt else 0.0)
+                val = val * t.lt[otj]
             out = out + val
         return out
 
     # -- fast map ----------------------------------------------------------
 
+    def _lift(self, x, theta, memo: Optional[dict]):
+        return self.degree * np.asarray(x, dtype=float) \
+            + self._sum_terms(self.f_terms, x, theta, 0, memo=memo)
+
     def f_lift(self, x, theta):
         """Lift of the fast map to the real line (degree * x + periodic part)."""
-        return self.degree * np.asarray(x, dtype=float) + self._sum_terms(self.f_terms, x, theta, 0)
+        return self._lift(x, theta, None)
 
     def f(self, x, theta):
-        return np.mod(self.f_lift(x, theta), 1.0)
+        return torus(self.f_lift(x, theta))
+
+    def f_omega(self, x, theta):
+        """``(f(x, theta), omega(x, theta))`` from one shared trig evaluation."""
+        memo = {}
+        return torus(self._lift(x, theta, memo)), self._components(x, theta, 0, memo)
 
     def df_dx(self, x, theta):
         return self.degree + self._sum_terms(self.f_terms, x, theta, 1)
@@ -191,15 +224,16 @@ class FastSlowSystem:
 
     # -- slow drift ----------------------------------------------------------
 
-    def omega(self, x, theta):
+    def _components(self, x, theta, ox: int, memo: Optional[dict]):
         return np.stack(
-            [self._sum_terms(comp, x, theta, 0) for comp in self.omega_terms], axis=-1
+            [self._sum_terms(comp, x, theta, ox, memo=memo) for comp in self.omega_terms], axis=-1
         )
 
+    def omega(self, x, theta):
+        return self._components(x, theta, 0, None)
+
     def domega_dx(self, x, theta):
-        return np.stack(
-            [self._sum_terms(comp, x, theta, 1) for comp in self.omega_terms], axis=-1
-        )
+        return self._components(x, theta, 1, None)
 
     def domega_dtheta(self, x, theta):
         """Entry (..., i, j) = d omega_i / d theta_j."""
@@ -326,7 +360,7 @@ def validate_system(system: FastSlowSystem, rtol: float = 1e-6, n_probe: int = 1
     h = 1e-6
     xs = (np.arange(n_probe) + 0.383) / n_probe
     rows = np.stack(
-        [((np.arange(n_probe) * (j + 2) + 0.271) / n_probe) % 1.0 for j in range(system.d)],
+        [torus((np.arange(n_probe) * (j + 2) + 0.271) / n_probe) for j in range(system.d)],
         axis=-1,
     )
     xg, ig = np.meshgrid(xs, np.arange(n_probe), indexing="ij")

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .exceptions import BranchInversionError, SRBConvergenceError
-from .systems import FastSlowSystem, invert_monotone
+from .systems import FastSlowSystem, invert_monotone, torus
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ def ulam_operator(system: FastSlowSystem, theta, N: int) -> UlamOperator:
     """
     if N < 16:
         raise ValueError("N must be >= 16")
-    theta = np.atleast_1d(np.asarray(theta, dtype=float)) % 1.0
+    theta = torus(np.atleast_1d(np.asarray(theta, dtype=float)))
     F = system.frozen_map(theta)
 
     def dF(x):

@@ -140,3 +140,29 @@ def test_lipschitz_property_random(eps, x0, th0):
     path = polygonalize(orb, eps, eps * (n - 2))
     slopes = np.linalg.norm(np.diff(path.lift, axis=0), axis=1) / np.diff(path.times)
     assert slopes.max() <= cpl.omega_sup + 1e-9
+
+
+@pytest.mark.parametrize("name", ["LIN", "CBD", "CPL"])
+def test_batch_paths_equal_loop_over_f_omega_and_mod(name):
+    # the update order of the skew product, spelled out with np.mod
+    system = fixture(name)
+    rng = np.random.default_rng(4)
+    eps, T = 1e-2, 0.5
+    x0 = rng.uniform(-1.0, 2.0, 256)
+    th0 = rng.uniform(-1.0, 2.0, (256, 1))
+    out_times = np.linspace(0.0, T, 9)
+    got = sample_paths_batch(system, eps, x0, th0, out_times, T)
+
+    n_steps = int(np.floor(T / eps)) + 1
+    node = np.minimum(np.floor(out_times / eps).astype(int), n_steps)
+    frac = out_times / eps - node
+    x, th = np.mod(x0, 1.0), np.mod(th0, 1.0)
+    lift = th.copy()
+    expected = np.empty_like(got)
+    for k in range(n_steps + 1):
+        dth = eps * system.omega(x, th)
+        x, th, lift_next = system.f(x, th), np.mod(th + dth, 1.0), lift + dth
+        for p in np.flatnonzero(node == k):
+            expected[:, p] = lift + frac[p] * (lift_next - lift)
+        lift = lift_next
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))

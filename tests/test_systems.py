@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fastslow.exceptions import SystemValidationError
-from fastslow.systems import (FastSlowSystem, TrigTerm, fixture, invert_monotone,
+from fastslow.systems import (FastSlowSystem, TrigTerm, fixture, invert_monotone, torus,
                               validate_system)
 
 
@@ -178,3 +178,88 @@ def test_invert_monotone_on_cpl_lift(width):
     assert np.all((lo <= x) & (x <= hi))
     assert np.abs(F(x) - target).max() <= 1e-12
     assert invert_monotone(F, dF, np.empty(0), np.empty(0), np.empty(0)).shape == (0,)
+
+
+def test_torus_equals_np_mod_bitwise():
+    tiny = np.nextafter(0.0, 1.0)
+    edges = np.array([0.0, -0.0, tiny, -tiny, -1e-300, -1e-17, 1e-17, 0.5, -0.5, 1.0, -1.0,
+                      1 - 2.0**-53, -(1 - 2.0**-53), 2.0**52 + 0.5, -(2.0**52 + 0.5),
+                      2.0**53, 1e300, -1e300, 3.75, -3.75])
+    values = np.concatenate([edges, np.random.default_rng(3).normal(0.0, 1e3, 10_000)])
+    assert np.array_equal(torus(values).view(np.int64), np.mod(values, 1.0).view(np.int64))
+    assert torus(-tiny) == np.mod(-tiny, 1.0) == 1.0
+    assert float(torus(-0.37)) == -0.37 % 1.0
+
+
+# -- evaluator against a plain per-term loop ---------------------------------------
+
+def _reference_factor(kind, k, phase, u, order):
+    if kind == "none":
+        return np.ones_like(u) if order == 0 else np.zeros_like(u)
+    arg = 2.0 * np.pi * (k * u + phase)
+    w = 2.0 * np.pi * k
+    if kind == "sin":
+        return np.sin(arg) if order == 0 else w * np.cos(arg)
+    return np.cos(arg) if order == 0 else -w * np.sin(arg)
+
+
+def _reference_sum(terms, x, theta, ox, j=None):
+    out = np.zeros(np.broadcast_shapes(x.shape, theta.shape[:-1]))
+    for t in terms:
+        u = theta @ np.asarray(t.lt, dtype=float) if t.lt else np.zeros(theta.shape[:-1])
+        val = t.amp * _reference_factor(t.fx, t.kx, t.px, x, ox) \
+            * _reference_factor(t.ft, 1.0, t.pt, u, int(j is not None))
+        if j is not None:
+            val = val * (t.lt[j] if t.lt else 0.0)
+        out = out + val
+    return out
+
+
+def _reference_accessors(system, x, theta):
+    comps = system.omega_terms
+    lift = system.degree * x + _reference_sum(system.f_terms, x, theta, 0)
+    omega = np.stack([_reference_sum(c, x, theta, 0) for c in comps], axis=-1)
+    return {
+        "f_lift": lift,
+        "f": np.mod(lift, 1.0),
+        "omega": omega,
+        "f_omega": (np.mod(lift, 1.0), omega),
+        "df_dx": system.degree + _reference_sum(system.f_terms, x, theta, 1),
+        "df_dtheta": np.stack([_reference_sum(system.f_terms, x, theta, 0, j)
+                               for j in range(system.d)], axis=-1),
+        "domega_dx": np.stack([_reference_sum(c, x, theta, 1) for c in comps], axis=-1),
+        "domega_dtheta": np.stack([np.stack([_reference_sum(c, x, theta, 0, j)
+                                             for j in range(system.d)], axis=-1)
+                                   for c in comps], axis=-2),
+    }
+
+
+def _assert_bitwise(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.dtype == expected.dtype == np.float64 and got.shape == expected.shape
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def _check_evaluators(system):
+    rng = np.random.default_rng(8)
+    x = np.concatenate([[0.0, -0.0, 0.5, 1 - 2.0**-53], rng.uniform(-1.0, 2.0, 252)])
+    theta = np.concatenate([np.zeros((2, system.d)), -np.zeros((2, system.d)),
+                            rng.uniform(-1.0, 2.0, (252, system.d))])
+    for name, expected in _reference_accessors(system, x, theta).items():
+        got = getattr(system, name)(x, theta)
+        if name == "f_omega":
+            for g, e in zip(got, expected):
+                _assert_bitwise(g, e)
+        else:
+            _assert_bitwise(got, expected)
+
+
+@pytest.mark.parametrize("name", ["LIN", "CBD", "CPL"])
+def test_evaluators_equal_per_term_loop_on_fixtures(name):
+    _check_evaluators(fixture(name))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(admissible_systems())
+def test_evaluators_equal_per_term_loop_on_random_systems(system):
+    _check_evaluators(system)

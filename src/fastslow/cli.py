@@ -19,7 +19,7 @@ import scipy
 
 from . import __version__
 from .acceptance import FIXTURE_CRITERIA, Workspace, results_to_json, run_all
-from .config import ExperimentConfig, config_from_dict, load_config
+from .config import ExperimentConfig, check_config, config_from_dict, load_config
 from .diffusion import diffusion_matrix
 from .exceptions import ConfigError, FastSlowError
 from .experiments import clt_test, default_out_times, moment_scaling
@@ -85,8 +85,7 @@ def _resolve(ctx) -> ExperimentConfig:
         cfg.horizon = data["t_final"]
     if data.get("theta0") is not None:
         cfg.theta0 = [data["theta0"]]
-    cfg_dict = cfg.resolved()
-    return config_from_dict(cfg_dict)   # re-validate after overrides
+    return cfg
 
 
 def _guard(fn):
@@ -99,6 +98,7 @@ def _guard(fn):
         try:
             cfg = _resolve(ctx)
             run = Run(cfg, fn.__name__.replace("_", "-"))
+            check_config(cfg)   # after Run, so a bad value still gets a manifest
             code = fn(ctx, cfg, run) or 0
             run.finish("ok" if code == 0 else "failed")
             sys.exit(code)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .exceptions import ConfigError
-from .systems import FIXTURES
+from .systems import FIXTURES, FastSlowSystem
 
 
 @dataclass
@@ -88,12 +88,13 @@ def _apply(dc: Any, data: dict, path: str) -> None:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build a validated config, rejecting unknown keys recursively."""
+    """Build a config, rejecting unknown keys recursively; check_config checks the values."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     cfg = ExperimentConfig()
     _apply(cfg, data, "")
-    _check(cfg)
+    if not isinstance(cfg.eps, list):
+        cfg.eps = [cfg.eps]
     return cfg
 
 
@@ -106,13 +107,17 @@ def load_config(path: str) -> ExperimentConfig:
     return config_from_dict(data)
 
 
-def _check(cfg: ExperimentConfig) -> None:
+def check_config(cfg: ExperimentConfig) -> None:
+    """Reject values a run cannot use, including a malformed inline system."""
     if cfg.fixture is None and cfg.system is None:
         raise ConfigError("either 'fixture' or 'system' must be given")
     if cfg.fixture is not None and str(cfg.fixture).upper() not in FIXTURES:
         raise ConfigError(f"unknown fixture {cfg.fixture!r}; known: {', '.join(FIXTURES)}")
-    if not isinstance(cfg.eps, list):
-        cfg.eps = [cfg.eps]
+    if cfg.system is not None:
+        try:
+            FastSlowSystem.from_dict(cfg.system)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed inline system: {exc!r}") from exc
     for e in cfg.eps:
         if not (0 <= e <= cfg.tolerances.eps_max):
             raise ConfigError(f"eps={e} outside [0, eps_max={cfg.tolerances.eps_max}]")

@@ -85,19 +85,6 @@ def autocovariances(system: FastSlowSystem, op: UlamOperator, density: SRBDensit
     return gam
 
 
-def autocovariance(system: FastSlowSystem, density: SRBDensity, k: int,
-                   op: Optional[UlamOperator] = None,
-                   max_lag: int = 10_000) -> np.ndarray:
-    """Single Gamma_k; builds the operator when not supplied (k >= 1)."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k > max_lag:
-        raise ValueError(f"lag {k} exceeds the configured horizon {max_lag}")
-    if op is None and k > 0:
-        op = ulam_operator(system, density.theta, density.N)
-    return autocovariances(system, op, density, k)[k]
-
-
 def green_kubo(gam: np.ndarray, tail_tol: float,
                clamp_tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray, float]:
     """Green-Kubo sum of Gamma_0..Gamma_M with the checks every caller needs.

@@ -17,23 +17,6 @@ class OrbitLengthError(FastSlowError):
     """Requested orbit exceeds the configured maximum number of steps."""
 
 
-class ConeConditionError(FastSlowError):
-    """Standing assumption eps*K*c <= 1 fails; cone analysis not applicable."""
-
-
-class ConeViolationError(FastSlowError):
-    """A tangent slope left the invariant cone (reports the step index)."""
-
-    def __init__(self, step: int, value: float, bound: float):
-        self.step = step
-        self.value = value
-        self.bound = bound
-        super().__init__(
-            f"cone violated at step {step}: |u|={value:.6g} > c={bound:.6g} "
-            "(lambda or K likely misconfigured)"
-        )
-
-
 class ShadowSolveError(FastSlowError):
     """Backward branch-tracked inversion failed to converge."""
 

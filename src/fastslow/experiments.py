@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .exceptions import GridMismatchError, OrbitLengthError
+from .exceptions import GridMismatchError
 from .limits import AveragedTrajectory, CovarianceTrajectory, gaussian_charfn
 from .orbits import sample_paths_batch
 from .rng import stream_uniforms
@@ -188,8 +188,7 @@ def default_out_times(T: float, m: int = 33) -> np.ndarray:
 
 def run_ensemble(system: FastSlowSystem, pair: StandardPair, eps: float,
                  n_traj: int, T: float, out_times, root_seed: int,
-                 avg: AveragedTrajectory, threads: int = 1,
-                 max_steps: int = 50_000_000) -> Ensemble:
+                 avg: AveragedTrajectory, threads: int = 1) -> Ensemble:
     """Simulate n_traj trajectories from the pair and record path data.
 
     Trajectory k draws its initial point with stream root_seed XOR k; the
@@ -198,8 +197,6 @@ def run_ensemble(system: FastSlowSystem, pair: StandardPair, eps: float,
     are independent of the thread count, so output is bit-reproducible.
     """
     out_times = np.asarray(out_times, dtype=float)
-    if eps > 0 and T / eps > max_steps:
-        raise OrbitLengthError(f"T/eps = {T / eps:.3g} steps exceed budget {max_steps}")
     us = stream_uniforms(root_seed, n_traj)
     x0, theta0 = sample_from_uniform(pair, us)
 
@@ -207,8 +204,7 @@ def run_ensemble(system: FastSlowSystem, pair: StandardPair, eps: float,
 
     def work(c0: int) -> np.ndarray:
         sl = slice(c0, min(c0 + CHUNK, n_traj))
-        return sample_paths_batch(system, eps, x0[sl], theta0[sl], out_times, T,
-                                  max_steps=max_steps)
+        return sample_paths_batch(system, eps, x0[sl], theta0[sl], out_times, T)
 
     if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -342,54 +338,6 @@ def moment_scaling(ensemble: Ensemble, max_level: Optional[int] = None) -> Repor
         data={"rows": rows, "m2_exponent": fit2, "m4_exponent": fit4,
               "max_m2_ratio": _f(max(r["m2_over_gap"] for r in rows)),
               "min_m2_ratio": _f(min(r["m2_over_gap"] for r in rows))},
-    )
-
-
-def generator_residual(ensemble: Ensemble, A: Observable, variant: str,
-                       drift_batch: Optional[Callable] = None,
-                       cov: Optional[CovarianceTrajectory] = None,
-                       slack_c: float = 1.0) -> Report:
-    """Mean of the time-differentiation identity for one test function.
-
-    averaged   : A(Theta(T)) - A(Theta(0)) - int <omega_bar, grad A>(Theta) dt
-    fluctuation: A(zeta(T)) - A(zeta(0)) - int L_s A(zeta(s)) ds with the
-                 second-order generator along the averaged path.
-    The time integral is a trapezoid on the output grid.
-    """
-    ts = ensemble.out_times
-    if variant == "averaged":
-        if drift_batch is None:
-            raise ValueError("averaged variant needs a drift_batch provider")
-        th = ensemble.theta_lift
-        shape = th.shape
-        wbar = drift_batch(th.reshape(-1, shape[2])).reshape(shape)
-        integrand = np.sum(A.grad(th) * wbar, axis=2)
-        boundary = A.value(th[:, -1]) - A.value(th[:, 0])
-    elif variant == "fluctuation":
-        if cov is None:
-            raise ValueError("fluctuation variant needs a covariance trajectory")
-        z = ensemble.zeta
-        integrand = np.zeros(z.shape[:2])
-        for i, t in enumerate(ts):
-            B = cov.B_at(float(t))
-            s2 = np.asarray(cov.sigma2_provider(ensemble.avg.at(float(t))), dtype=float)
-            gi = A.grad(z[:, i])
-            hi = A.hess(z[:, i])
-            integrand[:, i] = np.einsum("nj,nj->n", gi, z[:, i] @ B.T) \
-                + 0.5 * np.einsum("ij,nij->n", s2, hi)
-        boundary = A.value(z[:, -1]) - A.value(z[:, 0])
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    resid = boundary - np.trapezoid(integrand, ts, axis=1)
-    mean = _f(resid.mean())
-    se = _f(resid.std(ddof=1) / np.sqrt(ensemble.n_traj)) if ensemble.n_traj > 1 else 0.0
-    thr = 3.0 * se + slack_c * np.sqrt(ensemble.eps)
-    return Report(
-        kind="generator_residual",
-        inputs={"A": A.name, "variant": variant, "eps": _f(ensemble.eps),
-                "n": ensemble.n_traj, "seed": ensemble.root_seed},
-        data={"mean": mean, "stderr": se, "threshold": _f(thr)},
-        passed=bool(abs(mean) <= thr),
     )
 
 
@@ -534,25 +482,3 @@ def clt_test(ensemble: Ensemble, cov: CovarianceTrajectory,
               "mean_consistent": bool(mean_ok), "charfn_consistent": bool(char_ok)},
     )
 
-
-# -- frozen-dynamics fluctuation sums ---------------------------------------------
-
-def frozen_fluctuation_sums(system: FastSlowSystem, pair: StandardPair,
-                            theta_freeze, n_steps: int, n_traj: int,
-                            root_seed: int, omega_bar_value) -> np.ndarray:
-    """Normalized Birkhoff sums (1/sqrt(n)) sum (omega - omega_bar)(x_k, theta).
-
-    The slow coordinate is held at theta_freeze, so the ensemble variance of
-    the result converges to the summed-autocovariance diffusion matrix; used
-    for null calibration of the fluctuation machinery.
-    """
-    theta = np.atleast_1d(np.asarray(theta_freeze, dtype=float))
-    wbar = np.asarray(omega_bar_value, dtype=float)
-    us = stream_uniforms(root_seed, n_traj)
-    x, _ = sample_from_uniform(pair, us)
-    th = np.broadcast_to(theta, (n_traj, system.d))
-    acc = np.zeros((n_traj, system.d))
-    for _ in range(n_steps):
-        x, w = system.f_omega(x, th)
-        acc += w - wbar
-    return acc / np.sqrt(n_steps)

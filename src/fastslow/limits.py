@@ -1,4 +1,4 @@
-"""Averaged trajectory, fluctuation covariance, Gaussian law, weak sampler.
+"""Averaged trajectory, fluctuation covariance and the Gaussian law.
 
 The slow path concentrates on the solution of theta' = omega_bar(theta); the
 rescaled deviation converges to a zero-mean Gaussian process whose law is
@@ -24,7 +24,6 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .diffusion import sym_sqrt
 from .exceptions import CovarianceCrossCheckError, FastSlowError
 
 Provider = Callable[[np.ndarray], np.ndarray]
@@ -211,31 +210,3 @@ def gaussian_charfn(cov: CovarianceTrajectory, lam, s: float, t: float,
     phase = float(lam @ (cov.flow(s, t) @ zeta_s))
     return float(-0.5 * lam @ C @ lam), phase
 
-
-def sde_sample(cov: CovarianceTrajectory, rng: np.random.Generator,
-               dt: float, T: float, n_paths: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Euler-Maruyama paths of the limiting linear diffusion (weak order 1).
-
-    zeta_{k+1} = zeta_k + B(t_k) zeta_k dt + sigma(t_k) sqrt(dt) xi_k with
-    standard Gaussian xi_k drawn from the given stream in step order. All
-    paths start at zero. Requires dt <= 1e-2.
-    """
-    if dt > 1e-2:
-        raise ValueError("dt must be <= 1e-2")
-    d = cov.d
-    n_steps = int(round(T / dt))
-    times = dt * np.arange(n_steps + 1)
-    B = np.empty((n_steps, d, d))
-    sig = np.empty((n_steps, d, d))
-    for k in range(n_steps):
-        theta = cov.avg.at(float(times[k]))
-        B[k] = np.asarray(cov.jac_provider(theta), dtype=float).reshape(d, d)
-        sig[k] = sym_sqrt(np.asarray(cov.sigma2_provider(theta), dtype=float).reshape(d, d))
-    paths = np.zeros((n_paths, n_steps + 1, d))
-    z = np.zeros((n_paths, d))
-    sq = np.sqrt(dt)
-    for k in range(n_steps):
-        xi = rng.standard_normal((n_paths, d))
-        z = z + dt * z @ B[k].T + sq * xi @ sig[k].T
-        paths[:, k + 1, :] = z
-    return times, paths

@@ -1,12 +1,10 @@
-"""Orbit iteration and path polygonalization.
+"""Iteration of the skew product and batched slow-path sampling.
 
 Slow coordinates are kept twice: reduced to [0,1) on the torus and as an
 unreduced lift in R^d. The lift is what the fluctuation field needs, so
 winding is never discarded.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,91 +29,13 @@ def step(system: FastSlowSystem, eps: float, x, theta):
     return x1, theta1, dtheta
 
 
-@dataclass(frozen=True)
-class Orbit:
-    """A finite orbit with fast coordinates, torus slow coordinates and lift."""
-
-    eps: float
-    x: np.ndarray        # (n+1,)
-    theta: np.ndarray    # (n+1, d), reduced mod 1
-    lift: np.ndarray     # (n+1, d), theta[0] + accumulated increments
-
-    def __len__(self) -> int:
-        return self.x.shape[0]
-
-
-def orbit(system: FastSlowSystem, eps: float, x0: float, theta0, n: int,
-          max_steps: int = MAX_ORBIT_STEPS) -> Orbit:
-    """Iterate n steps from (x0, theta0); element 0 is the initial point."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n > max_steps:
-        raise OrbitLengthError(f"orbit length {n} exceeds maximum {max_steps}")
-    theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
-    d = theta0.shape[0]
-    xs = np.empty(n + 1)
-    ths = np.empty((n + 1, d))
-    lifts = np.empty((n + 1, d))
-    xs[0] = torus(x0)
-    ths[0] = torus(theta0)
-    lifts[0] = ths[0]
-    for k in range(n):
-        x1, th1, dth = step(system, eps, xs[k], ths[k])
-        xs[k + 1] = x1
-        ths[k + 1] = th1
-        lifts[k + 1] = lifts[k] + dth
-    return Orbit(eps=eps, x=xs, theta=ths, lift=lifts)
-
-
-@dataclass(frozen=True)
-class PathSample:
-    """Piecewise-linear slow path sampled on stored node times.
-
-    ``values`` are torus points, ``lift`` the matching unreduced points;
-    linear interpolation between nodes reproduces the polygonal path exactly.
-    """
-
-    times: np.ndarray         # (m,)
-    values: np.ndarray        # (m, d), mod 1
-    lift: np.ndarray          # (m, d)
-    fast_values: np.ndarray | None = None
-
-    def at(self, t) -> np.ndarray:
-        """Evaluate the lift at arbitrary times by linear interpolation."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty((t.shape[0], self.lift.shape[1]))
-        for j in range(self.lift.shape[1]):
-            out[:, j] = np.interp(t, self.times, self.lift[:, j])
-        return out
-
-
-def polygonalize(orb: Orbit, eps: float, T: float) -> PathSample:
-    """Polygonal path Theta_eps on [0, T].
-
-    Node k sits at time eps*k with value theta_k; between nodes the path is
-    the linear interpolant of the lift, so its slope on segment k equals
-    omega(x_k, theta_k) and the Lipschitz constant is at most sup|omega|.
-    """
-    if eps <= 0:
-        raise ValueError("polygonalization requires eps > 0")
-    n_nodes = int(np.floor(T / eps)) + 2
-    if len(orb) < n_nodes:
-        raise OrbitLengthError(
-            f"orbit has {len(orb)} points, polygonalization to T={T} needs {n_nodes}"
-        )
-    times = eps * np.arange(n_nodes)
-    return PathSample(
-        times=times,
-        values=orb.theta[:n_nodes].copy(),
-        lift=orb.lift[:n_nodes].copy(),
-        fast_values=orb.x[:n_nodes].copy(),
-    )
-
-
 def sample_paths_batch(system: FastSlowSystem, eps: float, x0: np.ndarray,
-                       theta0: np.ndarray, out_times: np.ndarray, T: float,
-                       max_steps: int = MAX_ORBIT_STEPS) -> np.ndarray:
+                       theta0: np.ndarray, out_times: np.ndarray, T: float) -> np.ndarray:
     """Lifted polygonal paths for a batch of initial points.
+
+    The polygonal path puts node k at time eps*k with the lifted value after
+    k steps and interpolates linearly in between, so its slope on segment k
+    is omega(x_k, theta_k) and its Lipschitz constant is at most sup|omega|.
 
     Parameters
     ----------
@@ -136,8 +56,8 @@ def sample_paths_batch(system: FastSlowSystem, eps: float, x0: np.ndarray,
         rec[:] = theta0[:, None, :]
         return rec
     n_steps = int(np.floor(T / eps)) + 1
-    if n_steps > max_steps:
-        raise OrbitLengthError(f"{n_steps} steps exceed maximum {max_steps}")
+    if n_steps > MAX_ORBIT_STEPS:
+        raise OrbitLengthError(f"{n_steps} steps exceed maximum {MAX_ORBIT_STEPS}")
     node = np.minimum(np.floor(out_times / eps).astype(int), n_steps)
     frac = out_times / eps - node
     x = torus(np.asarray(x0, dtype=float))

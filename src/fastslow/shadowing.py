@@ -7,7 +7,9 @@ found by backward branch-tracked inversion: one inverse branch per step,
 selected by proximity to the true orbit. Inverse steps contract by 1/lam, so
 the construction is backward stable; a global Newton iteration on the n-fold
 composition would be hopeless for n beyond ~30 since its derivative grows
-like lam**n.
+like lam**n. The derivative of the pullback map comes from the forward
+tangent recursion along the true orbit, accumulated in log space so long
+orbits do not overflow.
 """
 from __future__ import annotations
 
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ShadowSolveError
-from .cones import central_slopes, tangent_data, tangent_forward
 from .orbits import step
 from .systems import FastSlowSystem, invert_monotone, torus
 
@@ -42,21 +43,35 @@ def _circle_dist(a, b):
     return np.minimum(d, 1.0 - d)
 
 
-def shadow_solve(system: FastSlowSystem, eps: float, x0: float, theta0,
-                 theta_star, n: int, curve_slope=None, shadow_coeff: float = 1.0,
-                 tol: float = 1e-12) -> ShadowSolution:
-    """Solve the pullback problem for a single initial point."""
-    return shadow_solve_batch(
-        system, eps, np.atleast_1d(float(x0)),
-        np.atleast_2d(np.asarray(theta0, dtype=float)),
-        np.atleast_2d(np.asarray(theta_star, dtype=float)),
-        n, curve_slope=curve_slope, shadow_coeff=shadow_coeff, tol=tol,
-    )[0]
+def tangent_data(system: FastSlowSystem, x, theta):
+    """df/dx, df/dtheta, domega/dx and domega/dtheta, as tangent_forward takes them."""
+    return (system.df_dx(x, theta), system.df_dtheta(x, theta),
+            system.domega_dx(x, theta), system.domega_dtheta(x, theta))
+
+
+def tangent_forward(fx, ft, ox, ot, eps):
+    """Forward slope u_k and log expansion factor log v_k for k = 0..n.
+
+    The differential of the skew product maps a near-horizontal vector
+    (1, eps*u) to a multiple v of (1, eps*u'); while eps*K*c <= 1 the slope
+    stays in the cone |u| <= c = (K+1)/(lam-2). The inputs are the
+    derivatives along n steps of B orbits: fx (n, B), ft and ox (n, B, d),
+    ot (n, B, d, d). Returns u (n+1, B, d) and log_v (n+1, B), both zero at
+    k = 0.
+    """
+    n, B, d = ft.shape
+    u = np.zeros((n + 1, B, d))
+    log_v = np.zeros((n + 1, B))
+    for k in range(n):
+        den = fx[k] + eps * np.einsum("nj,nj->n", ft[k], u[k])
+        u[k + 1] = (ox[k] + u[k] + eps * np.einsum("nij,nj->ni", ot[k], u[k])) / den[:, None]
+        log_v[k + 1] = log_v[k] + np.log(den)
+    return u, log_v
 
 
 def shadow_solve_batch(system: FastSlowSystem, eps: float, x0: np.ndarray,
                        theta0: np.ndarray, theta_star: np.ndarray, n: int,
-                       curve_slope=None, shadow_coeff: float = 1.0,
+                       shadow_coeff: float = 1.0,
                        tol: float = 1e-12) -> list[ShadowSolution]:
     """Vectorized pullback solve over a batch of initial points.
 
@@ -88,7 +103,6 @@ def shadow_solve_batch(system: FastSlowSystem, eps: float, x0: np.ndarray,
         xs[k + 1], ths[k + 1], _ = step(system, eps, xs[k], ths[k])
     der = tangent_data(system, xs[:-1], ths[:-1])
     log_v = tangent_forward(*der, eps)[1][n]
-    sigma = central_slopes(*der, eps)[0]
 
     def F(w):
         return system.f_lift(w, theta_star)
@@ -124,13 +138,8 @@ def shadow_solve_batch(system: FastSlowSystem, eps: float, x0: np.ndarray,
     log_dfstar = np.log(dF(shadow[:-1])) if n > 0 else np.zeros((0, N))
 
     out = []
-    slope = np.zeros(system.d) if curve_slope is None else np.asarray(curve_slope, dtype=float)
     for i in range(N):
-        log_yp = (
-            np.log1p(-float(slope @ sigma[i]))
-            + float(log_v[i])
-            - float(log_dfstar[:, i].sum())
-        )
+        log_yp = float(log_v[i]) - float(log_dfstar[:, i].sum())
         ks = np.arange(1, n + 1)
         c_sh = float(np.max(errors[1:, i] / (eps * ks))) if (n > 0 and eps > 0) else 0.0
         out.append(

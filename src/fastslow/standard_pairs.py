@@ -397,41 +397,6 @@ def sample_from_uniform(pair: StandardPair, u) -> tuple[np.ndarray, np.ndarray]:
     return torus(x), theta
 
 
-def sample(pair: StandardPair, rng: np.random.Generator, n: Optional[int] = None):
-    """Draw one point (or n points) from the pair measure."""
-    u = rng.random() if n is None else rng.random(n)
-    x, theta = sample_from_uniform(pair, u)
-    if n is None:
-        return float(x[0]), theta[0]
-    return x, theta
-
-
-# -- signed-measure splitting ------------------------------------------------------
-
-def split_signed(pair: StandardPair, signed_values: np.ndarray, c2: float):
-    """Write a signed density as alpha1 * rho1 - alpha2 * rho2, both standard.
-
-    Adds a constant shift m large enough that psi + m stays positive with
-    |(psi + m)'/(psi + m)| <= c2; the complementary piece is uniform. Returns
-    ((alpha1, pair1), (alpha2, pair2)) with signed = alpha1*rho1 - alpha2*rho2.
-    """
-    psi = np.asarray(signed_values, dtype=float)
-    a, b = pair.curve.a, pair.curve.b
-    xg = pair.grid_x()
-    spl = CubicSpline(xg, psi)
-    xr = np.linspace(a, b, 4 * (xg.shape[0] - 1) + 1)
-    m = 1.25 * (float(np.abs(spl(xr)).max()) + float(np.abs(spl(xr, 1)).max()) / c2)
-    m = max(m, 1e-300)
-    w = _simpson_weights(xg)
-    alpha1 = float(w @ (psi + m))
-    rho1 = StandardDensity(a, b, (psi + m) / alpha1)
-    alpha2 = m * (b - a)
-    rho2 = StandardDensity(a, b, np.full_like(psi, 1.0 / (b - a)))
-    p1 = StandardPair(curve=pair.curve, density=rho1)
-    p2 = StandardPair(curve=pair.curve, density=rho2)
-    return (alpha1, p1), (alpha2, p2)
-
-
 # -- class-closure margins ----------------------------------------------------------
 
 def class_margins(system: FastSlowSystem, eps: float,

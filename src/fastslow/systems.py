@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -62,8 +63,6 @@ def _factor(memo: Optional[dict], kind: str, k: float, phase: float, var, u: np.
     ``var`` names the variable u stands for, so sin' = w*cos reuses a cos
     another term already evaluated at the same point.
     """
-    if kind not in ("sin", "cos"):
-        raise ValueError(f"unknown trig kind {kind!r}")
     fn = np.cos if (kind == "sin") == bool(order) else np.sin
     val = _cached(memo, (fn, k, phase, var), lambda: fn(_TWO_PI * (k * u + phase)))
     if not order:
@@ -130,6 +129,10 @@ class FastSlowSystem:
         for t in self.f_terms + [t for comp in self.omega_terms for t in comp]:
             if len(t.lt) not in (0, d):
                 raise SystemValidationError("theta frequency vector has wrong length")
+            if {t.fx, t.ft} - {"sin", "cos", "none"}:
+                raise ValueError(f"unknown trig kind in {t}")
+            if not all(isinstance(v, numbers.Real) for v in (t.amp, t.kx, t.px, t.pt, *t.lt)):
+                raise TypeError(f"non-numeric coefficient in {t}")
 
         # certified coefficient-sum bounds
         fs, comps = [self.f_terms], self.omega_terms

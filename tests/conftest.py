@@ -1,8 +1,11 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from fastslow.acceptance import Workspace
-from fastslow.systems import fixture
+from fastslow.orbits import step
+from fastslow.systems import fixture, torus
 
 
 @pytest.fixture(scope="session")
@@ -35,3 +38,30 @@ def birkhoff_fast_orbit(system, theta, x0, n_steps):
         xs[k] = x
         x = system.f(x, th)
     return xs
+
+
+@dataclass(frozen=True)
+class Orbit:
+    """A finite orbit with fast coordinates, torus slow coordinates and lift."""
+
+    x: np.ndarray        # (n+1,)
+    theta: np.ndarray    # (n+1, d), reduced mod 1
+    lift: np.ndarray     # (n+1, d), theta[0] + accumulated increments
+
+    def __len__(self) -> int:
+        return self.x.shape[0]
+
+
+def orbit(system, eps, x0, theta0, n):
+    """n steps of the skew product from (x0, theta0), one point at a time; oracle helper."""
+    theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
+    xs = np.empty(n + 1)
+    ths = np.empty((n + 1, theta0.shape[0]))
+    lifts = np.empty((n + 1, theta0.shape[0]))
+    xs[0] = torus(x0)
+    ths[0] = torus(theta0)
+    lifts[0] = ths[0]
+    for k in range(n):
+        xs[k + 1], ths[k + 1], dth = step(system, eps, xs[k], ths[k])
+        lifts[k + 1] = lifts[k] + dth
+    return Orbit(x=xs, theta=ths, lift=lifts)

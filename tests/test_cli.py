@@ -172,6 +172,33 @@ def test_fluctuate_rejects_planar_system(runner, tmp_path):
     assert manifest["status"] == "config-error"
 
 
+TERM = [0.14, 1, 0.0, "sin", [1], 0.0, "sin"]   # amp, kx, px, fx, lt, pt, ft
+
+
+def inline_system(f_term=TERM, **keys):
+    return {"d": 1, "degree": 3, "f_terms": [f_term],
+            "omega_terms": [[[1.0, 1, 0.0, "cos", [], 0.0, "none"]]], **keys}
+
+
+@pytest.mark.parametrize("system", [
+    pytest.param(inline_system(TERM[:6]), id="short-term"),
+    pytest.param(inline_system(TERM[:3] + ["tan"] + TERM[4:]), id="unknown-fx"),
+    pytest.param(inline_system(TERM[:6] + ["tan"]), id="unknown-ft"),
+    pytest.param({k: v for k, v in inline_system().items() if k != "degree"}, id="no-degree"),
+    pytest.param(inline_system(["big"] + TERM[1:]), id="text-amp"),
+    pytest.param(inline_system(TERM[:2] + ["a"] + TERM[3:]), id="text-phase"),
+])
+@pytest.mark.parametrize("command", ["sigma", "fluctuate"])
+def test_malformed_inline_system_exits_2(runner, tmp_path, system, command):
+    cfg = tmp_path / "bad_system.json"
+    cfg.write_text(json.dumps({"system": system}))
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path), command])
+    assert res.exit_code == 2, res.output
+    assert "malformed inline system" in res.output
+    manifest = json.loads((tmp_path / command / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+
+
 @pytest.mark.parametrize("command", ["decompose", "fluctuate"])
 def test_single_eps_command_rejects_several_eps(runner, tmp_path, command):
     res = runner.invoke(main, ["--out", str(tmp_path), "--fixture", "LIN",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fastslow.diffusion import (autocovariance, autocovariances, average_drift,
+from fastslow.diffusion import (autocovariances, average_drift,
                                 diffusion_matrix, drift_jacobian, sym_sqrt)
 from fastslow.exceptions import NegativeEigenvalueError, TruncationTailError
 from fastslow.systems import FastSlowSystem, TrigTerm
@@ -56,8 +56,6 @@ def test_lin_autocovariances(lin):
     gam = autocovariances(lin, op, dens, 6)
     assert gam[0, 0, 0] == pytest.approx(0.5, abs=1e-13)
     assert np.abs(gam[1:]).max() <= 1e-10
-    single = autocovariance(lin, dens, 3, op=op)
-    assert single[0, 0] == pytest.approx(gam[3, 0, 0], abs=1e-15)
 
 
 def test_lin_diffusion_value(lin):

@@ -5,12 +5,12 @@ from fastslow.diffusion import diffusion_matrix
 from fastslow.exceptions import GridMismatchError
 from fastslow.experiments import (
     Observable, averaging_error, clt_test, cylinder_weight, default_out_times,
-    frozen_fluctuation_sums, generator_residual, martingale_residual,
-    moment_scaling, run_ensemble,
+    martingale_residual, moment_scaling, run_ensemble,
 )
 from fastslow.experiments import observable_library as function_library
 from fastslow.limits import covariance_evolve, solve_averaged
-from fastslow.standard_pairs import constant_pair
+from fastslow.rng import stream_uniforms
+from fastslow.standard_pairs import constant_pair, sample_from_uniform
 from fastslow.systems import FastSlowSystem, TrigTerm, fixture
 
 
@@ -23,6 +23,25 @@ def lin_setup(eps, n, seed=42, T=1.0, theta0=0.3, m=33):
     cov = covariance_evolve(avg, lambda th: np.array([[0.5]]),
                             lambda th: np.array([[0.0]]), T, out_times=ot)
     return lin, ens, cov
+
+
+def frozen_fluctuation_sums(system, pair, theta_freeze, n_steps, n_traj, root_seed,
+                            omega_bar_value):
+    """Normalized Birkhoff sums (1/sqrt(n)) sum (omega - omega_bar)(x_k, theta).
+
+    The slow coordinate is held at theta_freeze, so the ensemble variance of
+    the result converges to the summed-autocovariance diffusion matrix.
+    """
+    theta = np.atleast_1d(np.asarray(theta_freeze, dtype=float))
+    wbar = np.asarray(omega_bar_value, dtype=float)
+    us = stream_uniforms(root_seed, n_traj)
+    x, _ = sample_from_uniform(pair, us)
+    th = np.broadcast_to(theta, (n_traj, system.d))
+    acc = np.zeros((n_traj, system.d))
+    for _ in range(n_steps):
+        x, w = system.f_omega(x, th)
+        acc += w - wbar
+    return acc / np.sqrt(n_steps)
 
 
 def test_eps_zero_freezes_slow_paths():
@@ -104,17 +123,17 @@ def test_moment_scaling_needs_dyadic_grid():
 
 
 def test_generator_residual_exact_zero_cases():
-    lin, ens, cov = lin_setup(0.0, 50)
+    # the unconditioned martingale residual over [0, T] is the generator residual
+    _, ens, cov = lin_setup(0.0, 50)
     z0 = function_library(1)[0]
-    rep = generator_residual(ens, z0, "averaged",
-                             drift_batch=lambda th: np.zeros_like(th))
+    rep = martingale_residual(ens, z0, [], 0.0, 1.0, cov)
     assert rep.data["mean"] == 0.0
     const = Observable("const",
                          lambda z: np.ones(np.shape(z)[:-1]),
                          lambda z: np.zeros(np.shape(z)),
                          lambda z: np.zeros(np.shape(z) + (1,)))
     _, ens2, cov2 = lin_setup(1e-3, 100)
-    rep2 = generator_residual(ens2, const, "fluctuation", cov=cov2)
+    rep2 = martingale_residual(ens2, const, [], 0.0, 1.0, cov2)
     assert rep2.data["mean"] == 0.0
 
 
@@ -124,7 +143,7 @@ def test_generator_residual_shrinks_with_eps():
     means = {}
     for eps in (1e-3, 1e-4):
         _, ens, cov = lin_setup(eps, 4000)
-        rep = generator_residual(ens, A, "fluctuation", cov=cov, slack_c=1.0)
+        rep = martingale_residual(ens, A, [], 0.0, 1.0, cov, slack_c=1.0)
         assert rep.passed
         means[eps] = abs(rep.data["mean"])
     assert means[1e-4] < means[1e-3]
@@ -138,7 +157,7 @@ def test_generator_residual_detects_wrong_covariance():
                             lambda th: np.array([[0.0]]), 1.0,
                             out_times=ens.out_times)
     funcs = {f.name: f for f in function_library(1)}
-    rep = generator_residual(ens, funcs["z0z0"], "fluctuation", cov=bad, slack_c=1.0)
+    rep = martingale_residual(ens, funcs["z0z0"], [], 0.0, 1.0, bad, slack_c=1.0)
     assert not rep.passed
 
 

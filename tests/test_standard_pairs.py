@@ -5,8 +5,7 @@ from fastslow.exceptions import PairInvariantError
 from fastslow.standard_pairs import (
     PairConstants, StandardCurve, StandardDensity, StandardFamily, StandardPair,
     as_family, class_margins, constant_pair, default_constants, integrate,
-    pushforward_decompose, random_admissible_pair, sample, sample_from_uniform,
-    split_signed, validate_pair,
+    pushforward_decompose, random_admissible_pair, sample_from_uniform, validate_pair,
 )
 
 
@@ -109,25 +108,6 @@ def test_sampling_statistics(cpl):
     mean_theta = integrate(pair, lambda x, th: th[..., 0])
     se_t = th[:, 0].std(ddof=1) / 1000.0
     assert th[:, 0].mean() == pytest.approx(mean_theta, abs=4 * se_t + 1e-6)
-
-
-def test_sample_single_draw(cpl):
-    consts = default_constants(cpl)
-    pair = random_admissible_pair(cpl, 1e-3, consts, np.random.default_rng(3))
-    x, th = sample(pair, np.random.default_rng(11))
-    assert 0.0 <= x < 1.0
-    assert th.shape == (1,)
-
-
-def test_split_signed_reconstruction(cpl):
-    consts = default_constants(cpl)
-    pair = random_admissible_pair(cpl, 1e-3, consts, np.random.default_rng(5))
-    psi = np.cos(2 * np.pi * pair.grid_x()) * pair.density.values
-    (a1, p1), (a2, p2) = split_signed(pair, psi, consts.c2)
-    recon = a1 * p1.density.values - a2 * p2.density.values
-    assert np.abs(recon - psi).max() <= 1e-12
-    validate_pair(p1, consts)
-    validate_pair(p2, consts)
 
 
 def test_serialization_roundtrip(cpl):

@@ -12,6 +12,7 @@ import sys
 import time
 import traceback
 from pathlib import Path
+from typing import Optional
 
 import click
 import numpy as np
@@ -46,21 +47,26 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 
 
 class Run:
-    """Output directory handling plus the always-written manifest."""
+    """Output directory handling plus the always-written manifest.
 
-    def __init__(self, cfg: ExperimentConfig, command: str):
+    cfg is None when the config could not be loaded; the manifest then has
+    no config hash and no resolved_config.json is written.
+    """
+
+    def __init__(self, cfg: Optional[ExperimentConfig], out_dir: str, command: str):
         self.cfg = cfg
-        self.dir = Path(cfg.out_dir) / command
+        self.dir = Path(out_dir) / command
         self.dir.mkdir(parents=True, exist_ok=True)
         self.t0 = time.time()
         self.status = "running"
-        resolved = json.dumps(cfg.resolved(), sort_keys=True, indent=1)
-        (self.dir / "resolved_config.json").write_text(resolved)
+        if cfg is not None:
+            resolved = json.dumps(cfg.resolved(), sort_keys=True, indent=1)
+            (self.dir / "resolved_config.json").write_text(resolved)
 
     def finish(self, status: str) -> None:
         self.status = status
         manifest = {
-            "config_sha256": self.cfg.sha256(),
+            "config_sha256": self.cfg.sha256() if self.cfg is not None else None,
             "versions": {"fastslow": __version__, "numpy": np.__version__,
                          "scipy": scipy.__version__,
                          "python": sys.version.split()[0]},
@@ -95,17 +101,22 @@ def _guard(fn):
     def wrapper(ctx, *args, **kwargs):
         # option values are read from ctx.params; do not forward them
         run = None
+        command = fn.__name__.replace("_", "-")
         try:
             cfg = _resolve(ctx)
-            run = Run(cfg, fn.__name__.replace("_", "-"))
+            run = Run(cfg, cfg.out_dir, command)
             check_config(cfg)   # after Run, so a bad value still gets a manifest
             code = fn(ctx, cfg, run) or 0
             run.finish("ok" if code == 0 else "failed")
             sys.exit(code)
         except ConfigError as exc:
             click.echo(f"config error: {exc}", err=True)
-            if run:
-                run.finish("config-error")
+            if run is None:
+                # the config did not load, so its out_dir cannot be trusted:
+                # --out, else the default
+                out_dir = (ctx.obj or {}).get("out_dir") or ExperimentConfig.out_dir
+                run = Run(None, out_dir, command)
+            run.finish("config-error")
             sys.exit(EXIT_CONFIG)
         except FastSlowError as exc:
             click.echo(f"numerical failure: {exc}", err=True)
@@ -261,12 +272,12 @@ def decompose(ctx, cfg, run):
     rows = []
     for step_i in range(ctx.params["steps"]):
         family = pushforward_decompose(family, system)
-        rows.append([step_i + 1, len(family.pairs), float(family.weights.sum()),
+        rows.append([step_i + 1, len(family.weights), float(family.weights.sum()),
                      float(family.mass_defect)])
     (run.dir / "family.json").write_text(family.dumps())
     write_csv(run.dir / "growth.csv", ["step", "pairs", "weight_sum", "mass_defect"], rows)
     (run.dir / "margins.json").write_text(json.dumps(margins, sort_keys=True, indent=1))
-    click.echo(f"{len(family.pairs)} pairs after {ctx.params['steps']} steps; "
+    click.echo(f"{len(family.weights)} pairs after {ctx.params['steps']} steps; "
                f"closure margins {margins}")
 
 

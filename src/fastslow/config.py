@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from .exceptions import ConfigError
+from .exceptions import ConfigError, SystemValidationError
 from .systems import FIXTURES, FastSlowSystem
 
 
@@ -116,7 +116,7 @@ def check_config(cfg: ExperimentConfig) -> None:
     if cfg.system is not None:
         try:
             FastSlowSystem.from_dict(cfg.system)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, SystemValidationError) as exc:
             raise ConfigError(f"malformed inline system: {exc!r}") from exc
     for e in cfg.eps:
         if not (0 <= e <= cfg.tolerances.eps_max):

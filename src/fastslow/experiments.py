@@ -169,7 +169,6 @@ class Ensemble:
     zeta: np.ndarray             # (n_traj, m, d)
     theta_bar: np.ndarray        # (m, d) averaged trajectory on the grid
     avg: AveragedTrajectory
-    pair_domain: tuple = (0.0, 1.0)
 
     @property
     def d(self) -> int:
@@ -217,8 +216,7 @@ def run_ensemble(system: FastSlowSystem, pair: StandardPair, eps: float,
     zeta = (lifts - theta_bar[None]) / np.sqrt(eps) if eps > 0 else np.zeros_like(lifts)
     return Ensemble(
         system=system, eps=eps, n_traj=n_traj, root_seed=root_seed, T=T,
-        out_times=out_times, theta_lift=lifts, zeta=zeta, theta_bar=theta_bar,
-        avg=avg, pair_domain=(pair.curve.a, pair.curve.b),
+        out_times=out_times, theta_lift=lifts, zeta=zeta, theta_bar=theta_bar, avg=avg,
     )
 
 

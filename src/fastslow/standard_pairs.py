@@ -1,8 +1,8 @@
 """Standard pairs and standard families.
 
 A standard pair is a nearly-horizontal curve x -> (x, G(x)) over an interval
-of length between delta/2 and delta, carrying a probability density with
-bounded logarithmic derivative:
+[a, b] of length between delta/2 and delta, carrying a probability density
+rho with bounded logarithmic derivative:
 
     |G'| <= eps*c1,  |G''| <= eps*curv*c1,  |rho'/rho| <= c2,  int rho = 1.
 
@@ -10,15 +10,23 @@ Convex combinations of pairs (standard families) are the measure class the
 rest of the package uses for initial conditions, and the class is invariant:
 pushing a family through one step of the skew product and cutting the image
 into admissible intervals yields another family inducing exactly the image
-measure. Curves and densities live on uniform grids with cubic interpolation;
-since G varies by at most eps*c1*delta over its domain, 64 intervals are far
-more resolution than needed.
+measure.
+
+A pair is its grid data: G (grid+1, d) and rho (grid+1,) at equally spaced
+points of [a, b]; between them both are not-a-knot cubic interpolants. A
+family stacks the grids of its pairs into arrays a, b (n,), G (n, grid+1, d)
+and rho (n, grid+1). On the normalised coordinate s = (x - a)/(b - a) all
+pairs share their knots, so one spline fit serves a whole family, and the
+pushforward, validation, integration and sampling are array operations with
+no loop over pairs. Since G varies by at most eps*c1*delta over its domain,
+64 intervals are far more resolution than needed.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -28,6 +36,7 @@ from .systems import FastSlowSystem, invert_monotone, torus
 
 FAMILY_FORMAT = "fastslow-family/1"
 PRUNE_WEIGHT = 1e-14
+BOUND_RTOL = 1e-9      # relative slack of the derivative bounds in validation
 
 
 @dataclass(frozen=True)
@@ -58,135 +67,81 @@ def default_constants(system: FastSlowSystem, delta: float = 0.1,
 
 
 @dataclass
-class StandardCurve:
-    """Curve G over [a, b] (real endpoints, b - a <= delta), cubic nodes."""
-
-    a: float
-    b: float
-    values: np.ndarray            # (grid+1, d), unreduced
-    eps: float
-    _spline: CubicSpline = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if self.values.shape[0] < 4:
-            raise PairInvariantError("curve grid too coarse")
-        self._spline = CubicSpline(self.grid_x(), self.values, axis=0)
-
-    def grid_x(self) -> np.ndarray:
-        return np.linspace(self.a, self.b, self.values.shape[0])
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[1]
-
-    def at(self, x) -> np.ndarray:
-        return self._spline(x)
-
-    def deriv(self, x, order: int = 1) -> np.ndarray:
-        return self._spline(x, nu=order)
-
-
-@dataclass
-class StandardDensity:
-    """Probability density on [a, b], grid values + cubic interpolation."""
-
-    a: float
-    b: float
-    values: np.ndarray            # (grid+1,)
-    _spline: CubicSpline = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        self._spline = CubicSpline(
-            np.linspace(self.a, self.b, self.values.shape[0]), self.values
-        )
-
-    def at(self, x) -> np.ndarray:
-        return self._spline(x)
-
-    def deriv(self, x) -> np.ndarray:
-        return self._spline(x, nu=1)
-
-
-@dataclass
 class StandardPair:
-    curve: StandardCurve
-    density: StandardDensity
+    """Curve values G (grid+1, d) and density values rho (grid+1,) on [a, b]."""
 
-    @property
-    def eps(self) -> float:
-        return self.curve.eps
+    a: float
+    b: float
+    G: np.ndarray
+    rho: np.ndarray
+    eps: float
 
-    def grid_x(self) -> np.ndarray:
-        return self.curve.grid_x()
-
-    def theta_mean(self) -> np.ndarray:
-        """Mean slow coordinate of the pair (reduced mod 1)."""
-        xg = self.grid_x()
-        w = _simpson_weights(xg)
-        return torus((w[:, None] * self.curve.values * self.density.values[:, None]).sum(axis=0))
+    def __post_init__(self):
+        self.G = np.atleast_2d(np.asarray(self.G, dtype=float))
+        self.rho = np.asarray(self.rho, dtype=float)
+        if self.G.shape[0] < 4:
+            raise PairInvariantError("curve grid too coarse")
 
 
-def _simpson_weights(xg: np.ndarray) -> np.ndarray:
-    n = xg.shape[0] - 1
+def _simpson_weights(a, b, n: int) -> np.ndarray:
+    """Composite Simpson weights on linspace(a, b, n+1), one row per (a, b)."""
     if n % 2:
         raise ValueError("Simpson rule needs an even number of intervals")
-    h = (xg[-1] - xg[0]) / n
+    h = (np.asarray(b) - np.asarray(a)) / n
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return w * h / 3.0
+    return w * h[..., None] / 3.0
 
 
-def constant_pair(theta0, a: float, b: float, eps: float,
-                  grid: int = 64) -> StandardPair:
-    """Flat curve at theta0 with the uniform density; admissible for any eps."""
-    theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
-    nodes = np.tile(theta0, (grid + 1, 1))
-    curve = StandardCurve(a=a, b=b, values=nodes, eps=eps)
-    dens = StandardDensity(a, b, np.full(grid + 1, 1.0 / (b - a)))
-    return StandardPair(curve=curve, density=dens)
+class _Splines:
+    """One not-a-knot cubic spline through the G and rho grids of stacked pairs.
 
+    The spline is fitted once on the knots of s = (x - a)/(b - a), which all
+    pairs share, with every grid as a column; evaluation gathers its
+    coefficients, and a derivative of order nu is scaled by (b - a)**-nu.
+    """
 
-def validate_pair(pair: StandardPair, constants: PairConstants,
-                  rtol: float = 1e-9) -> None:
-    """Check all defining bounds; raises PairInvariantError with the culprit."""
-    a, b = pair.curve.a, pair.curve.b
-    length = b - a
-    if not (constants.delta / 2 * (1 - 1e-12) <= length <= constants.delta * (1 + 1e-12)):
-        raise PairInvariantError(
-            f"interval length {length:.6g} outside [{constants.delta / 2}, {constants.delta}]"
-        )
-    xg = pair.grid_x()
-    w = _simpson_weights(xg)
-    mass = float(w @ pair.density.values)
-    if abs(mass - 1.0) > 1e-10:
-        raise PairInvariantError(f"density mass {mass!r} deviates from 1 by {abs(mass-1):.2e}")
-    xr = np.linspace(a, b, 4 * (xg.shape[0] - 1) + 1)
-    rho = pair.density.at(xr)
-    if np.any(rho <= 0):
-        raise PairInvariantError("density must be strictly positive")
-    logd = float(np.abs(pair.density.deriv(xr) / rho).max())
-    if logd > constants.c2 * (1 + rtol):
-        raise PairInvariantError(f"|rho'/rho| = {logd:.4g} exceeds c2 = {constants.c2:.4g}")
-    eps = pair.eps
-    g1 = float(np.linalg.norm(pair.curve.deriv(xr, 1), axis=-1).max())
-    if g1 > eps * constants.c1 * (1 + rtol) + 1e-15:
-        raise PairInvariantError(f"|G'| = {g1:.4g} exceeds eps*c1 = {eps * constants.c1:.4g}")
-    g2 = float(np.linalg.norm(pair.curve.deriv(xr, 2), axis=-1).max())
-    if g2 > eps * constants.curv * constants.c1 * (1 + rtol) + 1e-12:
-        raise PairInvariantError(
-            f"|G''| = {g2:.4g} exceeds eps*curv*c1 = {eps * constants.curv * constants.c1:.4g}"
-        )
+    def __init__(self, a, b, G, rho):
+        self.a = a
+        self.length = b - a
+        self.grid = rho.shape[1] - 1
+        self.knots = np.linspace(0.0, 1.0, self.grid + 1)
+        coef = CubicSpline(self.knots, np.concatenate([G, rho[..., None]], axis=-1),
+                           axis=1).c                 # (4, grid, n, d+1)
+        # (4, d+1, n*grid): entry pair*grid + interval, gathered by one np.take
+        self.coef = np.ascontiguousarray(coef.transpose(0, 3, 2, 1)).reshape(
+            4, coef.shape[-1], -1)
+
+    def __call__(self, x, pair, nu: int = 0):
+        """(G, rho) differentiated nu times at x on pairs `pair` (broadcast with x)."""
+        length = np.take(self.length, pair)
+        s = (x - np.take(self.a, pair)) / length
+        entry = np.clip(np.floor(s * self.grid).astype(np.intp), 0, self.grid - 1)
+        t = s - self.knots[entry]
+        entry += pair * self.grid          # row pair*grid + interval
+        # Horner in place: the temporaries are as large as the output
+        out = np.zeros((self.coef.shape[1],) + t.shape)
+        for k in range(4 - nu):
+            out *= t
+            c = np.take(self.coef[k], entry, axis=1)
+            if nu:
+                c *= math.perm(3 - k, nu)
+            out += c
+        if nu:
+            out /= length**nu
+        return np.moveaxis(out[:-1], 0, -1), out[-1]
 
 
 @dataclass
 class StandardFamily:
-    """Weighted collection of pairs; weights sum to one."""
+    """Weighted pairs stacked on one grid shape; weights sum to one."""
 
-    pairs: list[StandardPair]
-    weights: np.ndarray
+    a: np.ndarray                 # (n,)
+    b: np.ndarray                 # (n,)
+    G: np.ndarray                 # (n, grid+1, d)
+    rho: np.ndarray               # (n, grid+1)
+    weights: np.ndarray           # (n,)
     constants: PairConstants
     eps: float
     mass_defect: float = 0.0      # |sum of raw weights - 1| before renormalizing
@@ -194,13 +149,17 @@ class StandardFamily:
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
 
-    def validate(self, rtol: float = 1e-9) -> None:
+    @property
+    def pairs(self) -> list[StandardPair]:
+        return [StandardPair(a, b, G, rho, self.eps)
+                for a, b, G, rho in zip(self.a.tolist(), self.b.tolist(), self.G, self.rho)]
+
+    def validate(self) -> None:
         if abs(self.weights.sum() - 1.0) > 1e-12:
             raise PairInvariantError(f"family weights sum to {self.weights.sum()!r}")
         if np.any(self.weights <= 0):
             raise PairInvariantError("family weights must be positive")
-        for pair in self.pairs:
-            validate_pair(pair, self.constants, rtol=rtol)
+        _check_pairs(self)
 
     def to_dict(self) -> dict:
         return {
@@ -212,14 +171,9 @@ class StandardFamily:
                 "grid": self.constants.grid,
             },
             "pairs": [
-                {
-                    "a": p.curve.a,
-                    "b": p.curve.b,
-                    "G": p.curve.values.tolist(),
-                    "rho": p.density.values.tolist(),
-                    "nu": float(nu),
-                }
-                for p, nu in zip(self.pairs, self.weights)
+                {"a": a, "b": b, "G": G.tolist(), "rho": rho.tolist(), "nu": nu}
+                for a, b, G, rho, nu in zip(self.a.tolist(), self.b.tolist(),
+                                            self.G, self.rho, self.weights.tolist())
             ],
         }
 
@@ -227,15 +181,14 @@ class StandardFamily:
     def from_dict(data: dict) -> "StandardFamily":
         if data.get("format") != FAMILY_FORMAT:
             raise PairInvariantError(f"unsupported family format {data.get('format')!r}")
-        consts = PairConstants(**data["constants"])
-        eps = data["eps"]
-        pairs, weights = [], []
-        for rec in data["pairs"]:
-            curve = StandardCurve(a=rec["a"], b=rec["b"], values=np.array(rec["G"]), eps=eps)
-            dens = StandardDensity(rec["a"], rec["b"], np.array(rec["rho"]))
-            pairs.append(StandardPair(curve=curve, density=dens))
-            weights.append(rec["nu"])
-        return StandardFamily(pairs=pairs, weights=np.array(weights), constants=consts, eps=eps)
+        recs = data["pairs"]
+
+        def column(key):
+            return np.array([rec[key] for rec in recs], dtype=float)
+
+        return StandardFamily(a=column("a"), b=column("b"), G=column("G"), rho=column("rho"),
+                              weights=column("nu"), constants=PairConstants(**data["constants"]),
+                              eps=data["eps"])
 
     def dumps(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -245,9 +198,66 @@ class StandardFamily:
         return StandardFamily.from_dict(json.loads(text))
 
 
+def _stacked(obj) -> tuple:
+    """(a, b, G, rho, weights) of a family, or of a pair as a family of one."""
+    if isinstance(obj, StandardFamily):
+        return obj.a, obj.b, obj.G, obj.rho, obj.weights
+    return np.array([obj.a], dtype=float), np.array([obj.b], dtype=float), \
+        obj.G[None], obj.rho[None], np.ones(1)
+
+
 def as_family(pair: StandardPair, constants: PairConstants) -> StandardFamily:
-    return StandardFamily(pairs=[pair], weights=np.array([1.0]),
-                          constants=constants, eps=pair.eps)
+    return StandardFamily(*_stacked(pair), constants=constants, eps=pair.eps)
+
+
+def constant_pair(theta0, a: float, b: float, eps: float,
+                  grid: int = 64) -> StandardPair:
+    """Flat curve at theta0 with the uniform density; admissible for any eps."""
+    theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
+    return StandardPair(a, b, np.tile(theta0, (grid + 1, 1)),
+                        np.full(grid + 1, 1.0 / (b - a)), eps)
+
+
+# -- validation ------------------------------------------------------------------
+
+def validate_pair(pair: StandardPair, constants: PairConstants) -> None:
+    """Check all defining bounds; raises PairInvariantError with the culprit."""
+    _check_pairs(as_family(pair, constants))
+
+
+def _check_pairs(family: StandardFamily) -> None:
+    """The defining bounds of every pair of a family, all pairs at once."""
+    consts, eps = family.constants, family.eps
+    length = family.b - family.a
+    bad = ~((consts.delta / 2 * (1 - 1e-12) <= length) & (length <= consts.delta * (1 + 1e-12)))
+    if bad.any():
+        raise PairInvariantError(
+            f"interval length {length[bad][0]:.6g} outside [{consts.delta / 2}, {consts.delta}]"
+        )
+    grid = family.rho.shape[1] - 1
+    mass = np.einsum("ij,ij->i", _simpson_weights(family.a, family.b, grid), family.rho)
+    dev = np.abs(mass - 1.0)
+    if dev.max() > 1e-10:
+        worst = mass[dev.argmax()]
+        raise PairInvariantError(f"density mass {worst!r} deviates from 1 by {dev.max():.2e}")
+    splines = _Splines(family.a, family.b, family.G, family.rho)
+    xr = np.linspace(family.a, family.b, 4 * grid + 1, axis=-1)
+    pair = np.arange(length.size)[:, None]
+    rho = splines(xr, pair)[1]
+    if np.any(rho <= 0):
+        raise PairInvariantError("density must be strictly positive")
+    g1, rho1 = splines(xr, pair, 1)
+    logd = float(np.abs(rho1 / rho).max())
+    if logd > consts.c2 * (1 + BOUND_RTOL):
+        raise PairInvariantError(f"|rho'/rho| = {logd:.4g} exceeds c2 = {consts.c2:.4g}")
+    g1 = float(np.linalg.norm(g1, axis=-1).max())
+    if g1 > eps * consts.c1 * (1 + BOUND_RTOL) + 1e-15:
+        raise PairInvariantError(f"|G'| = {g1:.4g} exceeds eps*c1 = {eps * consts.c1:.4g}")
+    g2 = float(np.linalg.norm(splines(xr, pair, 2)[0], axis=-1).max())
+    if g2 > eps * consts.curv * consts.c1 * (1 + BOUND_RTOL) + 1e-12:
+        raise PairInvariantError(
+            f"|G''| = {g2:.4g} exceeds eps*curv*c1 = {eps * consts.curv * consts.c1:.4g}"
+        )
 
 
 # -- integration ---------------------------------------------------------------
@@ -262,37 +272,31 @@ def integrate(obj, g: Callable, refine: int = 1) -> float:
     needed when g oscillates faster than the grid, e.g. pulled back through
     the expanding map.
     """
-    if isinstance(obj, StandardFamily):
-        return float(sum(nu * integrate(p, g, refine) for p, nu in zip(obj.pairs, obj.weights)))
-    n = (obj.curve.values.shape[0] - 1) * refine
-    xg = np.linspace(obj.curve.a, obj.curve.b, n + 1)
-    w = _simpson_weights(xg)
-    theta = obj.curve.at(xg) if refine > 1 else obj.curve.values
-    rho = obj.density.at(xg) if refine > 1 else obj.density.values
-    vals = np.asarray(g(torus(xg), torus(theta)), dtype=float)
-    return float(w @ (vals * rho))
+    a, b, G, rho, nu = _stacked(obj)
+    n = (rho.shape[1] - 1) * refine
+    x = np.linspace(a, b, n + 1, axis=-1)
+    if refine > 1:
+        G, rho = _Splines(a, b, G, rho)(x, np.arange(a.size)[:, None])
+    vals = np.asarray(g(torus(x), torus(G)), dtype=float)
+    return float(nu @ np.einsum("ij,ij->i", _simpson_weights(a, b, n), vals * rho))
 
 
 # -- pushforward decomposition -------------------------------------------------
 
-def pushforward_decompose(family, system: FastSlowSystem,
-                          eps: Optional[float] = None) -> StandardFamily:
+def pushforward_decompose(family: StandardFamily, system: FastSlowSystem) -> StandardFamily:
     """Decompose the image measure of a family under one step into pairs.
 
     For each pair, the graph map f_G = f(x, G(x)) is inverted branch by
     branch over an equal-length partition of the image interval (pieces in
     [delta/2, delta] with shared endpoints); each branch yields a new pair by
-    the usual change of variables, with weight equal to its mass. Output
-    pairs are validated against the same constants, so a failure here means
-    the class constants do not close for this system and eps.
+    the usual change of variables, with weight equal to its mass. The grids
+    of all branches of all pairs are inverted together. Output pairs are
+    validated against the same constants, so a failure here means the class
+    constants do not close for this system and eps.
     """
     if isinstance(family, StandardPair):
         raise TypeError("wrap single pairs with as_family() first")
-    if eps is None:
-        eps = family.eps
-    elif abs(eps - family.eps) > 0:
-        raise PairInvariantError("eps differs from the family's admissibility eps")
-    consts = family.constants
+    eps, consts = family.eps, family.constants
     # class-level expansion bound: every admissible graph map must stay expanding
     class_fmin = system.lam - eps * consts.c1 * system.dft_sup
     if class_fmin <= 1.5:
@@ -300,81 +304,68 @@ def pushforward_decompose(family, system: FastSlowSystem,
             f"lam - eps*c1*|df/dtheta| = {class_fmin:.4f} <= 3/2; eps too large "
             f"for this class (c1 = {consts.c1:.3g})"
         )
-    out_pairs: list[StandardPair] = []
-    out_weights: list[float] = []
-    for pair, nu in zip(family.pairs, family.weights):
-        for branch in _decompose_pair(pair, system, eps, consts):
-            out_pairs.append(branch[0])
-            out_weights.append(nu * branch[1])
-    weights = np.asarray(out_weights)
-    defect = abs(float(weights.sum()) - 1.0)
-    keep = weights >= PRUNE_WEIGHT
-    pairs = [p for p, k in zip(out_pairs, keep) if k]
-    weights = weights[keep]
-    weights = weights / weights.sum()
-    result = StandardFamily(pairs=pairs, weights=weights, constants=consts,
-                            eps=eps, mass_defect=defect)
-    result.validate()
-    return result
+    a, b = family.a, family.b
+    grid = family.rho.shape[1] - 1
+    splines = _Splines(a, b, family.G, family.rho)
 
-
-def _decompose_pair(pair: StandardPair, system: FastSlowSystem, eps: float,
-                    consts: PairConstants):
-    a, b = pair.curve.a, pair.curve.b
-    grid = pair.curve.values.shape[0] - 1
-
-    def fG(x):
-        return system.f_lift(torus(x), torus(pair.curve.at(x))) \
+    def fG(x, pair):
+        return system.f_lift(torus(x), torus(splines(x, pair)[0])) \
             + system.degree * (x - torus(x))
 
-    def dfG(x):
+    def dfG(x, pair):
         xm = torus(x)
-        th = torus(pair.curve.at(x))
+        th = torus(splines(x, pair)[0])
         return system.df_dx(xm, th) + np.einsum(
-            "...j,...j->...", system.df_dtheta(xm, th), pair.curve.deriv(x, 1)
+            "...j,...j->...", system.df_dtheta(xm, th), splines(x, pair, 1)[0]
         )
 
-    xr = np.linspace(a, b, 4 * grid + 1)
-    fmin = float(dfG(xr).min())
+    pairs = np.arange(a.size)
+    fmin = float(dfG(np.linspace(a, b, 4 * grid + 1, axis=-1), pairs[:, None]).min())
     if fmin <= 1.5:
         raise PairInvariantError(
             f"graph-map expansion {fmin:.4f} <= 3/2; eps too large for c1 = {consts.c1:.3g}"
         )
 
-    A0, B0 = float(fG(a)), float(fG(b))
-    m = int(np.ceil((B0 - A0) / consts.delta))
-    piece = (B0 - A0) / m
-    if piece < consts.delta / 2 * (1 - 1e-12):
-        raise PairInvariantError(f"image piece {piece:.4g} below delta/2")
+    A0, B0 = fG(a, pairs), fG(b, pairs)
+    count = np.ceil((B0 - A0) / consts.delta).astype(np.intp)
+    piece = (B0 - A0) / count
+    if piece.min() < consts.delta / 2 * (1 - 1e-12):
+        raise PairInvariantError(f"image piece {piece.min():.4g} below delta/2")
 
-    # invert all branch grids at once; targets are m*(grid+1) image nodes
-    targets = (A0 + piece * (np.arange(m)[:, None] + np.linspace(0, 1, grid + 1)[None, :])).ravel()
-    phi = invert_monotone(fG, dfG, np.full(targets.shape, a), np.full(targets.shape, b), targets)
-    resid = np.abs(fG(phi) - targets)
-    if resid.max() > 1e-12 * max(1.0, abs(B0)):
+    # branch k comes from pair src[k] and is branch j[k] of that pair; its
+    # grid+1 image nodes are the inversion targets
+    src = np.repeat(pairs, count)
+    j = np.arange(src.size) - np.repeat(np.cumsum(count) - count, count)
+    targets = A0[src, None] + piece[src, None] * (j[:, None] + np.linspace(0, 1, grid + 1))
+    at = np.broadcast_to(src[:, None], targets.shape)
+    phi = invert_monotone(lambda x: fG(x, at), lambda x: dfG(x, at), a[at], b[at], targets)
+    resid = np.abs(fG(phi, at) - targets).max(axis=1)
+    if np.any(resid > 1e-12 * np.maximum(1.0, np.abs(B0[src]))):
         raise PairInvariantError(f"branch inversion residual {resid.max():.2e}")
-    phi = phi.reshape(m, grid + 1)
-    phi[0, 0] = a
-    phi[-1, -1] = b
-    phi[1:, 0] = phi[:-1, -1]   # shared branch endpoints
+    first = j == 0
+    phi[first, 0] = a
+    phi[np.append(first[1:], True), -1] = b
+    inner = np.flatnonzero(~first)
+    phi[inner, 0] = phi[inner - 1, -1]   # shared branch endpoints
 
-    branches = []
-    for j in range(m):
-        xj = phi[j]
-        Gx = pair.curve.at(xj)
-        xm = torus(xj)
-        thm = torus(Gx)
-        new_vals = Gx + eps * system.omega(xm, thm)
-        rho_tilde = pair.density.at(xj) / dfG(xj)
-        a_new = A0 + j * piece
-        shift = np.floor(a_new)
-        curve = StandardCurve(a=a_new - shift, b=a_new - shift + piece,
-                              values=new_vals, eps=eps)
-        w = _simpson_weights(curve.grid_x())
-        nu_j = float(w @ rho_tilde)
-        dens = StandardDensity(curve.a, curve.b, rho_tilde / nu_j)
-        branches.append((StandardPair(curve=curve, density=dens), nu_j))
-    return branches
+    Gx, rho_x = splines(phi, at)
+    G_new = Gx + eps * system.omega(torus(phi), torus(Gx))
+    rho_tilde = rho_x / dfG(phi, at)
+    a_new = A0[src] + j * piece[src]
+    a_new = a_new - np.floor(a_new)
+    b_new = a_new + piece[src]
+    nu = np.einsum("ij,ij->i", _simpson_weights(a_new, b_new, grid), rho_tilde)
+
+    weights = family.weights[src] * nu
+    defect = abs(float(weights.sum()) - 1.0)
+    keep = weights >= PRUNE_WEIGHT
+    weights = weights[keep]
+    result = StandardFamily(a=a_new[keep], b=b_new[keep], G=G_new[keep],
+                            rho=(rho_tilde / nu[:, None])[keep],
+                            weights=weights / weights.sum(), constants=consts,
+                            eps=eps, mass_defect=defect)
+    result.validate()
+    return result
 
 
 # -- sampling --------------------------------------------------------------------
@@ -386,15 +377,15 @@ def sample_from_uniform(pair: StandardPair, u) -> tuple[np.ndarray, np.ndarray]:
     the density to O(h^2); deterministic given u.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    xg = pair.grid_x()
+    xg = np.linspace(pair.a, pair.b, pair.rho.shape[0])
     h = xg[1] - xg[0]
-    incr = 0.5 * h * (pair.density.values[:-1] + pair.density.values[1:])
+    incr = 0.5 * h * (pair.rho[:-1] + pair.rho[1:])
     cdf = np.concatenate([[0.0], np.cumsum(incr)])
     cdf /= cdf[-1]
     seg = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, xg.shape[0] - 2)
     x = xg[seg] + (u - cdf[seg]) / (cdf[seg + 1] - cdf[seg]) * h
-    theta = torus(pair.curve.at(x))
-    return torus(x), theta
+    theta = _Splines(*_stacked(pair)[:4])(x, np.zeros(x.shape, dtype=np.intp))[0]
+    return torus(x), torus(theta)
 
 
 # -- class-closure margins ----------------------------------------------------------
@@ -451,11 +442,9 @@ def random_admissible_pair(system: FastSlowSystem, eps: float,
     amp = min(amp_slope, amp_curv) * rng.random()
     phase = rng.random()
     vals = theta0[None, :] + amp * np.sin(2 * np.pi * ((xg - a)[:, None] + phase))
-    curve = StandardCurve(a=a, b=a + length, values=vals, eps=eps)
     # half-wave modulation: oscillating near the grid Nyquist rate would put
     # the quadrature error of every h^4 method above the identity tolerances
     beta = min(consts.c2 * length / np.pi, 1.0) * rng.random()
     raw = np.exp(beta * np.sin(np.pi * (xg - a) / length))
-    w = _simpson_weights(xg)
-    dens = StandardDensity(a, a + length, raw / float(w @ raw))
-    return StandardPair(curve=curve, density=dens)
+    w = _simpson_weights(a, a + length, grid)
+    return StandardPair(a, a + length, vals, raw / float(w @ raw), eps)

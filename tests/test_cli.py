@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 from click.testing import CliRunner
@@ -28,6 +29,9 @@ def test_unknown_config_key_exits_2(runner, tmp_path):
     cfg.write_text(json.dumps({"fixture": "LIN", "not_a_key": 1}))
     res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path), "sigma"])
     assert res.exit_code == 2
+    manifest = json.loads((tmp_path / "sigma" / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert manifest["config_sha256"] is None
 
 
 @pytest.mark.parametrize("key", ["drift_quantum", "density_residual", "max_orbit_steps"])
@@ -37,6 +41,21 @@ def test_removed_tolerance_key_exits_2(runner, tmp_path, key):
     res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path), "sigma"])
     assert res.exit_code == 2
     assert "unknown config key" in res.output
+    manifest = json.loads((tmp_path / "sigma" / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+
+
+@pytest.mark.parametrize("text", ['{"fixture": "LIN", "out_dir": "elsewhere", "bad": 1}',
+                                  '{"fixture": "LIN", "out_dir": "elsewhere",'])
+def test_unloadable_config_manifest_goes_to_default_out(runner, tmp_path, text):
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        with open("cfg.json", "w") as fh:
+            fh.write(text)
+        res = runner.invoke(main, ["--config", "cfg.json", "srb"])
+        assert res.exit_code == 2
+        manifest = json.loads(open("out/srb/manifest.json").read())
+        assert manifest["status"] == "config-error"
+        assert not os.path.exists("elsewhere")
 
 
 def test_unknown_fixture_exits_2(runner, tmp_path):
@@ -187,6 +206,8 @@ def inline_system(f_term=TERM, **keys):
     pytest.param({k: v for k, v in inline_system().items() if k != "degree"}, id="no-degree"),
     pytest.param(inline_system(["big"] + TERM[1:]), id="text-amp"),
     pytest.param(inline_system(TERM[:2] + ["a"] + TERM[3:]), id="text-phase"),
+    pytest.param(inline_system(degree=2), id="degree-2"),
+    pytest.param(inline_system(TERM[:4] + [[1, 0]] + TERM[5:]), id="lt-length"),
 ])
 @pytest.mark.parametrize("command", ["sigma", "fluctuate"])
 def test_malformed_inline_system_exits_2(runner, tmp_path, system, command):

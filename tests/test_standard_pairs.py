@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
+from fastslow import standard_pairs
 from fastslow.exceptions import PairInvariantError
 from fastslow.standard_pairs import (
-    PairConstants, StandardCurve, StandardDensity, StandardFamily, StandardPair,
+    PairConstants, StandardFamily, StandardPair, _Splines,
     as_family, class_margins, constant_pair, default_constants, integrate,
     pushforward_decompose, random_admissible_pair, sample_from_uniform, validate_pair,
 )
@@ -40,7 +42,7 @@ def test_lin_decompose_full_circle(lin):
     assert out.weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(out.weights, 0.1, atol=1e-10)
     for p in out.pairs:
-        assert np.allclose(p.density.values, p.density.values[0], atol=1e-9)
+        assert np.allclose(p.rho, p.rho[0], atol=1e-9)
 
 
 def test_decompose_eps_zero_keeps_constant_curves(lin):
@@ -48,7 +50,7 @@ def test_decompose_eps_zero_keeps_constant_curves(lin):
     pair = constant_pair([0.7], 0.1, 0.2, 0.0)
     out = pushforward_decompose(as_family(pair, consts), lin)
     for p in out.pairs:
-        assert np.allclose(p.curve.values, 0.7, atol=1e-13)
+        assert np.allclose(p.G, 0.7, atol=1e-13)
 
 
 @pytest.mark.parametrize("name", ["LIN", "CPL"])
@@ -116,6 +118,7 @@ def test_serialization_roundtrip(cpl):
     fam = pushforward_decompose(
         as_family(random_admissible_pair(cpl, 1e-3, consts, rng), consts), cpl)
     clone = StandardFamily.loads(fam.dumps())
+    assert clone.dumps() == fam.dumps()
     assert len(clone.pairs) == len(fam.pairs)
     assert np.allclose(clone.weights, fam.weights)
     g = lambda x, th: np.sin(2 * np.pi * x) + th[..., 0] * 0
@@ -131,17 +134,14 @@ def test_validation_rejects_bad_pairs():
     with pytest.raises(PairInvariantError):
         validate_pair(pair, consts)
     # mass not normalized
-    curve = StandardCurve(a=0.0, b=0.1, values=np.full((65, 1), 0.2), eps=1e-3)
-    dens = StandardDensity(0.0, 0.1, np.full(65, 1.0))   # integrates to 0.1
+    pair = StandardPair(0.0, 0.1, np.full((65, 1), 0.2), np.full(65, 1.0), 1e-3)   # integrates to 0.1
     with pytest.raises(PairInvariantError):
-        validate_pair(StandardPair(curve=curve, density=dens), consts)
+        validate_pair(pair, consts)
     # curve slope beyond eps * c1
     xg = np.linspace(0.0, 0.1, 65)
-    steep = StandardCurve(a=0.0, b=0.1, values=(0.5 + 0.05 * xg)[:, None], eps=1e-3)
+    steep = StandardPair(0.0, 0.1, (0.5 + 0.05 * xg)[:, None], np.full(65, 10.0), 1e-3)
     with pytest.raises(PairInvariantError):
-        validate_pair(StandardPair(curve=steep,
-                                   density=StandardDensity(0.0, 0.1, np.full(65, 10.0))),
-                      consts)
+        validate_pair(steep, consts)
 
 
 def test_decompose_rejects_oversized_eps(cpl):
@@ -151,10 +151,57 @@ def test_decompose_rejects_oversized_eps(cpl):
         pushforward_decompose(as_family(pair, consts), cpl)
 
 
-def test_theta_mean_matches_samples(cpl):
-    consts = default_constants(cpl)
-    pair = random_admissible_pair(cpl, 1e-3, consts, np.random.default_rng(23))
-    mean = pair.theta_mean()
-    _, th = sample_from_uniform(pair, np.random.default_rng(29).random(100_000))
-    se = th[:, 0].std(ddof=1) / np.sqrt(100_000)
-    assert mean[0] == pytest.approx(th[:, 0].mean(), abs=4 * se + 1e-6)
+@pytest.mark.parametrize("name", ["LIN", "CPL"])
+def test_batched_spline_matches_per_pair_splines(name, lin, cpl):
+    system = {"LIN": lin, "CPL": cpl}[name]
+    consts = default_constants(system)
+    rng = np.random.default_rng(31)
+    pairs = [random_admissible_pair(system, 1e-3, consts, rng) for _ in range(6)]
+    a = np.array([p.a for p in pairs])
+    b = np.array([p.b for p in pairs])
+    splines = _Splines(a, b, np.stack([p.G for p in pairs]), np.stack([p.rho for p in pairs]))
+    s = np.concatenate([np.linspace(0.0, 1.0, 4 * consts.grid + 1), rng.random(300)])
+    x = a[:, None] + (b - a)[:, None] * s
+    got = {nu: splines(x, np.arange(len(pairs))[:, None], nu) for nu in (0, 1, 2)}
+
+    def close(value, want):
+        assert np.abs(value - want).max() <= 1e-12 * np.abs(want).max()
+
+    for k, p in enumerate(pairs):
+        # the per-pair representation: one spline each for G and rho on the pair's own knots
+        xg = np.linspace(p.a, p.b, consts.grid + 1)
+        curve, density = CubicSpline(xg, p.G, axis=0), CubicSpline(xg, p.rho)
+        for nu in (0, 1):
+            close(got[nu][0][k], curve(x[k], nu))
+            close(got[nu][1][k], density(x[k], nu))
+        # linspace(a, b) is uniform only to ~5e-14 of its step, which moves the
+        # second derivative of the spline above by ~1e-10 of its sup; compare
+        # G'' with the spline on the exactly uniform knots j/grid instead
+        uniform = CubicSpline(np.linspace(0.0, 1.0, consts.grid + 1), p.G, axis=0)
+        close(got[2][0][k], uniform((x[k] - p.a) / (p.b - p.a), 2) / (p.b - p.a) ** 2)
+
+
+def test_pushforward_makes_the_same_calls_for_any_number_of_pairs(lin, monkeypatch):
+    consts = default_constants(lin)
+    families = [as_family(constant_pair([0.3], 0.2, 0.3, 0.02), consts)]
+    while len(families[-1].pairs) < 90:
+        families.append(pushforward_decompose(families[-1], lin))
+    assert len(families[1].pairs) == 3
+
+    counts = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("invert_monotone", "CubicSpline"):
+        monkeypatch.setattr(standard_pairs, name, counted(name, getattr(standard_pairs, name)))
+    seen = []
+    for family in (families[1], families[-1]):
+        counts.clear()
+        pushforward_decompose(family, lin)
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
+    assert seen[0]["invert_monotone"] == 1

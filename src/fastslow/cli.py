@@ -19,12 +19,11 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .acceptance import FIXTURE_CRITERIA, Workspace, results_to_json, run_all
+from .acceptance import FIXTURE_CRITERIA, SHADOW_C_SHARP, Workspace, results_to_json, run_all
 from .config import ExperimentConfig, check_config, config_from_dict, load_config
 from .diffusion import diffusion_matrix
 from .exceptions import ConfigError, FastSlowError
 from .experiments import clt_test, default_out_times, moment_scaling
-from .limits import covariance_evolve, solve_averaged
 from .shadowing import shadow_solve_batch
 from .standard_pairs import as_family, default_constants, class_margins, \
     constant_pair, pushforward_decompose
@@ -171,8 +170,7 @@ def srb(ctx, cfg, run):
     for i in range(count):
         theta = np.full(system.d, i / count)
         c = diffusion_matrix(system, theta, tol.ulam_n, M=tol.sigma_m,
-                             fd_step=tol.fd_step, tail_tol=tol.sigma_tail_tol,
-                             with_jacobian=False)
+                             tail_tol=tol.sigma_tail_tol, with_jacobian=False)
         rows.append([float(theta[0]),
                      *[float(v) for v in c.omega_bar],
                      *[float(v) for v in c.sigma2.ravel()],
@@ -194,7 +192,7 @@ def sigma(ctx, cfg, run):
     theta = cfg.theta0 or [0.0] * system.d
     tol = cfg.tolerances
     c = diffusion_matrix(system, theta, tol.ulam_n, M=tol.sigma_m,
-                         fd_step=tol.fd_step, tail_tol=tol.sigma_tail_tol)
+                         tail_tol=tol.sigma_tail_tol)
     out = {
         "theta": [float(v) for v in c.theta],
         "omega_bar": [float(v) for v in c.omega_bar],
@@ -220,11 +218,9 @@ def average(ctx, cfg, run):
     """Averaged slow trajectory on [0, horizon], optionally with covariance."""
     ws = Workspace(config=cfg)
     system = ws.system()
-    tol = cfg.tolerances
-    cache = ws.cache()
-    click.echo(f"provider: {json.dumps(cache.stats(), sort_keys=True)}")
+    click.echo(f"provider: {json.dumps(ws.cache().stats(), sort_keys=True)}")
     theta0 = cfg.theta0 or [0.25] * system.d
-    avg = solve_averaged(cache.omega_bar, theta0, cfg.horizon, tol=tol.integrator_tol)
+    avg = ws.averaged(None, theta0, cfg.horizon)
     ts = default_out_times(cfg.horizon, cfg.out_times)
     vals = avg.at(ts)
     d = system.d
@@ -232,9 +228,7 @@ def average(ctx, cfg, run):
               ["t", *[f"theta_bar_{i}" for i in range(d)]],
               [[float(t), *[float(v) for v in row]] for t, row in zip(ts, vals)])
     if ctx.params["with_cov"]:
-        cov = covariance_evolve(avg, cache.sigma2, cache.d_omega_bar, cfg.horizon,
-                                tol=tol.covariance_tol, out_times=ts,
-                                agree_tol=tol.covariance_agree)
+        cov = ws.covariance(None, theta0, cfg.horizon)
         rows = [[float(t), *[float(v) for v in vals[i]],
                  *[float(v) for v in cov.Sigma[i].ravel()],
                  *[float(v) for v in cov.S[i].ravel()]]
@@ -263,11 +257,10 @@ def decompose(ctx, cfg, run):
     """Iterated pushforward decomposition of a flat standard pair."""
     system = Workspace(config=cfg).system()
     eps = _single_eps(cfg, "decompose")
-    consts = default_constants(system, delta=cfg.tolerances.pair_delta,
-                               grid=cfg.tolerances.pair_grid)
+    consts = default_constants(system)
     margins = class_margins(system, eps, consts)
     theta0 = cfg.theta0 or [0.25] * system.d
-    pair = constant_pair(theta0, 0.2, 0.2 + consts.delta, eps, grid=consts.grid)
+    pair = constant_pair(theta0, 0.2, 0.2 + consts.delta, eps)
     family = as_family(pair, consts)
     rows = []
     for step_i in range(ctx.params["steps"]):
@@ -288,18 +281,16 @@ def decompose(ctx, cfg, run):
 def shadow(ctx, cfg, run):
     """Frozen-orbit shadowing diagnostics at the configured eps."""
     system = Workspace(config=cfg).system()
-    tol = cfg.tolerances
     rows = []
     summary = {}
     for eps in cfg.eps:
-        n = int(np.floor(tol.shadow_c * eps ** -0.5))
+        n = int(np.floor(eps ** -0.5))
         rng = np.random.default_rng(cfg.seed)
         npts = ctx.params["points"]
         x0 = rng.random(npts)
         th0 = rng.random((npts, system.d))
         ts = th0 + eps * (rng.random((npts, system.d)) - 0.5)
-        sols = shadow_solve_batch(system, eps, x0, th0, ts, n,
-                                  shadow_coeff=tol.shadow_c, tol=tol.shadow_tol)
+        sols = shadow_solve_batch(system, eps, x0, th0, ts, n)
         for i, s in enumerate(sols):
             rows.append([float(eps), i, s.n, float(s.y0), float(s.defect),
                          float(s.shadow_constant), float(s.log_y_prime)])
@@ -308,7 +299,7 @@ def shadow(ctx, cfg, run):
             "max_defect": max(s.defect for s in sols),
             "shadow_constant": max(s.shadow_constant for s in sols),
             "max_log_y_prime": max(abs(s.log_y_prime) for s in sols),
-            "y_prime_bound": tol.shadow_c_sharp * eps * n * n,
+            "y_prime_bound": SHADOW_C_SHARP * eps * n * n,
         }
     write_csv(run.dir / "shadow.csv",
               ["eps", "point", "n", "y0", "defect", "shadow_constant", "log_y_prime"],
@@ -327,11 +318,11 @@ def fluctuate(ctx, cfg, run):
     ws = Workspace(config=cfg, threads=cfg.threads)
     if ws.system().d != 1:
         raise ConfigError(f"fluctuate needs a system with d = 1, got d = {ws.system().d}")
-    theta0 = (cfg.theta0 or [0.25])[0]
+    theta0 = cfg.theta0 or [0.25]
     eps = _single_eps(cfg, "fluctuate")
     ens = ws.ensemble(None, eps, cfg.n_trajectories, theta0=theta0, T=cfg.horizon)
     cov = ws.covariance(None, theta0=theta0, T=cfg.horizon)
-    clt = clt_test(ens, cov, slack_c=cfg.tolerances.residual_slack)
+    clt = clt_test(ens, cov)
     mom = moment_scaling(ens)
     (run.dir / "clt.json").write_text(clt.to_json())
     (run.dir / "moments.json").write_text(mom.to_json())

@@ -14,31 +14,23 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .exceptions import ConfigError, SystemValidationError
-from .systems import FIXTURES, FastSlowSystem
+from .systems import FIXTURES, FastSlowSystem, fixture
+
+EPS_MAX = 0.05      # largest admissible time-scale separation
 
 
 @dataclass
 class Tolerances:
-    """Numerical knobs shared across the modules."""
+    """The only settable tolerances: the sizes of the Ulam frozen solve and
+    its truncated Green-Kubo sum.
 
-    eps_max: float = 0.05              # largest admissible time-scale separation
+    Every other tolerance and every acceptance threshold is a constant of the
+    module that uses it, so no config key changes a pass band.
+    """
+
     ulam_n: int = 4096                 # transfer-operator grid cells
     sigma_m: Optional[int] = None      # autocovariance cutoff; None -> decay rule
     sigma_tail_tol: float = 1e-9       # bound on ||Gamma_k|| over the tail window
-    integrator_tol: float = 1e-10      # averaged-trajectory local tolerance
-    covariance_tol: float = 1e-11      # covariance ODE local tolerance
-    covariance_agree: float = 1e-8     # direct vs conjugated route agreement
-    fd_step: float = 1e-3              # central-difference step for the drift Jacobian
-    pair_grid: int = 64                # intervals per standard-pair grid
-    pair_delta: float = 0.1            # standard-curve base length delta
-    shadow_c: float = 1.0              # n <= shadow_c * eps**-0.5 admissibility
-    shadow_c_sharp: float = 10.0       # |log Y'| <= c_sharp * eps * n**2
-    shadow_tol: float = 1e-12          # pseudo-orbit defect target
-    # Slack constant for statistical residual passes: threshold is
-    # 3*stderr + residual_slack*sqrt(eps). Calibrated once on the LIN fixture
-    # (observed finite-eps bias ~0.3*sqrt(eps) on the worst test function)
-    # and frozen here; it is an engineering constant, not a derived rate.
-    residual_slack: float = 1.0
 
 
 @dataclass
@@ -95,6 +87,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     _apply(cfg, data, "")
     if not isinstance(cfg.eps, list):
         cfg.eps = [cfg.eps]
+    if cfg.theta0 is not None and not isinstance(cfg.theta0, list):
+        cfg.theta0 = [cfg.theta0]
     return cfg
 
 
@@ -108,19 +102,23 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def check_config(cfg: ExperimentConfig) -> None:
-    """Reject values a run cannot use, including a malformed inline system."""
+    """Reject values a run cannot use, including a malformed inline system
+    and a theta0 whose length is not the system's d."""
     if cfg.fixture is None and cfg.system is None:
         raise ConfigError("either 'fixture' or 'system' must be given")
     if cfg.fixture is not None and str(cfg.fixture).upper() not in FIXTURES:
         raise ConfigError(f"unknown fixture {cfg.fixture!r}; known: {', '.join(FIXTURES)}")
     if cfg.system is not None:
         try:
-            FastSlowSystem.from_dict(cfg.system)
+            system = FastSlowSystem.from_dict(cfg.system)
         except (KeyError, TypeError, ValueError, SystemValidationError) as exc:
             raise ConfigError(f"malformed inline system: {exc!r}") from exc
+    d = fixture(cfg.fixture).d if cfg.fixture is not None else system.d
+    if cfg.theta0 is not None and len(cfg.theta0) != d:
+        raise ConfigError(f"theta0 has {len(cfg.theta0)} coordinates; the system has d = {d}")
     for e in cfg.eps:
-        if not (0 <= e <= cfg.tolerances.eps_max):
-            raise ConfigError(f"eps={e} outside [0, eps_max={cfg.tolerances.eps_max}]")
+        if not (0 <= e <= EPS_MAX):
+            raise ConfigError(f"eps={e} outside [0, {EPS_MAX}]")
     if cfg.n_trajectories < 1:
         raise ConfigError("n_trajectories must be >= 1")
     if cfg.horizon <= 0:
@@ -129,8 +127,6 @@ def check_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("out_times must be >= 2")
     if cfg.threads < 1:
         raise ConfigError("threads must be >= 1")
-    if not (1e-6 <= cfg.tolerances.fd_step <= 1e-2):
-        raise ConfigError("tolerances.fd_step must lie in [1e-6, 1e-2]")
 
 
 def default_truncation(lam: float, tail_tol: float) -> int:

@@ -22,6 +22,10 @@ from .exceptions import NegativeEigenvalueError, TruncationTailError
 from .systems import FastSlowSystem
 from .ulam import SRBDensity, UlamOperator, srb_density, ulam_operator
 
+FD_STEP = 1e-3          # central-difference step of the drift Jacobian
+CLAMP_TOL = 1e-9        # eigenvalues within -CLAMP_TOL of 0 are discretization noise
+COBOUNDARY_TOL = 1e-3   # smallest eigenvalue <= this * trace(Gamma_0): degenerate
+
 
 def average_drift(system: FastSlowSystem, density: SRBDensity) -> np.ndarray:
     """Drift averaged against the invariant density: (d,) vector."""
@@ -85,14 +89,12 @@ def autocovariances(system: FastSlowSystem, op: UlamOperator, density: SRBDensit
     return gam
 
 
-def green_kubo(gam: np.ndarray, tail_tol: float,
-               clamp_tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray, float]:
+def green_kubo(gam: np.ndarray, tail_tol: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Green-Kubo sum of Gamma_0..Gamma_M with the checks every caller needs.
 
     Returns (sigma2, eigenvalues clamped at zero, tail estimate). Raises if
     the sum is not symmetric to 1e-12, if max ||Gamma_k|| over k in [M/2, M]
-    exceeds tail_tol, or if an eigenvalue lies below -clamp_tol (eigenvalues
-    within -clamp_tol are discretization noise).
+    exceeds tail_tol, or if an eigenvalue lies below -CLAMP_TOL.
     """
     M = gam.shape[0] - 1
     sigma2 = gam[0].copy()
@@ -110,9 +112,9 @@ def green_kubo(gam: np.ndarray, tail_tol: float,
         )
 
     evals = np.linalg.eigvalsh(sigma2)
-    if evals.min() < -clamp_tol:
+    if evals.min() < -CLAMP_TOL:
         raise NegativeEigenvalueError(
-            f"sigma2 eigenvalue {evals.min():.3e} below -{clamp_tol:.1e}"
+            f"sigma2 eigenvalue {evals.min():.3e} below -{CLAMP_TOL:.1e}"
         )
     return sigma2, np.maximum(evals, 0.0), tail
 
@@ -135,10 +137,7 @@ class DiffusionContext:
 
 
 def diffusion_matrix(system: FastSlowSystem, theta, N: int,
-                     M: Optional[int] = None, fd_step: float = 1e-3,
-                     tail_tol: float = 1e-9,
-                     coboundary_tol: float = 1e-3,
-                     clamp_tol: float = 1e-9,
+                     M: Optional[int] = None, tail_tol: float = 1e-9,
                      with_jacobian: bool = True) -> DiffusionContext:
     """Assemble the diffusion matrix and its context at frozen theta.
 
@@ -154,14 +153,14 @@ def diffusion_matrix(system: FastSlowSystem, theta, N: int,
     wbar = average_drift(system, density)
     gam = autocovariances(system, op, density, M)
 
-    sigma2, evals, tail = green_kubo(gam, tail_tol, clamp_tol)
-    sigma = sym_sqrt(sigma2, clamp_tol)
+    sigma2, evals, tail = green_kubo(gam, tail_tol)
+    sigma = sym_sqrt(sigma2)
     scale = max(float(np.trace(gam[0])), 1e-30)
-    coboundary = bool(evals.min() <= coboundary_tol * scale)
+    coboundary = bool(evals.min() <= COBOUNDARY_TOL * scale)
     decay = _fit_decay(np.linalg.norm(gam, axis=(1, 2)))
 
     dbar = (
-        drift_jacobian(system, theta, fd_step, N)
+        drift_jacobian(system, theta, FD_STEP, N)
         if with_jacobian
         else np.full((system.d, system.d), np.nan)
     )
@@ -183,11 +182,11 @@ def _fit_decay(norms: np.ndarray) -> Optional[float]:
     return float(-slope)
 
 
-def sym_sqrt(A: np.ndarray, clamp_tol: float = 1e-9) -> np.ndarray:
+def sym_sqrt(A: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via the eigendecomposition."""
     w, V = np.linalg.eigh(np.asarray(A, dtype=float))
-    if w.min() < -clamp_tol:
-        raise NegativeEigenvalueError(f"matrix eigenvalue {w.min():.3e} below -{clamp_tol:.1e}")
+    if w.min() < -CLAMP_TOL:
+        raise NegativeEigenvalueError(f"matrix eigenvalue {w.min():.3e} below -{CLAMP_TOL:.1e}")
     w = np.maximum(w, 0.0)
     S = (V * np.sqrt(w)) @ V.T
     return 0.5 * (S + S.T)

@@ -8,8 +8,8 @@ so identical configurations give byte-identical JSON no matter how many
 threads ran the simulation.
 
 Statistical pass/fail bands are always 3 standard errors plus an explicit
-slack proportional to sqrt(eps); the slack absorbs the finite-eps bias of the
-limit identities, whose rate the theory leaves unquantified.
+slack RESIDUAL_SLACK * sqrt(eps); the slack absorbs the finite-eps bias of
+the limit identities, whose rate the theory leaves unquantified.
 """
 from __future__ import annotations
 
@@ -28,6 +28,12 @@ from .standard_pairs import StandardPair, sample_from_uniform
 from .systems import FastSlowSystem, torus
 
 CHUNK = 4096   # fixed slice size; results must not depend on thread count
+# Slack of the statistical passes: the band is 3*stderr + RESIDUAL_SLACK*sqrt(eps).
+# Calibrated once on the LIN fixture (observed finite-eps bias ~0.3*sqrt(eps)
+# on the worst test function) and frozen here; it is an engineering constant,
+# not a derived rate.
+RESIDUAL_SLACK = 1.0
+CHARFN_LAMBDAS = (0.5, 1.0, 1.5, 2.0, 3.0)   # frequencies of the charfn check
 
 
 # -- test functions on the fluctuation space R^d -------------------------------
@@ -292,7 +298,7 @@ def averaging_error(ensembles: Sequence[Ensemble]) -> Report:
     )
 
 
-def moment_scaling(ensemble: Ensemble, max_level: Optional[int] = None) -> Report:
+def moment_scaling(ensemble: Ensemble) -> Report:
     """Second and fourth moments of increments over dyadic gaps.
 
     For gap T/2^j the estimate averages over all aligned disjoint increments
@@ -304,8 +310,6 @@ def moment_scaling(ensemble: Ensemble, max_level: Optional[int] = None) -> Repor
     levels = int(np.log2(m))
     if 2 ** levels != m:
         raise GridMismatchError("moment scaling needs 2^j + 1 output times")
-    if max_level is not None:
-        levels = min(levels, max_level)
     T = ensemble.T
     rows = []
     for j in range(levels + 1):
@@ -341,11 +345,10 @@ def moment_scaling(ensemble: Ensemble, max_level: Optional[int] = None) -> Repor
 
 def martingale_residual(ensemble: Ensemble, A: Observable,
                         conditioning: Sequence[tuple], s: float, t: float,
-                        cov: CovarianceTrajectory,
-                        slack_c: float = 1.0) -> Report:
+                        cov: CovarianceTrajectory) -> Report:
     """Conditioned residual E[ prod B_i(Theta(t_i)) * (A(zeta(t)) - A(zeta(s))
     - int_s^t L_tau A d tau) ]; the martingale property makes this vanish in
-    the limit, so the pass band is 3 stderr + slack_c * sqrt(eps).
+    the limit, so the pass band is 3 stderr + RESIDUAL_SLACK * sqrt(eps).
 
     conditioning is a sequence of (t_i, B_i) with t_i < s and B_i a callable
     weight on the slow torus.
@@ -374,7 +377,7 @@ def martingale_residual(ensemble: Ensemble, A: Observable,
     resid = w * (A.value(z[:, i_t]) - A.value(z[:, i_s]) - integral)
     mean = _f(resid.mean())
     se = _f(resid.std(ddof=1) / np.sqrt(ensemble.n_traj)) if ensemble.n_traj > 1 else 0.0
-    thr = 3.0 * se + slack_c * np.sqrt(ensemble.eps)
+    thr = 3.0 * se + RESIDUAL_SLACK * np.sqrt(ensemble.eps)
     return Report(
         kind="martingale_residual",
         inputs={"A": A.name, "s": _f(s), "t": _f(t),
@@ -386,23 +389,21 @@ def martingale_residual(ensemble: Ensemble, A: Observable,
     )
 
 
-def clt_test(ensemble: Ensemble, cov: CovarianceTrajectory,
-             lambdas: Optional[Sequence[float]] = None,
-             two_time: Optional[Sequence[tuple]] = None,
-             slack_c: float = 1.0) -> Report:
+def clt_test(ensemble: Ensemble, cov: CovarianceTrajectory) -> Report:
     """Compare the empirical fluctuation law with the Gaussian limit.
 
     Per output time: mean, covariance against Sigma(t), marginal skewness and
-    excess kurtosis. At the final time: characteristic function at several
-    frequencies. Across time pairs (s, t): cross-covariance against the flow
-    prediction Cov(zeta(s), zeta(t)^T) = Sigma(s) Phi(s, t)^T.
+    excess kurtosis. At the final time: characteristic function at the
+    CHARFN_LAMBDAS frequencies. Across the time pairs (T/4, T/2) and (T/2, T):
+    cross-covariance against the flow prediction
+    Cov(zeta(s), zeta(t)^T) = Sigma(s) Phi(s, t)^T.
     """
     if ensemble.out_times.shape != cov.times.shape or \
             not np.allclose(ensemble.out_times, cov.times, atol=1e-12):
         raise GridMismatchError("ensemble and covariance use different time grids")
     z = ensemble.zeta
     N, m, d = z.shape
-    slack = slack_c * np.sqrt(ensemble.eps)
+    slack = RESIDUAL_SLACK * np.sqrt(ensemble.eps)
     T = ensemble.T
     times_rows = []
     for i, t in enumerate(ensemble.out_times):
@@ -432,11 +433,9 @@ def clt_test(ensemble: Ensemble, cov: CovarianceTrajectory,
         for r in times_rows for j in range(d)
     )
 
-    if lambdas is None:
-        lambdas = [0.5, 1.0, 1.5, 2.0, 3.0]
     zT = z[:, -1, :]
     char_rows = []
-    for lv in lambdas:
+    for lv in CHARFN_LAMBDAS:
         lam = np.zeros(d)
         lam[0] = lv
         phase = zT @ lam
@@ -455,10 +454,8 @@ def clt_test(ensemble: Ensemble, cov: CovarianceTrajectory,
         for r in char_rows
     )
 
-    if two_time is None:
-        two_time = [(T / 4, T / 2), (T / 2, T)]
     two_rows = []
-    for (s, t) in two_time:
+    for (s, t) in ((T / 4, T / 2), (T / 2, T)):
         i_s, i_t = ensemble.time_index(s), ensemble.time_index(t)
         zs = z[:, i_s, :] - z[:, i_s, :].mean(axis=0)
         zt = z[:, i_t, :] - z[:, i_t, :].mean(axis=0)

@@ -28,6 +28,8 @@ from .exceptions import CovarianceCrossCheckError, FastSlowError
 
 Provider = Callable[[np.ndarray], np.ndarray]
 
+COVARIANCE_TOL = 1e-11   # local tolerance of the joint covariance solve
+
 
 @dataclass
 class AveragedTrajectory:
@@ -129,7 +131,7 @@ class CovarianceTrajectory:
 
 def covariance_evolve(avg: AveragedTrajectory, sigma2_provider: Provider,
                       jac_provider: Provider, T: float,
-                      tol: float = 1e-11, out_times: Optional[np.ndarray] = None,
+                      out_times: Optional[np.ndarray] = None,
                       agree_tol: float = 1e-8) -> CovarianceTrajectory:
     """Joint solve of the conjugation flow, covariance, and conjugated integral.
 
@@ -156,7 +158,7 @@ def covariance_evolve(avg: AveragedTrajectory, sigma2_provider: Provider,
 
     y0 = np.concatenate([np.eye(d).ravel(), np.zeros(2 * d * d), [1.0]])
     res = solve_ivp(rhs, (0.0, T), y0, method="RK45", dense_output=True,
-                    rtol=tol, atol=0.01 * tol)
+                    rtol=COVARIANCE_TOL, atol=0.01 * COVARIANCE_TOL)
     if not res.success:
         raise FastSlowError(f"covariance solve failed: {res.message}")
 

@@ -21,6 +21,8 @@ from .exceptions import ShadowSolveError
 from .orbits import step
 from .systems import FastSlowSystem, invert_monotone, torus
 
+DEFECT_TOL = 1e-12      # largest admissible per-step inversion residual
+
 
 @dataclass(frozen=True)
 class ShadowSolution:
@@ -70,23 +72,21 @@ def tangent_forward(fx, ft, ox, ot, eps):
 
 
 def shadow_solve_batch(system: FastSlowSystem, eps: float, x0: np.ndarray,
-                       theta0: np.ndarray, theta_star: np.ndarray, n: int,
-                       shadow_coeff: float = 1.0,
-                       tol: float = 1e-12) -> list[ShadowSolution]:
+                       theta0: np.ndarray, theta_star: np.ndarray,
+                       n: int) -> list[ShadowSolution]:
     """Vectorized pullback solve over a batch of initial points.
 
     Preconditions: ||theta_star - theta0|| <= eps for each point, and
-    n <= shadow_coeff / sqrt(eps) (the admissible shadowing range).
+    n <= eps^-1/2 (the admissible shadowing range).
     """
     x0 = np.asarray(x0, dtype=float)
     theta0 = np.asarray(theta0, dtype=float)
     theta_star = np.asarray(theta_star, dtype=float)
     N = x0.shape[0]
     if eps > 0:
-        if n > shadow_coeff * eps ** -0.5 * (1 + 1e-12):
+        if n > eps ** -0.5 * (1 + 1e-12):
             raise ShadowSolveError(
-                f"n={n} beyond shadowing range {shadow_coeff} * eps^-1/2 "
-                f"= {shadow_coeff * eps ** -0.5:.1f}"
+                f"n={n} beyond shadowing range eps^-1/2 = {eps ** -0.5:.1f}"
             )
         sep = np.linalg.norm(theta_star - theta0, axis=-1)
         if np.any(sep > eps * (1 + 1e-9)):
@@ -129,9 +129,9 @@ def shadow_solve_batch(system: FastSlowSystem, eps: float, x0: np.ndarray,
             )
         defect = np.maximum(defect, np.abs(F(w) - target))
         shadow[k] = torus(w)
-    if np.any(defect > tol):
+    if np.any(defect > DEFECT_TOL):
         raise ShadowSolveError(
-            f"inversion residual {defect.max():.3e} above tolerance {tol:.1e}"
+            f"inversion residual {defect.max():.3e} above tolerance {DEFECT_TOL:.1e}"
         )
 
     errors = _circle_dist(xs, shadow)

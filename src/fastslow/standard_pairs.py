@@ -37,6 +37,9 @@ from .systems import FastSlowSystem, invert_monotone, torus
 FAMILY_FORMAT = "fastslow-family/1"
 PRUNE_WEIGHT = 1e-14
 BOUND_RTOL = 1e-9      # relative slack of the derivative bounds in validation
+DELTA = 0.1            # standard-curve base length
+GRID = 64              # intervals per pair grid
+CHECK_BLOCK = 256      # pairs per block of validation points
 
 
 @dataclass(frozen=True)
@@ -47,11 +50,10 @@ class PairConstants:
     c1: float
     c2: float
     curv: float
-    grid: int = 64
+    grid: int = GRID
 
 
-def default_constants(system: FastSlowSystem, delta: float = 0.1,
-                      grid: int = 64) -> PairConstants:
+def default_constants(system: FastSlowSystem) -> PairConstants:
     """Defaults satisfying the invariance inequalities with >= 25% margin.
 
     c1 scales like (K+1)/(lam-2); the curvature factor must also dominate the
@@ -63,7 +65,7 @@ def default_constants(system: FastSlowSystem, delta: float = 0.1,
     c1 = 4.0 * (system.K + 1.0) / (system.lam - 2.0)
     curv = 10.0 * max(1.0, system.f_second_sup)
     c2 = 40.0 * (1.0 + curv * c1 * max(1.0, system.f_second_sup) / system.lam**2)
-    return PairConstants(delta=delta, c1=c1, c2=c2, curv=curv, grid=grid)
+    return PairConstants(delta=DELTA, c1=c1, c2=c2, curv=curv)
 
 
 @dataclass
@@ -210,12 +212,11 @@ def as_family(pair: StandardPair, constants: PairConstants) -> StandardFamily:
     return StandardFamily(*_stacked(pair), constants=constants, eps=pair.eps)
 
 
-def constant_pair(theta0, a: float, b: float, eps: float,
-                  grid: int = 64) -> StandardPair:
+def constant_pair(theta0, a: float, b: float, eps: float) -> StandardPair:
     """Flat curve at theta0 with the uniform density; admissible for any eps."""
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
-    return StandardPair(a, b, np.tile(theta0, (grid + 1, 1)),
-                        np.full(grid + 1, 1.0 / (b - a)), eps)
+    return StandardPair(a, b, np.tile(theta0, (GRID + 1, 1)),
+                        np.full(GRID + 1, 1.0 / (b - a)), eps)
 
 
 # -- validation ------------------------------------------------------------------
@@ -226,7 +227,7 @@ def validate_pair(pair: StandardPair, constants: PairConstants) -> None:
 
 
 def _check_pairs(family: StandardFamily) -> None:
-    """The defining bounds of every pair of a family, all pairs at once."""
+    """The defining bounds of every pair of a family."""
     consts, eps = family.constants, family.eps
     length = family.b - family.a
     bad = ~((consts.delta / 2 * (1 - 1e-12) <= length) & (length <= consts.delta * (1 + 1e-12)))
@@ -240,20 +241,28 @@ def _check_pairs(family: StandardFamily) -> None:
     if dev.max() > 1e-10:
         worst = mass[dev.argmax()]
         raise PairInvariantError(f"density mass {worst!r} deviates from 1 by {dev.max():.2e}")
+    # one fit, evaluated at 4*grid+1 points per pair in blocks of CHECK_BLOCK
+    # pairs to bound the temporaries; each bound is checked on its maximum
+    # over all blocks, so a family fails on the same bound with the same
+    # worst value as in one pass
     splines = _Splines(family.a, family.b, family.G, family.rho)
-    xr = np.linspace(family.a, family.b, 4 * grid + 1, axis=-1)
-    pair = np.arange(length.size)[:, None]
-    rho = splines(xr, pair)[1]
-    if np.any(rho <= 0):
-        raise PairInvariantError("density must be strictly positive")
-    g1, rho1 = splines(xr, pair, 1)
-    logd = float(np.abs(rho1 / rho).max())
+    pairs = np.arange(length.size)[:, None]
+    logd = g1 = g2 = 0.0
+    for start in range(0, length.size, CHECK_BLOCK):
+        rows = slice(start, start + CHECK_BLOCK)
+        pair = pairs[rows]
+        xr = np.linspace(family.a[rows], family.b[rows], 4 * grid + 1, axis=-1)
+        rho = splines(xr, pair)[1]
+        if np.any(rho <= 0):
+            raise PairInvariantError("density must be strictly positive")
+        d1, rho1 = splines(xr, pair, 1)
+        logd = max(logd, float(np.abs(rho1 / rho).max()))
+        g1 = max(g1, float(np.linalg.norm(d1, axis=-1).max()))
+        g2 = max(g2, float(np.linalg.norm(splines(xr, pair, 2)[0], axis=-1).max()))
     if logd > consts.c2 * (1 + BOUND_RTOL):
         raise PairInvariantError(f"|rho'/rho| = {logd:.4g} exceeds c2 = {consts.c2:.4g}")
-    g1 = float(np.linalg.norm(g1, axis=-1).max())
     if g1 > eps * consts.c1 * (1 + BOUND_RTOL) + 1e-15:
         raise PairInvariantError(f"|G'| = {g1:.4g} exceeds eps*c1 = {eps * consts.c1:.4g}")
-    g2 = float(np.linalg.norm(splines(xr, pair, 2)[0], axis=-1).max())
     if g2 > eps * consts.curv * consts.c1 * (1 + BOUND_RTOL) + 1e-12:
         raise PairInvariantError(
             f"|G''| = {g2:.4g} exceeds eps*curv*c1 = {eps * consts.curv * consts.c1:.4g}"

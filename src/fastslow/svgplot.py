@@ -4,11 +4,12 @@ from __future__ import annotations
 import numpy as np
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+WIDTH, HEIGHT = 640, 400    # canvas size in pixels
 
 
-def line_plot(path: str, xs, series: dict, title: str = "",
-              width: int = 640, height: int = 400) -> None:
+def line_plot(path: str, xs, series: dict, title: str = "") -> None:
     """Write a polyline plot of one or more named series against xs."""
+    width, height = WIDTH, HEIGHT
     xs = np.asarray(xs, dtype=float)
     ml, mr, mt, mb = 60, 20, 30, 40
     pw, ph = width - ml - mr, height - mt - mb

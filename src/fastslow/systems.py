@@ -354,13 +354,14 @@ FIXTURES = ("LIN", "CBD", "CPL")
 
 # -- validation ---------------------------------------------------------------
 
-def validate_system(system: FastSlowSystem, rtol: float = 1e-6, n_probe: int = 13) -> None:
-    """Check analytic derivatives against finite differences on a probe grid.
+def validate_system(system: FastSlowSystem) -> None:
+    """Check analytic derivatives against finite differences, to a relative
+    1e-6, on a 13 x 13 probe grid.
 
     Also verifies df/dx >= lam and that K dominates the three derivative
     sup-norms at the probes. Guards against inconsistent user-supplied data.
     """
-    h = 1e-6
+    h, rtol, n_probe = 1e-6, 1e-6, 13
     xs = (np.arange(n_probe) + 0.383) / n_probe
     rows = np.stack(
         [torus((np.arange(n_probe) * (j + 2) + 0.271) / n_probe) for j in range(system.d)],

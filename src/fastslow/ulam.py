@@ -17,6 +17,8 @@ import scipy.sparse as sp
 from .exceptions import BranchInversionError, SRBConvergenceError
 from .systems import FastSlowSystem, invert_monotone, torus
 
+DENSITY_TOL = 1e-12     # L1 fixed-point residual of the power iteration
+
 
 @dataclass(frozen=True)
 class UlamOperator:
@@ -119,10 +121,10 @@ def ulam_operator(system: FastSlowSystem, theta, N: int) -> UlamOperator:
     return UlamOperator(theta=theta, N=N, P=P.tocsr(), column_defect=defect)
 
 
-def srb_density(op: UlamOperator, tol: float = 1e-12, max_iter: int = 5000) -> SRBDensity:
+def srb_density(op: UlamOperator, max_iter: int = 5000) -> SRBDensity:
     """Power iteration from the uniform density to the invariant density.
 
-    Convergence is to L1 residual <= tol (weight 1/N). Non-convergence raises
+    Convergence is to L1 residual <= DENSITY_TOL (weight 1/N). Non-convergence raises
     with an estimate of the second eigenvalue from the residual decay.
     """
     rho = np.ones(op.N)
@@ -135,7 +137,7 @@ def srb_density(op: UlamOperator, tol: float = 1e-12, max_iter: int = 5000) -> S
         if res_prev < np.inf and res > 0:
             ratio = res / res_prev
         rho = rho1
-        if res <= tol:
+        if res <= DENSITY_TOL:
             return SRBDensity(theta=op.theta, N=op.N, rho=rho, residual=res, iterations=it)
         res_prev = res
     raise SRBConvergenceError(res, max_iter, float(ratio))

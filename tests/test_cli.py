@@ -34,7 +34,11 @@ def test_unknown_config_key_exits_2(runner, tmp_path):
     assert manifest["config_sha256"] is None
 
 
-@pytest.mark.parametrize("key", ["drift_quantum", "density_residual", "max_orbit_steps"])
+@pytest.mark.parametrize("key", ["drift_quantum", "density_residual", "max_orbit_steps",
+                                 "eps_max", "integrator_tol", "covariance_tol",
+                                 "covariance_agree", "fd_step", "pair_grid", "pair_delta",
+                                 "shadow_c", "shadow_c_sharp", "shadow_tol",
+                                 "residual_slack"])
 def test_removed_tolerance_key_exits_2(runner, tmp_path, key):
     cfg = tmp_path / "old.json"
     cfg.write_text(json.dumps({"fixture": "LIN", "tolerances": {key: 1}}))
@@ -43,6 +47,17 @@ def test_removed_tolerance_key_exits_2(runner, tmp_path, key):
     assert "unknown config key" in res.output
     manifest = json.loads((tmp_path / "sigma" / "manifest.json").read_text())
     assert manifest["status"] == "config-error"
+
+
+def test_config_cannot_widen_an_acceptance_band(runner, tmp_path):
+    cfg = tmp_path / "wide.json"
+    cfg.write_text(json.dumps({"fixture": "CPL", "tolerances": {"residual_slack": 1e6}}))
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path),
+                               "verify-all", "--criteria", "10"])
+    assert res.exit_code == 2
+    manifest = json.loads((tmp_path / "verify-all" / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert not (tmp_path / "verify-all" / "acceptance.json").exists()
 
 
 @pytest.mark.parametrize("text", ['{"fixture": "LIN", "out_dir": "elsewhere", "bad": 1}',
@@ -224,6 +239,16 @@ def test_malformed_inline_system_exits_2(runner, tmp_path, system, command):
 def test_single_eps_command_rejects_several_eps(runner, tmp_path, command):
     res = runner.invoke(main, ["--out", str(tmp_path), "--fixture", "LIN",
                                "--eps", "1e-3", "--eps", "1e-4", command])
+    assert res.exit_code == 2, res.output
+    manifest = json.loads((tmp_path / command / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+
+
+@pytest.mark.parametrize("command", ["sigma", "average", "decompose", "fluctuate"])
+def test_theta0_of_wrong_length_exits_2(runner, tmp_path, command):
+    cfg = tmp_path / "theta0.json"
+    cfg.write_text(json.dumps({"fixture": "LIN", "theta0": [0.3, 0.5]}))
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path), command])
     assert res.exit_code == 2, res.output
     manifest = json.loads((tmp_path / command / "manifest.json").read_text())
     assert manifest["status"] == "config-error"

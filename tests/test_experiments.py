@@ -143,7 +143,7 @@ def test_generator_residual_shrinks_with_eps():
     means = {}
     for eps in (1e-3, 1e-4):
         _, ens, cov = lin_setup(eps, 4000)
-        rep = martingale_residual(ens, A, [], 0.0, 1.0, cov, slack_c=1.0)
+        rep = martingale_residual(ens, A, [], 0.0, 1.0, cov)
         assert rep.passed
         means[eps] = abs(rep.data["mean"])
     assert means[1e-4] < means[1e-3]
@@ -157,7 +157,7 @@ def test_generator_residual_detects_wrong_covariance():
                             lambda th: np.array([[0.0]]), 1.0,
                             out_times=ens.out_times)
     funcs = {f.name: f for f in function_library(1)}
-    rep = martingale_residual(ens, funcs["z0z0"], [], 0.0, 1.0, bad, slack_c=1.0)
+    rep = martingale_residual(ens, funcs["z0z0"], [], 0.0, 1.0, bad)
     assert not rep.passed
 
 

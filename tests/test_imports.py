@@ -77,3 +77,66 @@ def uncalled_public_names(trees: dict[str, ast.Module]) -> list[str]:
 def test_every_public_name_has_a_caller():
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     assert uncalled_public_names(trees) == []
+
+
+def defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int]]:
+    """(callable name, parameter, position or -1 if keyword-only) for every
+    defaulted parameter of a public top-level function, a public method or an
+    __init__ (named after its class); self and cls take no position."""
+    found = []
+
+    def collect(fn, name, bound):
+        args = fn.args
+        positional = (args.posonlyargs + args.args)[bound:]
+        for pos, arg in enumerate(positional[len(positional) - len(args.defaults):],
+                                  start=len(positional) - len(args.defaults)):
+            found.append((name, arg.arg, pos))
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                found.append((name, arg.arg, -1))
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            collect(node, node.name, 0)
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                static = any(getattr(dec, "id", None) == "staticmethod"
+                             for dec in item.decorator_list)
+                if item.name == "__init__":
+                    collect(item, node.name, 1)
+                elif not item.name.startswith("_"):
+                    collect(item, item.name, 0 if static else 1)
+    return found
+
+
+def passes(call: ast.Call, param: str, pos: int) -> bool:
+    """Whether a call passes the parameter: by keyword, by position, or
+    possibly through *args or **kwargs."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    if pos < 0:
+        return False
+    return any(isinstance(a, ast.Starred) for a in call.args) or len(call.args) > pos
+
+
+def unset_defaults(defining: list[ast.Module], calling: list[ast.Module]) -> list[str]:
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in calling:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = node.func.attr if isinstance(node.func, ast.Attribute) else \
+                    getattr(node.func, "id", None)
+                calls.setdefault(name, []).append(node)
+    return [f"{name}({param})" for tree in defining
+            for name, param, pos in defaulted_parameters(tree)
+            if not any(passes(c, param, pos) for c in calls.get(name, []))]
+
+
+def test_every_parameter_default_is_set_by_a_caller():
+    root = SRC.parents[1]
+    defining = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))]
+    calling = [ast.parse(p.read_text()) for d in ("src", "tests", "perfbench")
+               for p in sorted((root / d).rglob("*.py"))]
+    assert unset_defaults(defining, calling) == []

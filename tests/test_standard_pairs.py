@@ -205,3 +205,28 @@ def test_pushforward_makes_the_same_calls_for_any_number_of_pairs(lin, monkeypat
         seen.append(dict(counts))
     assert seen[0] == seen[1]
     assert seen[0]["invert_monotone"] == 1
+
+
+@pytest.mark.parametrize("corrupt", ["slope", "positivity"])
+def test_blocked_validation_reports_what_one_pass_reports(cpl, monkeypatch, corrupt):
+    consts = default_constants(cpl)
+    rng = np.random.default_rng(5)
+    pairs = [random_admissible_pair(cpl, 1e-3, consts, rng) for _ in range(10)]
+    family = StandardFamily(a=np.array([p.a for p in pairs]), b=np.array([p.b for p in pairs]),
+                            G=np.stack([p.G for p in pairs]), rho=np.stack([p.rho for p in pairs]),
+                            weights=np.full(10, 0.1), constants=consts, eps=1e-3)
+    s = np.linspace(0.0, 1.0, consts.grid + 1)
+    for k, factor in ((1, 2.0), (8, 3.0)):      # the steeper slope sits in a later block
+        family.G[k, :, 0] += factor * 1e-3 * consts.c1 * (family.b[k] - family.a[k]) * s
+    if corrupt == "positivity":                 # a later block breaks the first bound checked
+        family.rho[6, consts.grid // 2] = -family.rho[6].max()
+        w = standard_pairs._simpson_weights(family.a[6], family.b[6], consts.grid)
+        family.rho[6] /= w @ family.rho[6]
+    messages = []
+    for block in (3, 10):
+        monkeypatch.setattr(standard_pairs, "CHECK_BLOCK", block)
+        with pytest.raises(PairInvariantError) as exc:
+            family.validate()
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("density must" if corrupt == "positivity" else "|G'|")

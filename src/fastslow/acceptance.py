@@ -1,21 +1,23 @@
 """Acceptance suite: one function per criterion, plus a shared workspace.
 
 Each criterion pins its sizes and tolerances here; nothing is deferred to
-later calibration. Expensive artifacts (drift caches, averaged solves,
-ensembles) are shared through the Workspace so the whole suite stays within
-its runtime budget on a desktop machine.
+later calibration. Of the config only the seed reaches a verdict: the frozen
+solves run at diffusion.ULAM_N cells and every ensemble and covariance on
+the OUT_TIMES grid, whatever the config says. Expensive artifacts (drift
+caches, averaged solves, ensembles) are shared through the Workspace so the
+whole suite stays within its runtime budget on a desktop machine.
 """
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .config import ExperimentConfig
-from .diffusion import diffusion_matrix
+from .diffusion import ULAM_N, diffusion_matrix
 from .experiments import (
     Ensemble,
     averaging_error,
@@ -44,6 +46,7 @@ from .systems import FastSlowSystem, fixture, validate_system
 from .ulam import srb_density, ulam_operator
 
 SHADOW_C_SHARP = 10.0   # criterion 9: |log Y'| <= SHADOW_C_SHARP * eps * n**2
+OUT_TIMES = 33          # output grid the statistical bands were calibrated on
 
 
 @dataclass
@@ -102,9 +105,7 @@ class Workspace:
 
     def cache(self, name: Optional[str] = None) -> SRBCache:
         if name not in self._caches:
-            tol = self.config.tolerances
-            self._caches[name] = SRBCache(self.system(name), N=tol.ulam_n, M=tol.sigma_m,
-                                          tail_tol=tol.sigma_tail_tol)
+            self._caches[name] = SRBCache(self.system(name))
         return self._caches[name]
 
     def averaged(self, name: Optional[str], theta0: Sequence[float] = (0.25,),
@@ -161,8 +162,7 @@ def criterion_1(ws: Workspace) -> CriterionResult:
 def criterion_2(ws: Workspace) -> CriterionResult:
     """Summed-autocovariance diffusion equals the analytic value 1/2."""
     t0 = time.time()
-    ctx = diffusion_matrix(ws.system("LIN"), [0.0], ws.config.tolerances.ulam_n,
-                           with_jacobian=False)
+    ctx = diffusion_matrix(ws.system("LIN"), [0.0], ULAM_N, with_jacobian=False)
     val = float(ctx.sigma2[0, 0])
     return _result(2, "diffusion coefficient analytic value (LIN)", 5.0, t0,
                    abs(val - 0.5) <= 1e-3 and not ctx.coboundary,
@@ -173,8 +173,7 @@ def criterion_2(ws: Workspace) -> CriterionResult:
 def criterion_3(ws: Workspace) -> CriterionResult:
     """Coboundary drift has degenerate diffusion and is flagged."""
     t0 = time.time()
-    ctx = diffusion_matrix(ws.system("CBD"), [0.0], ws.config.tolerances.ulam_n,
-                           with_jacobian=False)
+    ctx = diffusion_matrix(ws.system("CBD"), [0.0], ULAM_N, with_jacobian=False)
     val = float(ctx.sigma2[0, 0])
     return _result(3, "coboundary degeneracy (CBD)", 5.0, t0,
                    val <= 1e-3 and ctx.coboundary,
@@ -353,8 +352,7 @@ def criterion_12(ws: Workspace) -> CriterionResult:
     t0 = time.time()
     ens = ws.ensemble("CBD", 1e-3, 2000, theta0=[0.3])
     var = float(ens.zeta[:, -1, 0].var(ddof=1))
-    ctx = diffusion_matrix(ws.system("CBD"), [0.3], ws.config.tolerances.ulam_n,
-                           with_jacobian=False)
+    ctx = diffusion_matrix(ws.system("CBD"), [0.3], ULAM_N, with_jacobian=False)
     ok = var <= 1e-2 and ctx.coboundary
     return _result(12, "degenerate fluctuations for coboundary drift (CBD)", 120.0,
                    t0, ok, {"var_zeta_T": var, "coboundary_flag": bool(ctx.coboundary)})
@@ -374,8 +372,14 @@ FIXTURE_CRITERIA = {
 
 def run_all(ws: Optional[Workspace] = None, ids: Optional[list[int]] = None,
             echo=print) -> list[CriterionResult]:
-    """Run the acceptance criteria (all by default), printing one line each."""
+    """Run the acceptance criteria (all by default), printing one line each.
+
+    A workspace whose config sets another output grid is replaced by one on
+    OUT_TIMES, so out_times cannot change a verdict.
+    """
     ws = ws or Workspace()
+    if ws.config.out_times != OUT_TIMES:
+        ws = Workspace(config=replace(ws.config, out_times=OUT_TIMES), threads=ws.threads)
     results = []
     for fn in CRITERIA:
         cid = int(fn.__name__.split("_")[1])

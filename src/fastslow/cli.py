@@ -21,7 +21,7 @@ import scipy
 from . import __version__
 from .acceptance import FIXTURE_CRITERIA, SHADOW_C_SHARP, Workspace, results_to_json, run_all
 from .config import ExperimentConfig, check_config, config_from_dict, load_config
-from .diffusion import diffusion_matrix
+from .diffusion import ULAM_N, diffusion_matrix
 from .exceptions import ConfigError, FastSlowError
 from .experiments import clt_test, default_out_times, moment_scaling
 from .shadowing import shadow_solve_batch
@@ -132,6 +132,15 @@ def _guard(fn):
     return wrapper
 
 
+def _count(ctx, option: str) -> int:
+    """A count option's value; below 1 is a config error, raised here rather
+    than by click.IntRange so that the run still writes its manifest."""
+    value = ctx.params[option]
+    if value < 1:
+        raise ConfigError(f"--{option.replace('_', '-')} must be >= 1, got {value}")
+    return value
+
+
 def _single_eps(cfg: ExperimentConfig, command: str) -> float:
     """The one eps a single-eps command runs at; a longer list is a config error."""
     if len(cfg.eps) != 1:
@@ -163,14 +172,12 @@ def main(ctx, config, fixture_, seed, threads, out_dir, eps, n, t_final, theta0)
 @_guard
 def srb(ctx, cfg, run):
     """Invariant-density sweep: drift, diffusion and tail data per theta."""
+    count = _count(ctx, "theta_count")
     system = Workspace(config=cfg).system()
-    tol = cfg.tolerances
     rows = []
-    count = ctx.params["theta_count"]
     for i in range(count):
         theta = np.full(system.d, i / count)
-        c = diffusion_matrix(system, theta, tol.ulam_n, M=tol.sigma_m,
-                             tail_tol=tol.sigma_tail_tol, with_jacobian=False)
+        c = diffusion_matrix(system, theta, ULAM_N, with_jacobian=False)
         rows.append([float(theta[0]),
                      *[float(v) for v in c.omega_bar],
                      *[float(v) for v in c.sigma2.ravel()],
@@ -190,9 +197,7 @@ def sigma(ctx, cfg, run):
     """Diffusion matrix at theta0 (default 0)."""
     system = Workspace(config=cfg).system()
     theta = cfg.theta0 or [0.0] * system.d
-    tol = cfg.tolerances
-    c = diffusion_matrix(system, theta, tol.ulam_n, M=tol.sigma_m,
-                         tail_tol=tol.sigma_tail_tol)
+    c = diffusion_matrix(system, theta, ULAM_N)
     out = {
         "theta": [float(v) for v in c.theta],
         "omega_bar": [float(v) for v in c.omega_bar],
@@ -255,6 +260,7 @@ def average(ctx, cfg, run):
 @_guard
 def decompose(ctx, cfg, run):
     """Iterated pushforward decomposition of a flat standard pair."""
+    steps = _count(ctx, "steps")
     system = Workspace(config=cfg).system()
     eps = _single_eps(cfg, "decompose")
     consts = default_constants(system)
@@ -263,14 +269,14 @@ def decompose(ctx, cfg, run):
     pair = constant_pair(theta0, 0.2, 0.2 + consts.delta, eps)
     family = as_family(pair, consts)
     rows = []
-    for step_i in range(ctx.params["steps"]):
+    for step_i in range(steps):
         family = pushforward_decompose(family, system)
         rows.append([step_i + 1, len(family.weights), float(family.weights.sum()),
                      float(family.mass_defect)])
     (run.dir / "family.json").write_text(family.dumps())
     write_csv(run.dir / "growth.csv", ["step", "pairs", "weight_sum", "mass_defect"], rows)
     (run.dir / "margins.json").write_text(json.dumps(margins, sort_keys=True, indent=1))
-    click.echo(f"{len(family.weights)} pairs after {ctx.params['steps']} steps; "
+    click.echo(f"{len(family.weights)} pairs after {steps} steps; "
                f"closure margins {margins}")
 
 
@@ -280,13 +286,13 @@ def decompose(ctx, cfg, run):
 @_guard
 def shadow(ctx, cfg, run):
     """Frozen-orbit shadowing diagnostics at the configured eps."""
+    npts = _count(ctx, "points")
     system = Workspace(config=cfg).system()
     rows = []
     summary = {}
     for eps in cfg.eps:
         n = int(np.floor(eps ** -0.5))
         rng = np.random.default_rng(cfg.seed)
-        npts = ctx.params["points"]
         x0 = rng.random(npts)
         th0 = rng.random((npts, system.d))
         ts = th0 + eps * (rng.random((npts, system.d)) - 0.5)
@@ -318,6 +324,10 @@ def fluctuate(ctx, cfg, run):
     ws = Workspace(config=cfg, threads=cfg.threads)
     if ws.system().d != 1:
         raise ConfigError(f"fluctuate needs a system with d = 1, got d = {ws.system().d}")
+    gaps = cfg.out_times - 1    # the reports read dyadic gaps and the times T/4, T/2
+    if gaps < 4 or gaps & (gaps - 1):
+        raise ConfigError(f"fluctuate needs 2^j + 1 output times with j >= 2 "
+                          f"(5, 9, 17, 33, ...), got out_times = {cfg.out_times}")
     theta0 = cfg.theta0 or [0.25]
     eps = _single_eps(cfg, "fluctuate")
     ens = ws.ensemble(None, eps, cfg.n_trajectories, theta0=theta0, T=cfg.horizon)

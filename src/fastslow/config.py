@@ -1,36 +1,25 @@
 """Run configuration: schema, defaults, validation.
 
-The configuration file is JSON (nested key/value). Unknown keys are rejected
-everywhere so a typo cannot silently fall back to a default. Every run writes
-the fully resolved configuration next to its outputs.
+The configuration file is a flat JSON object of run inputs: the system, the
+eps values, ensemble size, horizon, seed, start point, output grid, threads
+and output directory. It sets no tolerance: the sizes of the frozen solve
+are constants of `diffusion`, and every acceptance threshold and size is a
+constant of the module that uses it. Unknown keys are rejected so a typo (or
+a key that no longer exists) cannot silently fall back to a default. Every
+run writes the fully resolved configuration next to its outputs.
 """
 from __future__ import annotations
 
 import dataclasses
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
 from .exceptions import ConfigError, SystemValidationError
 from .systems import FIXTURES, FastSlowSystem, fixture
 
 EPS_MAX = 0.05      # largest admissible time-scale separation
-
-
-@dataclass
-class Tolerances:
-    """The only settable tolerances: the sizes of the Ulam frozen solve and
-    its truncated Green-Kubo sum.
-
-    Every other tolerance and every acceptance threshold is a constant of the
-    module that uses it, so no config key changes a pass band.
-    """
-
-    ulam_n: int = 4096                 # transfer-operator grid cells
-    sigma_m: Optional[int] = None      # autocovariance cutoff; None -> decay rule
-    sigma_tail_tol: float = 1e-9       # bound on ||Gamma_k|| over the tail window
 
 
 @dataclass
@@ -47,44 +36,24 @@ class ExperimentConfig:
     out_times: int = 33
     threads: int = 1
     out_dir: str = "out"
-    tolerances: Tolerances = field(default_factory=Tolerances)
 
     def resolved(self) -> dict:
-        return _asdict(self)
+        return dataclasses.asdict(self)
 
     def sha256(self) -> str:
         blob = json.dumps(self.resolved(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
 
-def _asdict(obj: Any) -> Any:
-    if dataclasses.is_dataclass(obj):
-        return {f.name: _asdict(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, (list, tuple)):
-        return [_asdict(v) for v in obj]
-    return obj
-
-
-def _apply(dc: Any, data: dict, path: str) -> None:
-    names = {f.name: f for f in dataclasses.fields(dc)}
-    for key, value in data.items():
-        if key not in names:
-            raise ConfigError(f"unknown config key {path}{key!r}")
-        current = getattr(dc, key)
-        if dataclasses.is_dataclass(current):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {path}{key!r} must be an object")
-            _apply(current, value, path + key + ".")
-        else:
-            setattr(dc, key, value)
-
-
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build a config, rejecting unknown keys recursively; check_config checks the values."""
+    """Build a config, rejecting unknown keys; check_config checks the values."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    cfg = ExperimentConfig()
-    _apply(cfg, data, "")
+    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    for key in data:
+        if key not in names:
+            raise ConfigError(f"unknown config key {key!r}")
+    cfg = ExperimentConfig(**data)
     if not isinstance(cfg.eps, list):
         cfg.eps = [cfg.eps]
     if cfg.theta0 is not None and not isinstance(cfg.theta0, list):
@@ -119,22 +88,9 @@ def check_config(cfg: ExperimentConfig) -> None:
     for e in cfg.eps:
         if not (0 <= e <= EPS_MAX):
             raise ConfigError(f"eps={e} outside [0, {EPS_MAX}]")
-    if cfg.n_trajectories < 1:
-        raise ConfigError("n_trajectories must be >= 1")
     if cfg.horizon <= 0:
         raise ConfigError("horizon must be positive")
-    if cfg.out_times < 2:
-        raise ConfigError("out_times must be >= 2")
-    if cfg.threads < 1:
-        raise ConfigError("threads must be >= 1")
-
-
-def default_truncation(lam: float, tail_tol: float) -> int:
-    """Autocovariance cutoff from the certified expansion rate.
-
-    Correlations decay at least geometrically for smooth expanding maps, so a
-    multiple of log(1/tol)/log(lambda) steps suffices; the factor 10 leaves
-    room for a slow prefactor and the tail check verifies a posteriori.
-    """
-    m = math.ceil(10.0 * math.log(1.0 / tail_tol) / math.log(lam))
-    return max(8, min(m, 400))
+    for key, low in (("n_trajectories", 1), ("out_times", 2), ("threads", 1)):
+        value = getattr(cfg, key)
+        if not isinstance(value, int) or isinstance(value, bool) or value < low:
+            raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")

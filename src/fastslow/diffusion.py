@@ -9,22 +9,38 @@ truncated where the certified correlation decay makes the tail negligible and
 verified a posteriori. The symmetric PSD square root comes from a dense
 eigendecomposition; the slow dimension is small (1-3) so dense d x d work is
 free while the N x N transfer matrix stays sparse.
+
+This module owns the sizes of the frozen solve: ULAM_N cells, the cutoff
+default_truncation(lam) and the tail bound TAIL_TOL. No config sets them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .config import default_truncation
 from .exceptions import NegativeEigenvalueError, TruncationTailError
 from .systems import FastSlowSystem
 from .ulam import SRBDensity, UlamOperator, srb_density, ulam_operator
 
+ULAM_N = 4096           # transfer-operator grid cells of the frozen solve
+TAIL_TOL = 1e-9         # bound on ||Gamma_k|| over the tail window [M/2, M]
 FD_STEP = 1e-3          # central-difference step of the drift Jacobian
 CLAMP_TOL = 1e-9        # eigenvalues within -CLAMP_TOL of 0 are discretization noise
 COBOUNDARY_TOL = 1e-3   # smallest eigenvalue <= this * trace(Gamma_0): degenerate
+
+
+def default_truncation(lam: float) -> int:
+    """Autocovariance cutoff from the certified expansion rate.
+
+    Correlations decay at least geometrically for smooth expanding maps, so a
+    multiple of log(1/TAIL_TOL)/log(lambda) steps suffices; the factor 10
+    leaves room for a slow prefactor and the tail check verifies a posteriori.
+    """
+    m = math.ceil(10.0 * math.log(1.0 / TAIL_TOL) / math.log(lam))
+    return max(8, min(m, 400))
 
 
 def average_drift(system: FastSlowSystem, density: SRBDensity) -> np.ndarray:
@@ -89,12 +105,12 @@ def autocovariances(system: FastSlowSystem, op: UlamOperator, density: SRBDensit
     return gam
 
 
-def green_kubo(gam: np.ndarray, tail_tol: float) -> tuple[np.ndarray, np.ndarray, float]:
+def green_kubo(gam: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Green-Kubo sum of Gamma_0..Gamma_M with the checks every caller needs.
 
     Returns (sigma2, eigenvalues clamped at zero, tail estimate). Raises if
     the sum is not symmetric to 1e-12, if max ||Gamma_k|| over k in [M/2, M]
-    exceeds tail_tol, or if an eigenvalue lies below -CLAMP_TOL.
+    exceeds TAIL_TOL, or if an eigenvalue lies below -CLAMP_TOL.
     """
     M = gam.shape[0] - 1
     sigma2 = gam[0].copy()
@@ -106,9 +122,9 @@ def green_kubo(gam: np.ndarray, tail_tol: float) -> tuple[np.ndarray, np.ndarray
     sigma2 = 0.5 * (sigma2 + sigma2.T)
 
     tail = float(np.linalg.norm(gam[M // 2:], axis=(1, 2)).max())
-    if tail > tail_tol:
+    if tail > TAIL_TOL:
         raise TruncationTailError(
-            f"||Gamma_k|| tail {tail:.2e} above {tail_tol:.1e}; increase M"
+            f"||Gamma_k|| tail {tail:.2e} above {TAIL_TOL:.1e}; increase M"
         )
 
     evals = np.linalg.eigvalsh(sigma2)
@@ -128,7 +144,6 @@ class DiffusionContext:
     M: int                       # truncation of the autocovariance sum
     omega_bar: np.ndarray        # (d,)
     D_omega_bar: np.ndarray      # (d, d)
-    Gamma: np.ndarray            # (M+1, d, d)
     sigma2: np.ndarray           # (d, d) symmetric PSD
     sigma: np.ndarray            # (d, d) symmetric PSD square root
     tail_estimate: float         # max ||Gamma_k|| over k in [M/2, M]
@@ -137,23 +152,21 @@ class DiffusionContext:
 
 
 def diffusion_matrix(system: FastSlowSystem, theta, N: int,
-                     M: Optional[int] = None, tail_tol: float = 1e-9,
                      with_jacobian: bool = True) -> DiffusionContext:
     """Assemble the diffusion matrix and its context at frozen theta.
 
-    The sum and its checks are those of green_kubo: a materially negative
-    eigenvalue signals a truncation that is too short or a grid that is too
-    coarse, and the tail of ||Gamma_k|| over [M/2, M] must fall below
-    tail_tol.
+    The sum runs to M = default_truncation(lam) and its checks are those of
+    green_kubo: a materially negative eigenvalue signals a truncation that is
+    too short or a grid that is too coarse, and the tail of ||Gamma_k|| over
+    [M/2, M] must fall below TAIL_TOL.
     """
-    if M is None:
-        M = default_truncation(system.lam, tail_tol)
+    M = default_truncation(system.lam)
     op = ulam_operator(system, theta, N)
     density = srb_density(op)
     wbar = average_drift(system, density)
     gam = autocovariances(system, op, density, M)
 
-    sigma2, evals, tail = green_kubo(gam, tail_tol)
+    sigma2, evals, tail = green_kubo(gam)
     sigma = sym_sqrt(sigma2)
     scale = max(float(np.trace(gam[0])), 1e-30)
     coboundary = bool(evals.min() <= COBOUNDARY_TOL * scale)
@@ -166,7 +179,7 @@ def diffusion_matrix(system: FastSlowSystem, theta, N: int,
     )
     return DiffusionContext(
         theta=np.atleast_1d(np.asarray(theta, dtype=float)),
-        N=N, M=M, omega_bar=wbar, D_omega_bar=dbar, Gamma=gam,
+        N=N, M=M, omega_bar=wbar, D_omega_bar=dbar,
         sigma2=sigma2, sigma=sigma, tail_estimate=tail,
         coboundary=coboundary, decay_rate=decay,
     )

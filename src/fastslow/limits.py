@@ -37,9 +37,7 @@ class AveragedTrajectory:
 
     theta0: np.ndarray
     T: float
-    drift: Provider
     sol: object                # scipy OdeSolution
-    tol: float
     lipschitz_estimate: float
 
     def at(self, t):
@@ -76,8 +74,7 @@ def solve_averaged(drift: Provider, theta0, T: float,
         vals = np.array([np.asarray(drift(theta0 + (i / probe) * e)).ravel()
                          for i in range(probe + 1)])
         lip = max(lip, float(np.abs(np.diff(vals, axis=0)).max() * probe))
-    return AveragedTrajectory(theta0=theta0, T=T, drift=drift, sol=res.sol,
-                              tol=tol, lipschitz_estimate=lip)
+    return AveragedTrajectory(theta0=theta0, T=T, sol=res.sol, lipschitz_estimate=lip)
 
 
 @dataclass

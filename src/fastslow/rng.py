@@ -1,9 +1,13 @@
 """Counter-based stream splitting for reproducible parallel Monte Carlo.
 
-Stream k is Philox4x64-10 keyed with root_seed XOR k: streams are
-statistically independent by construction of the counter-based generator,
-and the mapping is stateless, so any subset of trajectories can be
-regenerated bit-exactly without touching the others.
+Stream k is Philox4x64-10 keyed with root_seed XOR k. Within one root seed
+the keys are distinct, so the streams are statistically independent, and the
+mapping is stateless, so any subset of trajectories can be regenerated
+bit-exactly without touching the others. Across root seeds they are not
+independent: for n = 2^b, two seeds that agree above their low b bits share
+the key set of streams 0..n-1, so they draw the same points in another
+order (2024 and 2025 from n = 2, 7 and 2024 from n = 2048). Keying on the
+pair (root_seed, k) is open item 2 of ROADMAP.md.
 
 Because a Philox output is a pure function of (key, counter), the first
 draw of every stream is computed in one uint64 array pass over all keys

@@ -30,7 +30,6 @@ class ShadowSolution:
 
     n: int
     eps: float
-    theta_star: np.ndarray     # (d,)
     y0: float                  # pulled-back initial point Y_n
     shadow_orbit: np.ndarray   # (n+1,) frozen orbit from y0, endpoint = x_n
     defect: float              # max per-step inversion residual
@@ -146,7 +145,6 @@ def shadow_solve_batch(system: FastSlowSystem, eps: float, x0: np.ndarray,
             ShadowSolution(
                 n=n,
                 eps=eps,
-                theta_star=theta_star[i].copy(),
                 y0=float(shadow[0, i]),
                 shadow_orbit=shadow[:, i].copy(),
                 defect=float(defect[i]),

@@ -20,8 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import default_truncation
-from .diffusion import autocovariances, average_drift, green_kubo
+from .diffusion import ULAM_N, autocovariances, average_drift, default_truncation, green_kubo
 from .exceptions import TableResolutionError
 from .systems import FastSlowSystem, torus
 from .ulam import srb_density, ulam_operator
@@ -56,13 +55,11 @@ def _evaluate(coef: np.ndarray, wave: np.ndarray, thetas: np.ndarray,
 
 
 class SRBCache:
-    def __init__(self, system: FastSlowSystem, N: int = 4096,
-                 M: Optional[int] = None, tail_tol: float = 1e-9):
+    def __init__(self, system: FastSlowSystem, N: int = ULAM_N):
         t0 = time.perf_counter()
         self.system = system
         self.N = int(N)
-        self.tail_tol = float(tail_tol)
-        self.M = default_truncation(system.lam, self.tail_tol) if M is None else int(M)
+        self.M = default_truncation(system.lam)
         d = self.d = system.d
         n, table, last = START_NODES, None, np.inf
         while True:
@@ -99,7 +96,7 @@ class SRBCache:
             op = ulam_operator(self.system, theta, self.N)
             density = srb_density(op)
             gam = autocovariances(self.system, op, density, self.M)
-            sigma2 = green_kubo(gam, self.tail_tol)[0]
+            sigma2 = green_kubo(gam)[0]
             rows.append(np.concatenate([average_drift(self.system, density), sigma2.ravel()]))
         return np.array(rows)
 

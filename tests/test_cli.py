@@ -38,7 +38,8 @@ def test_unknown_config_key_exits_2(runner, tmp_path):
                                  "eps_max", "integrator_tol", "covariance_tol",
                                  "covariance_agree", "fd_step", "pair_grid", "pair_delta",
                                  "shadow_c", "shadow_c_sharp", "shadow_tol",
-                                 "residual_slack"])
+                                 "residual_slack", "ulam_n", "sigma_m",
+                                 "sigma_tail_tol"])
 def test_removed_tolerance_key_exits_2(runner, tmp_path, key):
     cfg = tmp_path / "old.json"
     cfg.write_text(json.dumps({"fixture": "LIN", "tolerances": {key: 1}}))
@@ -58,6 +59,33 @@ def test_config_cannot_widen_an_acceptance_band(runner, tmp_path):
     manifest = json.loads((tmp_path / "verify-all" / "manifest.json").read_text())
     assert manifest["status"] == "config-error"
     assert not (tmp_path / "verify-all" / "acceptance.json").exists()
+
+
+def test_config_cannot_size_the_frozen_solve(runner, tmp_path):
+    # a 16-cell Ulam solve used to fail criteria 2, 3 and 12 (exit 1)
+    cfg = tmp_path / "coarse.json"
+    cfg.write_text(json.dumps({"fixture": "LIN", "tolerances": {"ulam_n": 16}}))
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path),
+                               "verify-all", "--criteria", "2,3,12"])
+    assert res.exit_code == 2, res.output
+    manifest = json.loads((tmp_path / "verify-all" / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert not (tmp_path / "verify-all" / "acceptance.json").exists()
+
+
+def test_verify_all_ignores_out_times(runner, tmp_path):
+    # criterion 10 conditions at t = 0.25 and 0.375, which a 5-point grid lacks
+    details = {}
+    for out_times in (33, 5):
+        cfg = tmp_path / f"grid{out_times}.json"
+        cfg.write_text(json.dumps({"fixture": "CPL", "out_times": out_times}))
+        out = tmp_path / str(out_times)
+        res = runner.invoke(main, ["--config", str(cfg), "--out", str(out),
+                                   "verify-all", "--criteria", "10"])
+        assert res.exit_code == 0, res.output
+        report = json.loads((out / "verify-all" / "acceptance.json").read_text())
+        details[out_times] = report["criteria"][0]["details"]
+    assert details[5] == details[33]
 
 
 @pytest.mark.parametrize("text", ['{"fixture": "LIN", "out_dir": "elsewhere", "bad": 1}',
@@ -82,6 +110,18 @@ def test_invalid_eps_exits_2(runner, tmp_path):
     res = runner.invoke(main, ["--out", str(tmp_path), "--fixture", "LIN",
                                "--eps", "0.9", "sigma"])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("key,value", [("out_times", 9.5), ("n_trajectories", 100.0),
+                                       ("threads", True), ("out_times", 1)])
+def test_count_in_config_must_be_an_integer(runner, tmp_path, key, value):
+    cfg = tmp_path / "counts.json"
+    cfg.write_text(json.dumps({"fixture": "LIN", key: value}))
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path), "average"])
+    assert res.exit_code == 2, res.output
+    assert f"{key} must be an integer" in res.output
+    manifest = json.loads((tmp_path / "average" / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
 
 
 def test_numerical_failure_exits_3_and_writes_manifest(runner, tmp_path):
@@ -185,8 +225,7 @@ def test_decompose_outputs(runner, tmp_path):
 
 def test_fluctuate_inline_system(runner, tmp_path):
     cfg = tmp_path / "inline.json"
-    cfg.write_text(json.dumps({"system": fixture("CPL").to_dict(), "n_trajectories": 200,
-                               "tolerances": {"ulam_n": 512}}))
+    cfg.write_text(json.dumps({"system": fixture("CPL").to_dict(), "n_trajectories": 200}))
     res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path), "fluctuate"])
     assert res.exit_code == 0, res.output
     manifest = json.loads((tmp_path / "fluctuate" / "manifest.json").read_text())
@@ -244,6 +283,30 @@ def test_single_eps_command_rejects_several_eps(runner, tmp_path, command):
     assert manifest["status"] == "config-error"
 
 
+@pytest.mark.parametrize("out_times", [2, 3, 10])
+def test_fluctuate_rejects_a_grid_its_reports_cannot_read(runner, tmp_path, out_times):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"fixture": "LIN", "out_times": out_times, "n_trajectories": 50}))
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path), "fluctuate"])
+    assert res.exit_code == 2, res.output
+    manifest = json.loads((tmp_path / "fluctuate" / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert not (tmp_path / "fluctuate" / "clt.json").exists()
+
+
+@pytest.mark.parametrize("args", [["shadow", "--points", "0"],
+                                  ["decompose", "--steps", "-1"],
+                                  ["decompose", "--steps", "0"],
+                                  ["srb", "--theta-count", "0"]])
+def test_count_below_one_exits_2(runner, tmp_path, args):
+    res = runner.invoke(main, ["--out", str(tmp_path), "--fixture", "CPL",
+                               "--eps", "1e-4", *args])
+    assert res.exit_code == 2, res.output
+    assert "must be >= 1" in res.output
+    manifest = json.loads((tmp_path / args[0] / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+
+
 @pytest.mark.parametrize("command", ["sigma", "average", "decompose", "fluctuate"])
 def test_theta0_of_wrong_length_exits_2(runner, tmp_path, command):
     cfg = tmp_path / "theta0.json"
@@ -267,10 +330,8 @@ def test_unexpected_exception_exits_3_and_writes_manifest(runner, tmp_path, monk
 
 
 def test_average_prints_provider_stats(runner, tmp_path):
-    cfg = tmp_path / "cpl.json"
-    cfg.write_text(json.dumps({"fixture": "CPL", "tolerances": {"ulam_n": 512}}))
-    res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path), "average"])
+    res = runner.invoke(main, ["--out", str(tmp_path), "--fixture", "CPL", "average"])
     assert res.exit_code == 0, res.output
     line = next(ln for ln in res.output.splitlines() if ln.startswith("provider: "))
     stats = json.loads(line[len("provider: "):])
-    assert stats["nodes"] == 32 and stats["N"] == 512
+    assert stats["nodes"] == 64 and stats["N"] == 4096

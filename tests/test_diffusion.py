@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fastslow.diffusion import (autocovariances, average_drift,
-                                diffusion_matrix, drift_jacobian, sym_sqrt)
+                                diffusion_matrix, drift_jacobian, green_kubo, sym_sqrt)
 from fastslow.exceptions import NegativeEigenvalueError, TruncationTailError
 from fastslow.systems import FastSlowSystem, TrigTerm
 from fastslow.ulam import srb_density, ulam_operator
@@ -72,7 +72,7 @@ def test_coboundary_flagged_and_degenerate(cbd):
 
 
 def test_cpl_not_flagged_and_decay_reported(cpl):
-    ctx = diffusion_matrix(cpl, [0.25], 2048, M=60, with_jacobian=False)
+    ctx = diffusion_matrix(cpl, [0.25], 2048, with_jacobian=False)
     assert not ctx.coboundary
     assert ctx.decay_rate is not None and ctx.decay_rate > 0.2
     assert ctx.tail_estimate <= 1e-9
@@ -104,7 +104,7 @@ def test_cpl_autocovariances_against_time_series(cpl):
 def test_cpl_sigma2_against_variance_growth(cpl):
     # oracle: limit of Var(sum of centered drift / sqrt(n)) over frozen orbits
     theta = 0.25
-    ctx = diffusion_matrix(cpl, [theta], 4096, M=60, with_jacobian=False)
+    ctx = diffusion_matrix(cpl, [theta], 4096, with_jacobian=False)
     wbar = ctx.omega_bar[0]
     rng = np.random.default_rng(987)
     R = 10_000
@@ -128,7 +128,7 @@ def test_cpl_sigma2_against_variance_growth(cpl):
 def test_sigma2_symmetric_psd_random_thetas(cpl):
     rng = np.random.default_rng(31)
     for theta in rng.random(20):
-        ctx = diffusion_matrix(cpl, [theta], 1024, M=60, with_jacobian=False)
+        ctx = diffusion_matrix(cpl, [theta], 1024, with_jacobian=False)
         s2 = ctx.sigma2
         assert np.abs(s2 - s2.T).max() <= 1e-12
         assert np.linalg.eigvalsh(s2).min() >= -1e-9
@@ -136,15 +136,17 @@ def test_sigma2_symmetric_psd_random_thetas(cpl):
 
 
 def test_sigma2_theta_continuity(cpl):
-    vals = [diffusion_matrix(cpl, [t], 1024, M=60, with_jacobian=False).sigma2[0, 0]
+    vals = [diffusion_matrix(cpl, [t], 1024, with_jacobian=False).sigma2[0, 0]
             for t in (0.30, 0.301, 0.302)]
     assert abs(vals[1] - vals[0]) <= 0.05
     assert abs(vals[2] - vals[1]) <= 0.05
 
 
 def test_tail_check_raises_for_short_truncation(cpl):
+    op = ulam_operator(cpl, [0.25], 512)
+    dens = srb_density(op)
     with pytest.raises(TruncationTailError):
-        diffusion_matrix(cpl, [0.25], 512, M=4, with_jacobian=False)
+        green_kubo(autocovariances(cpl, op, dens, 4))
 
 
 def test_sym_sqrt_and_negative_rejection():

@@ -3,10 +3,8 @@ import numpy as np
 import pytest
 
 from fastslow import srb_cache
-from fastslow.acceptance import Workspace
-from fastslow.config import config_from_dict
 from fastslow.diffusion import diffusion_matrix
-from fastslow.exceptions import TableResolutionError, TruncationTailError
+from fastslow.exceptions import TableResolutionError
 from fastslow.srb_cache import SRBCache
 from fastslow.systems import FastSlowSystem, TrigTerm
 
@@ -83,21 +81,14 @@ def test_cbd_interpolant_stays_above_clamp(cbd):
 def test_planar_table_matches_point_solves():
     # d = 2 at N = 64: a 32 x 32 table, compared with fresh solves off the grid
     system = planar_system()
-    table = SRBCache(system, N=64, M=40)
+    table = SRBCache(system, N=64)
     assert table.stats()["nodes"] == table.stats()["nodes_per_dim"] ** 2
     for theta in np.random.default_rng(5).random((4, 2)):
-        ctx = diffusion_matrix(system, theta, 64, M=40)
+        ctx = diffusion_matrix(system, theta, 64)
         assert np.abs(table.omega_bar(theta) - ctx.omega_bar).max() <= 2e-6
         assert np.abs(table.sigma2(theta) - ctx.sigma2).max() <= 2e-3
         assert np.abs(table.d_omega_bar(theta) - ctx.D_omega_bar).max() <= 5e-4
         assert np.allclose(table.sigma2(theta), table.sigma2(theta).T, atol=0)
-
-
-@pytest.mark.parametrize("tolerances", [{"sigma_m": 4}, {"sigma_m": 40, "sigma_tail_tol": 1e-30}])
-def test_config_truncation_reaches_the_fill(tolerances):
-    cfg = config_from_dict({"fixture": "CPL", "tolerances": dict(tolerances, ulam_n=64)})
-    with pytest.raises(TruncationTailError):
-        Workspace(config=cfg).cache("CPL")
 
 
 def test_node_ceiling_raises_before_solving(lin, monkeypatch):

@@ -31,7 +31,7 @@ from .experiments import (
 )
 from .limits import AveragedTrajectory, CovarianceTrajectory, covariance_evolve, solve_averaged
 from .orbits import step
-from .shadowing import shadow_solve_batch
+from .shadowing import shadow_diagnostic
 from .srb_cache import SRBCache
 from .standard_pairs import (
     as_family,
@@ -45,7 +45,6 @@ from .standard_pairs import (
 from .systems import FastSlowSystem, fixture, validate_system
 from .ulam import srb_density, ulam_operator
 
-SHADOW_C_SHARP = 10.0   # criterion 9: |log Y'| <= SHADOW_C_SHARP * eps * n**2
 OUT_TIMES = 33          # output grid the statistical bands were calibrated on
 
 
@@ -282,20 +281,10 @@ def criterion_9(ws: Workspace) -> CriterionResult:
     consts = []
     ok = True
     for eps in (1e-4, 5e-5):
-        n = int(np.floor(eps ** -0.5))
-        x0 = rng.random(100)
-        th0 = rng.random((100, 1))
-        ts = th0 + eps * (rng.random((100, 1)) - 0.5)
-        sols = shadow_solve_batch(system, eps, x0, th0, ts, n)
-        defect = max(s.defect for s in sols)
-        c_sh = max(s.shadow_constant for s in sols)
-        ylog = max(abs(s.log_y_prime) for s in sols)
-        bound = SHADOW_C_SHARP * eps * n * n
-        ok = ok and defect <= 1e-12 and ylog <= bound
-        consts.append(c_sh)
-        details[f"eps={eps:g}"] = {"n": n, "max_defect": defect,
-                                   "shadow_constant": c_sh,
-                                   "max_log_y_prime": ylog, "y_prime_bound": bound}
+        _, s = shadow_diagnostic(system, eps, rng, 100)
+        ok = ok and s["max_defect"] <= 1e-12 and s["max_log_y_prime"] <= s["y_prime_bound"]
+        consts.append(s["shadow_constant"])
+        details[f"eps={eps:g}"] = s
     ratio = max(consts) / min(consts)
     ok = ok and ratio <= 2.0
     details["constant_ratio_across_halving"] = ratio

@@ -19,12 +19,12 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .acceptance import FIXTURE_CRITERIA, SHADOW_C_SHARP, Workspace, results_to_json, run_all
+from .acceptance import FIXTURE_CRITERIA, Workspace, results_to_json, run_all
 from .config import ExperimentConfig, check_config, config_from_dict, load_config
 from .diffusion import ULAM_N, diffusion_matrix
 from .exceptions import ConfigError, FastSlowError
 from .experiments import clt_test, default_out_times, moment_scaling
-from .shadowing import shadow_solve_batch
+from .shadowing import shadow_diagnostic
 from .standard_pairs import as_family, default_constants, class_margins, \
     constant_pair, pushforward_decompose
 from .svgplot import line_plot
@@ -287,26 +287,17 @@ def decompose(ctx, cfg, run):
 def shadow(ctx, cfg, run):
     """Frozen-orbit shadowing diagnostics at the configured eps."""
     npts = _count(ctx, "points")
+    if min(cfg.eps) <= 0:
+        raise ConfigError(f"shadow needs every eps > 0 (its horizon is eps^-1/2), got {cfg.eps}")
     system = Workspace(config=cfg).system()
     rows = []
     summary = {}
     for eps in cfg.eps:
-        n = int(np.floor(eps ** -0.5))
-        rng = np.random.default_rng(cfg.seed)
-        x0 = rng.random(npts)
-        th0 = rng.random((npts, system.d))
-        ts = th0 + eps * (rng.random((npts, system.d)) - 0.5)
-        sols = shadow_solve_batch(system, eps, x0, th0, ts, n)
-        for i, s in enumerate(sols):
-            rows.append([float(eps), i, s.n, float(s.y0), float(s.defect),
-                         float(s.shadow_constant), float(s.log_y_prime)])
-        summary[f"eps={eps:g}"] = {
-            "n": n,
-            "max_defect": max(s.defect for s in sols),
-            "shadow_constant": max(s.shadow_constant for s in sols),
-            "max_log_y_prime": max(abs(s.log_y_prime) for s in sols),
-            "y_prime_bound": SHADOW_C_SHARP * eps * n * n,
-        }
+        batch, s = shadow_diagnostic(system, eps, np.random.default_rng(cfg.seed), npts)
+        summary[f"eps={eps:g}"] = s
+        rows += [[float(eps), i, s["n"], *map(float, cols)]
+                 for i, cols in enumerate(zip(batch.y0, batch.defect,
+                                              batch.shadow_constant, batch.log_y_prime))]
     write_csv(run.dir / "shadow.csv",
               ["eps", "point", "n", "y0", "defect", "shadow_constant", "log_y_prime"],
               rows)

@@ -77,6 +77,12 @@ def solve_averaged(drift: Provider, theta0, T: float,
     return AveragedTrajectory(theta0=theta0, T=T, sol=res.sol, lipschitz_estimate=lip)
 
 
+def _conjugated(S: np.ndarray, I: np.ndarray) -> np.ndarray:
+    """The conjugated reconstruction S^-1 I S^-T."""
+    X = np.linalg.solve(S, I)
+    return np.linalg.solve(S, X.T).T
+
+
 @dataclass
 class CovarianceTrajectory:
     """Covariance of the limiting fluctuation process along the averaged path."""
@@ -116,10 +122,7 @@ class CovarianceTrajectory:
 
     def conditional_covariance(self, s: float, t: float) -> np.ndarray:
         """Covariance of zeta(t) given zeta(s): S(t)^-1 [I(t)-I(s)] S(t)^-T."""
-        St = self.S_at(t)
-        Ii = self._blocks(t)[2] - self._blocks(s)[2]
-        X = np.linalg.solve(St, Ii)
-        out = np.linalg.solve(St, X.T).T
+        out = _conjugated(self.S_at(t), self._blocks(t)[2] - self._blocks(s)[2])
         return 0.5 * (out + out.T)
 
     def B_at(self, t) -> np.ndarray:
@@ -172,10 +175,8 @@ def covariance_evolve(avg: AveragedTrajectory, sigma2_provider: Provider,
 
     worst = 0.0
     for i in range(out_times.shape[0]):
-        X = np.linalg.solve(S[i], Ii[i])
-        conj = np.linalg.solve(S[i], X.T).T
         scale = 1.0 + float(np.abs(Sig[i]).max())
-        worst = max(worst, float(np.abs(conj - Sig[i]).max()) / scale)
+        worst = max(worst, float(np.abs(_conjugated(S[i], Ii[i]) - Sig[i]).max()) / scale)
     if worst > agree_tol:
         raise CovarianceCrossCheckError(
             f"covariance routes disagree by {worst:.3e} (tolerance {agree_tol:.1e})"

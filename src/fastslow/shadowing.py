@@ -22,21 +22,19 @@ from .orbits import step
 from .systems import FastSlowSystem, invert_monotone, torus
 
 DEFECT_TOL = 1e-12      # largest admissible per-step inversion residual
+SHADOW_C_SHARP = 10.0   # |log Y'| <= SHADOW_C_SHARP * eps * n**2 on the shadowing range
 
 
 @dataclass(frozen=True)
-class ShadowSolution:
-    """Frozen-map orbit shadowing a true fast orbit."""
+class ShadowBatch:
+    """Frozen-map orbits shadowing N true fast orbits; column i is point i."""
 
-    n: int
-    eps: float
-    y0: float                  # pulled-back initial point Y_n
-    shadow_orbit: np.ndarray   # (n+1,) frozen orbit from y0, endpoint = x_n
-    defect: float              # max per-step inversion residual
-    errors: np.ndarray         # (n+1,) circle distance |x_k - x*_k|
-    y_prime: float             # derivative of the pullback map
-    log_y_prime: float
-    shadow_constant: float     # max_k errors[k] / (eps * k)
+    y0: np.ndarray               # (N,) pulled-back initial points Y_n
+    shadow_orbit: np.ndarray     # (n+1, N) frozen orbits from y0, endpoints = x_n
+    defect: np.ndarray           # (N,) max per-step inversion residual
+    errors: np.ndarray           # (n+1, N) circle distance |x_k - x*_k|
+    log_y_prime: np.ndarray      # (N,) log derivative of the pullback map
+    shadow_constant: np.ndarray  # (N,) max_k errors[k] / (eps * k)
 
 
 def _circle_dist(a, b):
@@ -72,26 +70,24 @@ def tangent_forward(fx, ft, ox, ot, eps):
 
 def shadow_solve_batch(system: FastSlowSystem, eps: float, x0: np.ndarray,
                        theta0: np.ndarray, theta_star: np.ndarray,
-                       n: int) -> list[ShadowSolution]:
+                       n: int) -> ShadowBatch:
     """Vectorized pullback solve over a batch of initial points.
 
-    Preconditions: ||theta_star - theta0|| <= eps for each point, and
-    n <= eps^-1/2 (the admissible shadowing range).
+    Preconditions: eps > 0, ||theta_star - theta0|| <= eps for each point,
+    and n <= eps^-1/2 (the admissible shadowing range).
     """
-    x0 = np.asarray(x0, dtype=float)
-    theta0 = np.asarray(theta0, dtype=float)
-    theta_star = np.asarray(theta_star, dtype=float)
     N = x0.shape[0]
-    if eps > 0:
-        if n > eps ** -0.5 * (1 + 1e-12):
-            raise ShadowSolveError(
-                f"n={n} beyond shadowing range eps^-1/2 = {eps ** -0.5:.1f}"
-            )
-        sep = np.linalg.norm(theta_star - theta0, axis=-1)
-        if np.any(sep > eps * (1 + 1e-9)):
-            raise ShadowSolveError(
-                f"||theta_star - theta0|| = {sep.max():.3e} exceeds eps = {eps:.3e}"
-            )
+    if not eps > 0:
+        raise ShadowSolveError(f"shadowing needs eps > 0, got {eps}")
+    if n > eps ** -0.5 * (1 + 1e-12):
+        raise ShadowSolveError(
+            f"n={n} beyond shadowing range eps^-1/2 = {eps ** -0.5:.1f}"
+        )
+    sep = np.linalg.norm(theta_star - theta0, axis=-1)
+    if np.any(sep > eps * (1 + 1e-9)):
+        raise ShadowSolveError(
+            f"||theta_star - theta0|| = {sep.max():.3e} exceeds eps = {eps:.3e}"
+        )
 
     # true orbits, vectorized over the batch, and the tangent pass along them
     xs = np.empty((n + 1, N))
@@ -134,25 +130,37 @@ def shadow_solve_batch(system: FastSlowSystem, eps: float, x0: np.ndarray,
         )
 
     errors = _circle_dist(xs, shadow)
-    log_dfstar = np.log(dF(shadow[:-1])) if n > 0 else np.zeros((0, N))
+    # row sums of the transpose keep the reduction order of a per-point sum
+    log_dfstar = np.ascontiguousarray(np.log(dF(shadow[:-1])).T).sum(axis=1)
+    ks = np.arange(1, n + 1)
+    return ShadowBatch(
+        y0=shadow[0],
+        shadow_orbit=shadow,
+        defect=defect,
+        errors=errors,
+        log_y_prime=log_v - log_dfstar,
+        shadow_constant=np.max(errors[1:] / (eps * ks)[:, None], axis=0, initial=0.0),
+    )
 
-    out = []
-    for i in range(N):
-        log_yp = float(log_v[i]) - float(log_dfstar[:, i].sum())
-        ks = np.arange(1, n + 1)
-        c_sh = float(np.max(errors[1:, i] / (eps * ks))) if (n > 0 and eps > 0) else 0.0
-        out.append(
-            ShadowSolution(
-                n=n,
-                eps=eps,
-                y0=float(shadow[0, i]),
-                shadow_orbit=shadow[:, i].copy(),
-                defect=float(defect[i]),
-                errors=errors[:, i].copy(),
-                y_prime=float(np.exp(log_yp)),
-                log_y_prime=float(log_yp),
-                shadow_constant=c_sh,
-            )
-        )
-    return out
 
+def shadow_diagnostic(system: FastSlowSystem, eps: float, rng: np.random.Generator,
+                      points: int) -> tuple[ShadowBatch, dict]:
+    """Shadow `points` random orbits at eps over the full range n = floor(eps^-1/2).
+
+    Draws x0, then theta0, then theta_star = theta0 + eps (u - 1/2) from rng,
+    and returns the batch with its summary: the worst defect, shadowing
+    constant and |log Y'|, and the bound SHADOW_C_SHARP eps n^2 on the last.
+    """
+    n = int(np.floor(eps ** -0.5))
+    x0 = rng.random(points)
+    th0 = rng.random((points, system.d))
+    theta_star = th0 + eps * (rng.random((points, system.d)) - 0.5)
+    batch = shadow_solve_batch(system, eps, x0, th0, theta_star, n)
+    summary = {
+        "n": n,
+        "max_defect": float(batch.defect.max()),
+        "shadow_constant": float(batch.shadow_constant.max()),
+        "max_log_y_prime": float(np.abs(batch.log_y_prime).max()),
+        "y_prime_bound": SHADOW_C_SHARP * eps * n * n,
+    }
+    return batch, summary

@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from fastslow import cli
+from fastslow.acceptance import Workspace, criterion_9
 from fastslow.cli import main
 from fastslow.systems import fixture
 
@@ -213,6 +214,27 @@ def test_shadow_summary(runner, tmp_path):
     assert summary["eps=0.0001"]["max_defect"] <= 1e-12
 
 
+def test_shadow_zero_eps_exits_2(runner, tmp_path):
+    res = runner.invoke(main, ["--out", str(tmp_path), "--fixture", "CPL",
+                               "--eps", "1e-4", "--eps", "0", "shadow", "--points", "3"])
+    assert res.exit_code == 2, res.output
+    assert "eps > 0" in res.output
+    manifest = json.loads((tmp_path / "shadow" / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert not (tmp_path / "shadow" / "summary.json").exists()
+
+
+def test_shadow_summary_matches_criterion_9(runner, tmp_path):
+    # criterion 9 draws its first eps from default_rng(seed + 9) with 100 points
+    ws = Workspace()
+    res = runner.invoke(main, ["--out", str(tmp_path), "--fixture", "CPL",
+                               "--seed", str(ws.seed + 9), "--eps", "1e-4",
+                               "shadow", "--points", "100"])
+    assert res.exit_code == 0, res.output
+    summary = json.loads((tmp_path / "shadow" / "summary.json").read_text())
+    assert summary["eps=0.0001"] == criterion_9(ws).details["eps=0.0001"]
+
+
 def test_decompose_outputs(runner, tmp_path):
     res = runner.invoke(main, ["--out", str(tmp_path), "--fixture", "LIN",
                                "--eps", "1e-3", "decompose", "--steps", "2"])
@@ -321,7 +343,7 @@ def test_unexpected_exception_exits_3_and_writes_manifest(runner, tmp_path, monk
     def broken(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "shadow_solve_batch", broken)
+    monkeypatch.setattr(cli, "shadow_diagnostic", broken)
     res = runner.invoke(main, ["--out", str(tmp_path), "--fixture", "CPL",
                                "--eps", "1e-4", "shadow", "--points", "2"])
     assert res.exit_code == 3

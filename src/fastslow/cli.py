@@ -289,12 +289,14 @@ def shadow(ctx, cfg, run):
     npts = _count(ctx, "points")
     if min(cfg.eps) <= 0:
         raise ConfigError(f"shadow needs every eps > 0 (its horizon is eps^-1/2), got {cfg.eps}")
+    if len(set(cfg.eps)) < len(cfg.eps):
+        raise ConfigError(f"shadow needs distinct eps (summary.json keys each one), got {cfg.eps}")
     system = Workspace(config=cfg).system()
     rows = []
     summary = {}
     for eps in cfg.eps:
         batch, s = shadow_diagnostic(system, eps, np.random.default_rng(cfg.seed), npts)
-        summary[f"eps={eps:g}"] = s
+        summary[f"eps={eps!r}"] = s
         rows += [[float(eps), i, s["n"], *map(float, cols)]
                  for i, cols in enumerate(zip(batch.y0, batch.defect,
                                               batch.shadow_constant, batch.log_y_prime))]

@@ -45,9 +45,7 @@ def default_truncation(lam: float) -> int:
 
 def average_drift(system: FastSlowSystem, density: SRBDensity) -> np.ndarray:
     """Drift averaged against the invariant density: (d,) vector."""
-    x = density.midpoints
-    th = np.broadcast_to(density.theta, x.shape + (system.d,))
-    om = system.omega(x, th)                      # (N, d)
+    om = system.omega(density.midpoints, density.theta)      # (N, d)
     return (om * density.rho[:, None]).mean(axis=0)
 
 
@@ -80,9 +78,7 @@ def drift_jacobian(system: FastSlowSystem, theta, h: float, N: int) -> np.ndarra
 
 def centered_drift_values(system: FastSlowSystem, density: SRBDensity) -> np.ndarray:
     """Grid values of omega - omega_bar at the density's theta: (N, d)."""
-    x = density.midpoints
-    th = np.broadcast_to(density.theta, x.shape + (system.d,))
-    om = system.omega(x, th)
+    om = system.omega(density.midpoints, density.theta)
     return om - (om * density.rho[:, None]).mean(axis=0)
 
 
@@ -113,9 +109,8 @@ def green_kubo(gam: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     exceeds TAIL_TOL, or if an eigenvalue lies below -CLAMP_TOL.
     """
     M = gam.shape[0] - 1
-    sigma2 = gam[0].copy()
-    for m in range(1, M + 1):
-        sigma2 += gam[m] + gam[m].T
+    tail_sum = gam[1:].sum(axis=0)
+    sigma2 = gam[0] + tail_sum + tail_sum.T
     asym = float(np.abs(sigma2 - sigma2.T).max())
     if asym > 1e-12:
         raise NegativeEigenvalueError(f"sigma2 asymmetry {asym:.2e} above 1e-12")

@@ -49,7 +49,7 @@ class AveragedTrajectory:
 
 def solve_averaged(drift: Provider, theta0, T: float,
                    tol: float = 1e-10) -> AveragedTrajectory:
-    """Adaptive embedded Runge-Kutta (4/5 pair) solve with dense output.
+    """Adaptive Dormand-Prince 8(5,3) solve (DOP853) with dense output.
 
     The drift provider must accept any real theta (it reduces to the torus
     internally); an estimated Lipschitz constant over the unit cell is
@@ -61,7 +61,7 @@ def solve_averaged(drift: Provider, theta0, T: float,
     def rhs(t, y):
         return np.asarray(drift(y), dtype=float).ravel()
 
-    res = solve_ivp(rhs, (0.0, T), theta0, method="RK45", dense_output=True,
+    res = solve_ivp(rhs, (0.0, T), theta0, method="DOP853", dense_output=True,
                     rtol=tol, atol=0.01 * tol)
     if not res.success:
         raise FastSlowError(f"averaged solve failed: {res.message}")
@@ -133,7 +133,7 @@ def covariance_evolve(avg: AveragedTrajectory, sigma2_provider: Provider,
                       jac_provider: Provider, T: float,
                       out_times: Optional[np.ndarray] = None,
                       agree_tol: float = 1e-8) -> CovarianceTrajectory:
-    """Joint solve of the conjugation flow, covariance, and conjugated integral.
+    """Joint DOP853 solve of the conjugation flow, covariance and conjugated integral.
 
     Returns only if the direct covariance and the conjugated reconstruction
     agree to agree_tol at every output time, and the Liouville determinant
@@ -157,7 +157,7 @@ def covariance_evolve(avg: AveragedTrajectory, sigma2_provider: Provider,
         return np.concatenate([dS.ravel(), dSig.ravel(), dI.ravel(), [dvs]])
 
     y0 = np.concatenate([np.eye(d).ravel(), np.zeros(2 * d * d), [1.0]])
-    res = solve_ivp(rhs, (0.0, T), y0, method="RK45", dense_output=True,
+    res = solve_ivp(rhs, (0.0, T), y0, method="DOP853", dense_output=True,
                     rtol=COVARIANCE_TOL, atol=0.01 * COVARIANCE_TOL)
     if not res.success:
         raise FastSlowError(f"covariance solve failed: {res.message}")

@@ -247,14 +247,9 @@ class FastSlowSystem:
         return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
 
     def frozen_map(self, theta):
-        """The circle map f(., theta) with theta held fixed, plus its lift."""
+        """x -> f_lift(x, theta); theta stays (d,), so its trig factors are evaluated once."""
         theta = np.asarray(theta, dtype=float)
-
-        def fl(x):
-            xs = np.asarray(x, dtype=float)
-            return self.f_lift(xs, np.broadcast_to(theta, xs.shape + (self.d,)))
-
-        return fl
+        return lambda x: self.f_lift(x, theta)
 
     def to_dict(self) -> dict:
         return {
@@ -292,21 +287,30 @@ def dataclass_tuple(t: TrigTerm):
 def invert_monotone(F, dF, lo, hi, target) -> np.ndarray:
     """Solve F(x) = target elementwise for an increasing F with F(lo) <= target <= F(hi).
 
-    Bisects until every bracket is at most 1e-6 wide, with the step count
-    worked out from the widest bracket, then takes three Newton steps clipped
-    to the bracket. Callers check the residual at their own tolerance.
+    Safeguarded Newton from the bracket midpoints: each pass moves one end of
+    every bracket to the iterate by the sign of F - target, then steps. A step
+    leaving the bracket is clipped to the end it overshoots (landing on a root
+    there, as at pair ends); a second overshoot in a row bisects. Passes stop
+    once every step is within 4 ulp of the larger end of its first bracket (not
+    of the iterate, whose ulp vanishes at a root at 0), or after 64 passes.
+    Callers check the residual at their own tolerance.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    width = float((hi - lo).max(initial=0.0))
-    for _ in range(math.ceil(math.log2(width / 1e-6)) if width > 1e-6 else 0):
-        mid = 0.5 * (lo + hi)
-        below = F(mid) <= target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+    tol = 4 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
     x = 0.5 * (lo + hi)
-    for _ in range(3):
-        x = np.clip(x - (F(x) - target) / dF(x), lo, hi)
+    clipped = np.zeros(x.shape, dtype=bool)
+    for _ in range(64):
+        r = F(x) - target
+        lo = np.where(r <= 0, x, lo)
+        hi = np.where(r <= 0, hi, x)
+        xn = x - r / dF(x)
+        out = ~((lo <= xn) & (xn <= hi))
+        xn = np.where(out & clipped, 0.5 * (lo + hi), np.clip(xn, lo, hi))
+        clipped = out & ~clipped
+        x, step = xn, np.abs(xn - x)
+        if np.all(step <= tol):
+            break
     return x
 
 

@@ -2,10 +2,10 @@
 
 The frozen fast map f(., theta) is discretized on N uniform cells by exact
 branch inversion: the matrix entry P[i, j] is the fraction of cell j that
-lands in cell i, computed from root-solved preimages of cell boundaries, not
-from sampling. Columns are stochastic, so grid density values (quadrature
-weight 1/N) are mapped to grid density values. The invariant density is the
-power-iteration fixed point.
+lands in cell i, computed from Newton-solved preimages of cell boundaries
+(systems.invert_monotone, ~4 passes), not from sampling. Columns are
+stochastic, so grid density values (quadrature weight 1/N) are mapped to
+grid density values. The invariant density is the power-iteration fixed point.
 """
 from __future__ import annotations
 
@@ -61,10 +61,6 @@ def ulam_operator(system: FastSlowSystem, theta, N: int) -> UlamOperator:
         raise ValueError("N must be >= 16")
     theta = torus(np.atleast_1d(np.asarray(theta, dtype=float)))
     F = system.frozen_map(theta)
-
-    def dF(x):
-        return system.df_dx(x, np.broadcast_to(theta, x.shape + (system.d,)))
-
     xb = np.arange(N + 1) / N
     Fb = F(xb)
     if np.any(np.diff(Fb) <= 0):
@@ -82,7 +78,7 @@ def ulam_operator(system: FastSlowSystem, theta, N: int) -> UlamOperator:
     ylev = klev / N
 
     # preimages of the crossing levels inside their cells
-    x = invert_monotone(F, dF, xb[col_of], xb[col_of + 1], ylev)
+    x = invert_monotone(F, lambda x: system.df_dx(x, theta), xb[col_of], xb[col_of + 1], ylev)
     resid = np.abs(F(x) - ylev)
     if total and resid.max() > 1e-10:
         raise BranchInversionError(

@@ -224,6 +224,24 @@ def test_shadow_zero_eps_exits_2(runner, tmp_path):
     assert not (tmp_path / "shadow" / "summary.json").exists()
 
 
+def test_shadow_summary_keeps_eps_that_agree_to_six_digits(runner, tmp_path):
+    res = runner.invoke(main, ["--out", str(tmp_path), "--fixture", "CPL",
+                               "--eps", "1.0000001e-4", "--eps", "1.0000002e-4",
+                               "shadow", "--points", "2"])
+    assert res.exit_code == 0, res.output
+    summary = json.loads((tmp_path / "shadow" / "summary.json").read_text())
+    assert sorted(summary) == ["eps=0.00010000001", "eps=0.00010000002"]
+
+
+def test_shadow_repeated_eps_exits_2(runner, tmp_path):
+    res = runner.invoke(main, ["--out", str(tmp_path), "--fixture", "CPL",
+                               "--eps", "1e-4", "--eps", "1e-4", "shadow", "--points", "2"])
+    assert res.exit_code == 2, res.output
+    manifest = json.loads((tmp_path / "shadow" / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert not (tmp_path / "shadow" / "summary.json").exists()
+
+
 def test_shadow_summary_matches_criterion_9(runner, tmp_path):
     # criterion 9 draws its first eps from default_rng(seed + 9) with 100 points
     ws = Workspace()

@@ -149,6 +149,22 @@ def test_tail_check_raises_for_short_truncation(cpl):
         green_kubo(autocovariances(cpl, op, dens, 4))
 
 
+def test_green_kubo_sum_equals_a_per_lag_loop():
+    # gamma_k decaying like 0.9^k, with a symmetric PSD gamma_0 that dominates
+    rng = np.random.default_rng(21)
+    L = rng.normal(size=(3, 3))
+    gam = rng.normal(size=(281, 3, 3)) * 0.05 * 0.9 ** np.arange(281)[:, None, None]
+    gam[0] = L @ L.T + 3 * np.eye(3)
+    gam[140:] = 0.0
+    loop = gam[0].copy()
+    for m in range(1, gam.shape[0]):
+        loop += gam[m] + gam[m].T
+    sigma2 = green_kubo(gam)[0]
+    # the two orders of summation differ by rounding: at most a few ulp per lag
+    tol = 4 * gam.shape[0] * np.finfo(float).eps * np.abs(loop).max()
+    assert np.abs(sigma2 - 0.5 * (loop + loop.T)).max() <= tol
+
+
 def test_sym_sqrt_and_negative_rejection():
     A = np.array([[2.0, 0.5], [0.5, 1.0]])
     S = sym_sqrt(A)

@@ -6,6 +6,8 @@ import pytest
 from fastslow.diffusion import sym_sqrt
 from fastslow.exceptions import CovarianceCrossCheckError
 from fastslow.limits import covariance_evolve, gaussian_charfn, solve_averaged
+from fastslow.srb_cache import SRBCache
+from fastslow.systems import fixture
 
 
 def sde_sample(cov, rng, dt, T, n_paths=1):
@@ -129,6 +131,24 @@ def test_scalar_closed_form():
                             lambda th: np.array([[b]]), 1.0)
     exact = s2 * (np.exp(2 * b) - 1.0) / (2 * b)
     assert cov.Sigma_at(1.0)[0, 0] == pytest.approx(exact, rel=1e-9)
+
+
+def test_covariance_solve_on_a_cpl_table_takes_few_provider_calls():
+    # each RHS evaluation calls each provider once: 614 with the 8th-order
+    # pair, 1556 with the 4/5 pair
+    cache = SRBCache(fixture("CPL"), N=512)
+    avg = solve_averaged(cache.omega_bar, [0.25], 1.0)
+    calls = {"sigma2": 0, "jac": 0}
+
+    def counted(name, provider):
+        def wrapped(theta):
+            calls[name] += 1
+            return provider(theta)
+        return wrapped
+
+    covariance_evolve(avg, counted("sigma2", cache.sigma2), counted("jac", cache.d_omega_bar),
+                      1.0)
+    assert calls["sigma2"] == calls["jac"] <= 800
 
 
 def _random_profile(d: int, seed: int):

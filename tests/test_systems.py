@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from fastslow.exceptions import SystemValidationError
 from fastslow.systems import (FastSlowSystem, TrigTerm, fixture, invert_monotone, torus,
                               validate_system)
+from fastslow.ulam import ulam_operator
+from test_srb_cache import planar_system
 
 
 def test_fixtures_validate():
@@ -178,6 +180,102 @@ def test_invert_monotone_on_cpl_lift(width):
     assert np.all((lo <= x) & (x <= hi))
     assert np.abs(F(x) - target).max() <= 1e-12
     assert invert_monotone(F, dF, np.empty(0), np.empty(0), np.empty(0)).shape == (0,)
+
+
+def _counted(F, calls):
+    def G(x):
+        calls.append(1)
+        return F(x)
+    return G
+
+
+def test_invert_monotone_stops_on_lifted_values_near_1e3():
+    # an ulp is ~1e-13 here; the stop rule must still end the passes early
+    cpl = fixture("CPL")
+    theta = np.array([0.3])
+    calls = []
+    F = _counted(cpl.frozen_map(theta), calls)
+    rng = np.random.default_rng(12)
+    lo = 1e3 + rng.random(200) * 4.0
+    hi = lo + 1 / 4096
+    target = F(lo + rng.random(200) / 4096)
+    calls.clear()
+    x = invert_monotone(F, lambda x: cpl.df_dx(x, theta), lo, hi, target)
+    assert len(calls) <= 6
+    assert np.all((lo <= x) & (x <= hi))
+    assert (np.abs(F(x) - target) / np.abs(target)).max() <= 1e-12
+
+
+def test_invert_monotone_bisects_where_newton_leaves_the_bracket():
+    # Newton on arctan from 3 lands at -9.5, below the bracket: the step is
+    # clipped to -4, from where Newton lands at 18.5, above the bracket [-4, 3]
+    # it has shrunk to, so the next iterate is the midpoint -0.5
+    seen = []
+
+    def F(x):
+        seen.append(x.copy())
+        return np.arctan(x)
+
+    lo, hi = np.array([-4.0, -4.0]), np.array([10.0, 10.0])
+    target = np.arctan(np.array([0.0, 0.4]))
+    x = invert_monotone(F, lambda x: 1 / (1 + x * x), lo, hi, target)
+    assert [list(v) for v in seen[:3]] == [[3.0, 3.0], [-4.0, -4.0], [-0.5, -0.5]]
+    assert np.abs(x - [0.0, 0.4]).max() <= 1e-15
+    assert len(seen) <= 10
+
+
+@pytest.mark.parametrize("case", ["lift across 1", "convex at 0"])
+def test_invert_monotone_stops_at_a_root_on_a_bracket_end(case):
+    # a graph-map lift across x = 1, where Newton overshoots a root at lo;
+    # and 3x + x^2, whose iterates tend to the root at lo = 0 with steps far
+    # above their own ulp
+    if case == "lift across 1":
+        lo = 1 - np.arange(1, 50) * 2.0**-53
+
+        def F(x):
+            return 3 * torus(x) + 3 * (x - torus(x)) + 0.4 * np.sin(2 * np.pi * x) / (2 * np.pi)
+
+        def dF(x):
+            return 3 + 0.4 * np.cos(2 * np.pi * x)
+    else:
+        lo = np.array([0.0, 0.0, 0.25])
+
+        def F(x):
+            return 3 * x + x * x
+
+        def dF(x):
+            return 3 + 2 * x
+    calls = []
+    hi = lo + 0.1
+    target = F(lo)
+    x = invert_monotone(_counted(F, calls), dF, lo, hi, target)
+    assert len(calls) <= 5
+    assert np.all((lo <= x) & (x <= hi))
+    assert np.abs(F(x) - target).max() <= 1e-15
+
+
+@pytest.mark.parametrize("N", [512, 4096])
+def test_ulam_crossings_take_at_most_six_passes(N, monkeypatch):
+    # ulam_operator calls its frozen map once for the cell edges, once per
+    # inversion pass and once for the residual check
+    cpl = fixture("CPL")
+    calls = []
+    frozen = cpl.frozen_map
+    monkeypatch.setattr(cpl, "frozen_map", lambda theta: _counted(frozen(theta), calls))
+    for theta in (0.03, 0.3, 0.5, 0.77):
+        calls.clear()
+        ulam_operator(cpl, [theta], N)
+        assert 3 <= len(calls) <= 2 + 6
+
+
+@pytest.mark.parametrize("make, d", [(lambda: fixture("CPL"), 1), (planar_system, 2)])
+def test_vector_theta_equals_broadcast_theta_bitwise(make, d):
+    system = make()
+    x = np.random.default_rng(13).random(1000)
+    for theta in np.random.default_rng(14).random((3, d)):
+        wide = np.broadcast_to(theta, x.shape + (d,))
+        assert np.array_equal(system.frozen_map(theta)(x), system.f_lift(x, wide))
+        assert np.array_equal(system.df_dx(x, theta), system.df_dx(x, wide))
 
 
 def test_torus_equals_np_mod_bitwise():

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .exceptions import NegativeEigenvalueError, TruncationTailError
 from .systems import FastSlowSystem
@@ -82,22 +83,32 @@ def centered_drift_values(system: FastSlowSystem, density: SRBDensity) -> np.nda
     return om - (om * density.rho[:, None]).mean(axis=0)
 
 
-def autocovariances(system: FastSlowSystem, op: UlamOperator, density: SRBDensity,
-                    kmax: int) -> np.ndarray:
-    """Gamma_k for k = 0..kmax as a (kmax+1, d, d) array.
+def autocovariances(system: FastSlowSystem, ops: Sequence[UlamOperator],
+                    densities: Sequence[SRBDensity], kmax: int) -> np.ndarray:
+    """Gamma_k for k = 0..kmax at each of B equal-N solves: (B, kmax+1, d, d).
 
     Gamma_k[i, j] = int (omega_hat_i o f^k) * omega_hat_j dm, computed by k
     pushforwards of the signed measures omega_hat_j * m under the discretized
-    transfer operator, then quadrature against omega_hat_i.
+    transfer operator, then quadrature against omega_hat_i. The B operators
+    act as one block-diagonal CSR matrix, so each lag is one sparse product
+    for all of them; the blocks keep each operator's entry order, so every
+    Gamma_k equals the one of its operator alone to the bit.
     """
-    what = centered_drift_values(system, density)        # (N, d)
-    d = system.d
-    gam = np.empty((kmax + 1, d, d))
-    push = what * density.rho[:, None]                   # density values of hat-omega_j dm
+    B, N, d = len(ops), densities[0].N, system.d
+    # by hand, not sp.block_diag: its COO round trip may reorder a row's entries
+    nnz = np.cumsum([0] + [op.P.nnz for op in ops])
+    P = sp.csr_matrix((np.concatenate([op.P.data for op in ops]),
+                       np.concatenate([op.P.indices + i * N for i, op in enumerate(ops)]),
+                       np.concatenate([op.P.indptr[:-1] + nnz[i] for i, op in enumerate(ops)]
+                                      + [nnz[-1:]])), shape=(B * N, B * N))
+    what = np.stack([centered_drift_values(system, density) for density in densities])
+    # density values of hat-omega_j dm, the B blocks stacked
+    push = (what * np.stack([density.rho for density in densities])[..., None]).reshape(B * N, d)
+    gam = np.empty((B, kmax + 1, d, d))
     for k in range(kmax + 1):
-        gam[k] = (what.T @ push) / density.N
+        gam[:, k] = what.transpose(0, 2, 1) @ push.reshape(B, N, d) / N
         if k < kmax:
-            push = op.P @ push
+            push = P @ push
     return gam
 
 
@@ -159,7 +170,7 @@ def diffusion_matrix(system: FastSlowSystem, theta, N: int,
     op = ulam_operator(system, theta, N)
     density = srb_density(op)
     wbar = average_drift(system, density)
-    gam = autocovariances(system, op, density, M)
+    gam = autocovariances(system, [op], [density], M)[0]
 
     sigma2, evals, tail = green_kubo(gam)
     sigma = sym_sqrt(sigma2)

@@ -1,10 +1,12 @@
 """Drift and diffusion over the slow torus as a trigonometric interpolant.
 
 omega_bar and sigma2 are tabulated once, at construction, on a uniform grid
-of n^d nodes; each node is one frozen solve (one Ulam matrix, one invariant
-density, the averaged drift and the checked Green-Kubo sum). Queries evaluate
-the interpolant of the immutable table and d_omega_bar is its exact
-derivative, so the providers are smooth, thread-safe and cost no solve.
+of n^d nodes. Each node has its own Ulam matrix and invariant density; the
+autocovariances of all the nodes a level adds come from one block-diagonal
+push, then each node gets its averaged drift and checked Green-Kubo sum.
+Queries evaluate the interpolant of the immutable table and d_omega_bar is
+its exact derivative, so the providers are smooth, thread-safe and cost no
+solve.
 
 The grid starts at 8 nodes per dimension and doubles in all dimensions,
 keeping the old nodes. Each doubling measures the coarse interpolant's worst
@@ -91,14 +93,12 @@ class SRBCache:
 
     def _solve(self, thetas: np.ndarray) -> np.ndarray:
         """Frozen solve at each row of thetas: (P, d + d*d) of omega_bar, sigma2."""
-        rows = []
-        for theta in thetas:
-            op = ulam_operator(self.system, theta, self.N)
-            density = srb_density(op)
-            gam = autocovariances(self.system, op, density, self.M)
-            sigma2 = green_kubo(gam)[0]
-            rows.append(np.concatenate([average_drift(self.system, density), sigma2.ravel()]))
-        return np.array(rows)
+        ops = [ulam_operator(self.system, theta, self.N) for theta in thetas]
+        densities = [srb_density(op) for op in ops]
+        gams = autocovariances(self.system, ops, densities, self.M)
+        return np.array([np.concatenate([average_drift(self.system, density),
+                                         green_kubo(gam)[0].ravel()])
+                         for density, gam in zip(densities, gams)])
 
     def _at(self, theta, wrt: Optional[int] = None) -> np.ndarray:
         theta = np.asarray(theta, dtype=float).reshape(1, self.d)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from fastslow import diffusion
 from fastslow.diffusion import (autocovariances, average_drift,
                                 diffusion_matrix, drift_jacobian, green_kubo, sym_sqrt)
 from fastslow.exceptions import NegativeEigenvalueError, TruncationTailError
-from fastslow.systems import FastSlowSystem, TrigTerm
+from fastslow.systems import FastSlowSystem, TrigTerm, fixture
 from fastslow.ulam import srb_density, ulam_operator
+from test_srb_cache import per_node_autocovariances
 
 
 def theta_only_drift():
@@ -53,7 +55,7 @@ def test_jacobian_step_bounds():
 def test_lin_autocovariances(lin):
     op = ulam_operator(lin, [0.0], 300)
     dens = srb_density(op)
-    gam = autocovariances(lin, op, dens, 6)
+    gam = autocovariances(lin, [op], [dens], 6)[0]
     assert gam[0, 0, 0] == pytest.approx(0.5, abs=1e-13)
     assert np.abs(gam[1:]).max() <= 1e-10
 
@@ -83,7 +85,7 @@ def test_cpl_autocovariances_against_time_series(cpl):
     theta = 0.25
     op = ulam_operator(cpl, [theta], 4096)
     dens = srb_density(op)
-    gam = autocovariances(cpl, op, dens, 5)
+    gam = autocovariances(cpl, [op], [dens], 5)[0]
     rng = np.random.default_rng(555)
     R = 1_000_000
     x = rng.random(R)
@@ -146,7 +148,23 @@ def test_tail_check_raises_for_short_truncation(cpl):
     op = ulam_operator(cpl, [0.25], 512)
     dens = srb_density(op)
     with pytest.raises(TruncationTailError):
-        green_kubo(autocovariances(cpl, op, dens, 4))
+        green_kubo(autocovariances(cpl, [op], [dens], 4)[0])
+
+
+@pytest.mark.parametrize("name", ["LIN", "CBD", "CPL"])
+def test_diffusion_matrix_equals_per_node_push_bitwise(name, monkeypatch):
+    system = fixture(name)
+    for theta in (0.13, 0.7):
+        batched = diffusion_matrix(system, [theta], 4096)
+        with monkeypatch.context() as m:
+            m.setattr(diffusion, "autocovariances",
+                      lambda system, ops, densities, kmax:
+                      per_node_autocovariances(system, ops[0], densities[0], kmax)[None])
+            oracle = diffusion_matrix(system, [theta], 4096)
+        for field in ("omega_bar", "sigma2", "D_omega_bar"):
+            assert getattr(batched, field).tobytes() == getattr(oracle, field).tobytes()
+        assert batched.tail_estimate == oracle.tail_estimate
+        assert batched.decay_rate == oracle.decay_rate
 
 
 def test_green_kubo_sum_equals_a_per_lag_loop():

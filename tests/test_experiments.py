@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from fastslow.diffusion import diffusion_matrix
 from fastslow.exceptions import GridMismatchError
 from fastslow.experiments import (
-    Observable, averaging_error, clt_test, cylinder_weight, default_out_times,
+    Ensemble, Observable, averaging_error, clt_test, cylinder_weight, default_out_times,
     martingale_residual, moment_scaling, run_ensemble,
 )
 from fastslow.experiments import observable_library as function_library
@@ -12,6 +13,7 @@ from fastslow.limits import covariance_evolve, solve_averaged
 from fastslow.rng import stream_uniforms
 from fastslow.standard_pairs import constant_pair, sample_from_uniform
 from fastslow.systems import FastSlowSystem, TrigTerm, fixture
+from test_srb_cache import planar_system
 
 
 def lin_setup(eps, n, seed=42, T=1.0, theta0=0.3, m=33):
@@ -23,6 +25,24 @@ def lin_setup(eps, n, seed=42, T=1.0, theta0=0.3, m=33):
     cov = covariance_evolve(avg, lambda th: np.array([[0.5]]),
                             lambda th: np.array([[0.0]]), T, out_times=ot)
     return lin, ens, cov
+
+
+B_PLANAR = np.array([[-0.3, 1.0], [0.0, -0.5]])      # constant and not normal
+SIGMA2_PLANAR = np.array([[1.0, 0.4], [0.4, 0.5]])
+
+
+def planar_setup(zeta):
+    """d = 2 law with constant B_PLANAR and SIGMA2_PLANAR, and an Ensemble of given zeta."""
+    T = 1.0
+    ot = default_out_times(T, zeta.shape[1])
+    avg = solve_averaged(lambda th: np.zeros(2), [0.3, 0.6], T)
+    cov = covariance_evolve(avg, lambda th: SIGMA2_PLANAR, lambda th: B_PLANAR, T,
+                            out_times=ot)
+    theta_bar = avg.at(ot)
+    ens = Ensemble(system=planar_system(), eps=1e-3, n_traj=zeta.shape[0], root_seed=0,
+                   T=T, out_times=ot, theta_lift=np.broadcast_to(theta_bar, zeta.shape).copy(),
+                   zeta=zeta, theta_bar=theta_bar, avg=avg)
+    return ens, cov
 
 
 def frozen_fluctuation_sums(system, pair, theta_freeze, n_steps, n_traj, root_seed,
@@ -189,6 +209,31 @@ def test_clt_grid_mismatch_raises():
                             out_times=np.linspace(0, 1, 17))
     with pytest.raises(GridMismatchError):
         clt_test(ens, cov)
+
+
+def test_clt_two_time_prediction_transposes_the_flow_in_2d():
+    # Cov(zeta(s), zeta(t)) = Sigma(s) expm(B (t - s))^T for constant B; this B
+    # makes the prediction far from symmetric, so Phi(s, t) Sigma(s) would miss
+    ens, cov = planar_setup(np.random.default_rng(3).normal(size=(200, 5, 2)))
+    rows = clt_test(ens, cov).data["two_time"]
+    assert len(rows) == 2
+    for row in rows:
+        want = cov.Sigma_at(row["s"]) @ expm(B_PLANAR * (row["t"] - row["s"])).T
+        assert np.abs(want - want.T).max() >= 1e-2
+        assert np.abs(np.array(row["pred"]) - want).max() <= 1e-9
+
+
+def test_martingale_generator_term_applies_b_in_2d():
+    # zeta frozen at z*: A(zeta(t)) - A(zeta(s)) = 0, so for A = z0 the residual
+    # is minus the generator integral, -(t - s) (B z*)_0; (B^T z*)_0 differs
+    z_star = np.array([0.7, -1.2])
+    ens, cov = planar_setup(np.broadcast_to(z_star, (10, 5, 2)).copy())
+    z0 = function_library(2)[0]
+    rep = martingale_residual(ens, z0, [], 0.25, 1.0, cov)
+    want = -0.75 * (B_PLANAR @ z_star)[0]
+    transposed = -0.75 * (B_PLANAR.T @ z_star)[0]
+    assert abs(want - transposed) >= 0.5
+    assert abs(rep.data["mean"] - want) <= 1e-12
 
 
 def test_clt_report_lin():

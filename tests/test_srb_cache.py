@@ -2,11 +2,13 @@
 import numpy as np
 import pytest
 
-from fastslow import srb_cache
-from fastslow.diffusion import diffusion_matrix
-from fastslow.exceptions import TableResolutionError
+from fastslow import diffusion, srb_cache
+from fastslow.diffusion import (autocovariances, average_drift, centered_drift_values,
+                                diffusion_matrix, green_kubo)
+from fastslow.exceptions import TableResolutionError, TruncationTailError
 from fastslow.srb_cache import SRBCache
-from fastslow.systems import FastSlowSystem, TrigTerm
+from fastslow.systems import FastSlowSystem, TrigTerm, fixture
+from fastslow.ulam import srb_density, ulam_operator
 
 GRID = np.linspace(0.0, 1.0, 1001)
 
@@ -23,6 +25,29 @@ def planar_system() -> FastSlowSystem:
                       TrigTerm(0.8, kx=1, fx="sin", lt=(1, 0), ft="cos")]],
         name="planar",
     )
+
+
+def per_node_autocovariances(system, op, density, kmax):
+    """Gamma_0..Gamma_kmax of one operator, one sparse product per lag: oracle."""
+    what = centered_drift_values(system, density)
+    gam = np.empty((kmax + 1, system.d, system.d))
+    push = what * density.rho[:, None]
+    for k in range(kmax + 1):
+        gam[k] = (what.T @ push) / density.N
+        if k < kmax:
+            push = op.P @ push
+    return gam
+
+
+def per_node_solve(table, thetas):
+    """SRBCache._solve as one frozen solve per node: oracle of the batched fill."""
+    rows = []
+    for theta in thetas:
+        op = ulam_operator(table.system, theta, table.N)
+        density = srb_density(op)
+        sigma2 = green_kubo(per_node_autocovariances(table.system, op, density, table.M))[0]
+        rows.append(np.concatenate([average_drift(table.system, density), sigma2.ravel()]))
+    return np.array(rows)
 
 
 @pytest.fixture(scope="module")
@@ -98,3 +123,38 @@ def test_node_ceiling_raises_before_solving(lin, monkeypatch):
     with pytest.raises(TableResolutionError):
         SRBCache(lin, N=64)
     assert solves == []
+
+
+@pytest.mark.parametrize("name, N", [("LIN", 512), ("CBD", 512), ("CPL", 512), ("planar", 64)])
+def test_batched_fill_equals_per_node_fill_bitwise(name, N, monkeypatch):
+    system = planar_system() if name == "planar" else fixture(name)
+    batched = SRBCache(system, N=N)
+    monkeypatch.setattr(SRBCache, "_solve", per_node_solve)
+    oracle = SRBCache(system, N=N)
+    assert batched.n == oracle.n and batched.miss == oracle.miss
+    for got, want in zip(batched._series, oracle._series):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_cpl_fill_pushes_each_level_once(cpl, monkeypatch):
+    batches, sums = [], []
+
+    def counted_autocovariances(system, ops, densities, kmax):
+        batches.append(len(ops))
+        return autocovariances(system, ops, densities, kmax)
+
+    def counted_green_kubo(gam):
+        sums.append(gam.shape)
+        return green_kubo(gam)
+
+    monkeypatch.setattr(srb_cache, "autocovariances", counted_autocovariances)
+    monkeypatch.setattr(srb_cache, "green_kubo", counted_green_kubo)
+    SRBCache(cpl, N=512)
+    assert batches == [8, 8, 16]
+    assert len(sums) == 32
+
+
+def test_fill_still_raises_on_a_long_tail(cpl, monkeypatch):
+    monkeypatch.setattr(diffusion, "TAIL_TOL", 1e-40)
+    with pytest.raises(TruncationTailError):
+        SRBCache(cpl, N=512)

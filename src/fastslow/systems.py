@@ -9,6 +9,13 @@ restricted here to trigonometric polynomials, so that every derivative is
 available in closed form and the expansion bound lam and the derivative
 bound K are certified by coefficient sums. All evaluators broadcast:
 ``x`` has shape ``(...)`` and ``theta`` shape ``(..., d)``.
+
+Each system compiles its terms once into an evaluation plan (``_Plan``): per
+accessor, the distinct arguments 2*pi*(k*u + phase), the distinct sin/cos
+arrays of them and each term as indices into those arrays. Evaluating it
+runs the float operations of a plain per-term loop in the same order, minus
+exact identities, so results are bit-identical to that loop; it holds no
+state between calls, so the ensemble's threads share one system.
 """
 from __future__ import annotations
 
@@ -46,34 +53,118 @@ def torus(a):
     return a - np.floor(a)
 
 
-def _cached(memo: Optional[dict], key, make):
-    """make(), kept in ``memo`` under ``key`` when a memo is given."""
-    if memo is None:
-        return make()
-    if key not in memo:
-        memo[key] = make()
-    return memo[key]
+def _key(*values) -> tuple:
+    """Exact dictionary key of coefficients: 0.0 and -0.0 differ, 3 and 3.0 do not."""
+    return tuple(float(v).hex() for v in values)
 
 
-def _factor(memo: Optional[dict], kind: str, k: float, phase: float, var, u: np.ndarray,
-            order: int) -> np.ndarray:
-    """Derivative of order 0/1 of sin|cos(2*pi*(k*u + phase)) w.r.t. u.
+class _Plan:
+    """A system's trig polynomial compiled once into one program per accessor.
 
-    A ``memo`` keeps each sin/cos array under (function, k, phase, var), where
-    ``var`` names the variable u stands for, so sin' = w*cos reuses a cos
-    another term already evaluated at the same point.
+    A program lists each entry it needs once: ``thetas``, the theta.l it reads
+    (None for theta_0 itself when l = (1,) in d = 1, an empty array for l = ()),
+    ``args``, the arguments 2*pi*(k*u + phase) as (u, k or None for 1, phase)
+    with u 0 = x and u i = thetas[i - 1], and ``trigs``, the arrays as
+    (sin | cos, argument). So sin and cos of one harmonic share their argument,
+    and a factor of both f and omega is computed once. ``code`` holds one
+    tuple of terms per returned sum: a term is (amp or None for 1, factors,
+    l_j or None for 1), a factor (trig, derivative scale +-2*pi*k or None).
+
+    ``run`` performs the float operations of the per-term sum
+    0 + sum_t amp * Fx(...) * Ft(...) * l_j in the same order, and leaves out
+    only exact identities: k * u, amp * and * l_j where they are 1, the
+    np.zeros that seeds a sum whose first term has the sum's shape (0.0 +
+    first keeps its sign of zero) and theta @ [1.0], which is theta_0 + 0.0
+    with the + 0.0 moved into the phase. Its arrays are local to the call, so
+    threads can run one plan at once.
     """
-    fn = np.cos if (kind == "sin") == bool(order) else np.sin
-    val = _cached(memo, (fn, k, phase, var), lambda: fn(_TWO_PI * (k * u + phase)))
-    if not order:
-        return val
-    w = _TWO_PI * k
-    return w * val if kind == "sin" else -w * val
+
+    def __init__(self, d: int, f_terms, omega_terms):
+        self.d = d
+        self.programs = {
+            "f_lift": self._compile([(f_terms, 0, None)]),
+            "f_omega": self._compile([(terms, 0, None) for terms in [f_terms, *omega_terms]]),
+            "omega": self._compile([(terms, 0, None) for terms in omega_terms]),
+            "df_dx": self._compile([(f_terms, 1, None)]),
+            "df_dtheta": self._compile([(f_terms, 0, j) for j in range(d)]),
+            "domega_dx": self._compile([(terms, 1, None) for terms in omega_terms]),
+            "domega_dtheta": self._compile([(terms, 0, j) for terms in omega_terms
+                                            for j in range(d)]),
+        }
+
+    def _compile(self, sums) -> tuple:
+        """Program of the sums [(terms, ox, j), ...]: d^ox/dx^ox, and d/dtheta_j if j is set."""
+        thetas, args, trigs = {}, {}, {}   # key -> (index, entry)
+
+        def entry(table: dict, key, value) -> int:
+            return table.setdefault(key, (len(table), value))[0]
+
+        def factor(kind, u, k, phase, order):
+            a = entry(args, (u, *_key(k, phase)), (u, None if k == 1 else k, phase))
+            fn = np.cos if (kind == "sin") == bool(order) else np.sin
+            w = _TWO_PI * k
+            return entry(trigs, (fn, a), (fn, a)), \
+                (w if kind == "sin" else -w) if order else None
+
+        def theta_factor(t, order):
+            if self.d == 1 and tuple(t.lt) == (1,):
+                u = 1 + entry(thetas, None, None)
+                return factor(t.ft, u, 1.0, t.pt + 0.0, order)
+            u = 1 + entry(thetas, _key(*t.lt), np.asarray(t.lt, dtype=float))
+            return factor(t.ft, u, 1.0, t.pt, order)
+
+        code = []
+        for terms, ox, j in sums:
+            ops = []
+            for t in terms:
+                if (ox and t.fx == "none") or (j is not None and (t.ft == "none" or not t.lt)):
+                    continue
+                factors = []
+                if t.fx != "none":
+                    factors.append(factor(t.fx, 0, t.kx, t.px, ox))
+                if t.ft != "none":
+                    factors.append(theta_factor(t, j is not None))
+                amp = None if t.amp == 1 and factors else t.amp
+                ops.append((amp, tuple(factors), None if j is None or t.lt[j] == 1 else t.lt[j]))
+            code.append(tuple(ops))
+        tables = (tuple(v for _, v in table.values()) for table in (thetas, args, trigs))
+        return (*tables, tuple(code))
+
+    def run(self, name: str, x, theta) -> list:
+        """The sums of program ``name`` at (x, theta)."""
+        thetas, args, trigs, code = self.programs[name]
+        x, theta = np.asarray(x, dtype=float), np.asarray(theta, dtype=float)
+        us = [x] + [theta[..., 0] if lt is None else theta @ lt if lt.size
+                    else np.zeros(theta.shape[:-1]) for lt in thetas]
+        a = [_TWO_PI * ((us[u] if k is None else k * us[u]) + phase) for u, k, phase in args]
+        vals = [fn(a[i]) for fn, i in trigs]
+        shape = x.shape if x.shape == theta.shape[:-1] \
+            else np.broadcast_shapes(x.shape, theta.shape[:-1])
+        sums = []
+        for ops in code:
+            out = None
+            for amp, factors, lj in ops:
+                val = amp
+                for i, w in factors:
+                    f = vals[i] if w is None else w * vals[i]
+                    val = f if val is None else val * f
+                if lj is not None:
+                    val = val * lj
+                if out is not None:
+                    out = out + val
+                elif getattr(val, "shape", None) == shape:
+                    out = 0.0 + val
+                else:
+                    out = np.zeros(shape) + val
+            sums.append(np.zeros(shape) if out is None else out)
+        return sums
 
 
-def _dot(theta: np.ndarray, lt: tuple) -> np.ndarray:
-    """theta.l, zero for a theta-free term."""
-    return theta @ np.asarray(lt, dtype=float) if lt else np.zeros(theta.shape[:-1])
+def _stack(parts: list, axis: int):
+    """np.stack(parts, axis) for axis -1 or -2; a single part gets a new axis, not a copy."""
+    if len(parts) > 1:
+        return np.stack(parts, axis=axis)
+    return parts[0][(Ellipsis, None) + (slice(None),) * (-1 - axis)]
 
 
 def _coef_sup(terms, ox: int, js: tuple[int, ...]) -> float:
@@ -170,81 +261,45 @@ class FastSlowSystem:
         self.oxx_sup = sup(comps, 2, 0)
         self.oxt_sup = sup(comps, 1, 1)
         self.ott_sup = sup(comps, 0, 2)
-
-    # -- evaluation helpers ------------------------------------------------
-
-    def _sum_terms(self, terms, x, theta, ox: int, otj=None, memo=None):
-        """Sum of term derivatives; otj selects a theta component (None = value).
-
-        A 'none' factor is the constant 1: it is left out of the product, and
-        a derivative through it is zero, so the term is skipped. A ``memo``
-        caches theta.l per frequency vector and each trig evaluation; only
-        callers that share it between sums at the same (x, theta) pass one, so
-        without it each factor is freed once its term is added.
-        """
-        x = np.asarray(x, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        out = np.zeros(np.broadcast_shapes(x.shape, theta.shape[:-1]))
-        for t in terms:
-            if (ox and t.fx == "none") or (otj is not None and (t.ft == "none" or not t.lt)):
-                continue
-            val = t.amp
-            if t.fx != "none":
-                val = val * _factor(memo, t.fx, t.kx, t.px, "x", x, ox)
-            if t.ft != "none":
-                u = _cached(memo, t.lt, lambda: _dot(theta, t.lt))
-                val = val * _factor(memo, t.ft, 1.0, t.pt, t.lt, u, otj is not None)
-            if otj is not None:
-                val = val * t.lt[otj]
-            out = out + val
-        return out
+        self._plan = _Plan(d, self.f_terms, self.omega_terms)
 
     # -- fast map ----------------------------------------------------------
 
-    def _lift(self, x, theta, memo: Optional[dict]):
-        return self.degree * np.asarray(x, dtype=float) \
-            + self._sum_terms(self.f_terms, x, theta, 0, memo=memo)
-
     def f_lift(self, x, theta):
         """Lift of the fast map to the real line (degree * x + periodic part)."""
-        return self._lift(x, theta, None)
+        return self.degree * np.asarray(x, dtype=float) + self._plan.run("f_lift", x, theta)[0]
 
     def f(self, x, theta):
         return torus(self.f_lift(x, theta))
 
     def f_omega(self, x, theta):
-        """``(f(x, theta), omega(x, theta))`` from one shared trig evaluation."""
-        memo = {}
-        return torus(self._lift(x, theta, memo)), self._components(x, theta, 0, memo)
+        """``(f(x, theta), omega(x, theta))`` from one run of the plan.
+
+        Its program lists each trig array of f and omega once, so a factor
+        they share (CPL's sin(2 pi theta)) and sin and cos of one harmonic's
+        argument are computed once per call.
+        """
+        s, *comps = self._plan.run("f_omega", x, theta)
+        return torus(self.degree * np.asarray(x, dtype=float) + s), _stack(comps, -1)
 
     def df_dx(self, x, theta):
-        return self.degree + self._sum_terms(self.f_terms, x, theta, 1)
+        return self.degree + self._plan.run("df_dx", x, theta)[0]
 
     def df_dtheta(self, x, theta):
-        return np.stack(
-            [self._sum_terms(self.f_terms, x, theta, 0, otj=j) for j in range(self.d)], axis=-1
-        )
+        return _stack(self._plan.run("df_dtheta", x, theta), -1)
 
     # -- slow drift ----------------------------------------------------------
 
-    def _components(self, x, theta, ox: int, memo: Optional[dict]):
-        return np.stack(
-            [self._sum_terms(comp, x, theta, ox, memo=memo) for comp in self.omega_terms], axis=-1
-        )
-
     def omega(self, x, theta):
-        return self._components(x, theta, 0, None)
+        return _stack(self._plan.run("omega", x, theta), -1)
 
     def domega_dx(self, x, theta):
-        return self._components(x, theta, 1, None)
+        return _stack(self._plan.run("domega_dx", x, theta), -1)
 
     def domega_dtheta(self, x, theta):
         """Entry (..., i, j) = d omega_i / d theta_j."""
-        rows = [
-            [self._sum_terms(comp, x, theta, 0, otj=j) for j in range(self.d)]
-            for comp in self.omega_terms
-        ]
-        return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+        sums, d = self._plan.run("domega_dtheta", x, theta), self.d
+        return _stack([_stack(sums[i * d:(i + 1) * d], -1) for i in range(d)], -2)
 
     def frozen_map(self, theta):
         """x -> f_lift(x, theta); theta stays (d,), so its trig factors are evaluated once."""

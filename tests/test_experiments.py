@@ -1,3 +1,7 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -81,13 +85,42 @@ def test_same_seed_bit_identical():
 
 
 def test_thread_count_does_not_change_results():
-    lin = fixture("LIN")
+    # 5000 trajectories are two chunks of CHUNK; CPL's f depends on theta
     pair = constant_pair([0.3], 0.2, 0.3, 1e-3)
     avg = solve_averaged(lambda th: np.zeros(1), [0.3], 1.0)
     ot = default_out_times(1.0)
-    outs = [run_ensemble(lin, pair, 1e-3, 5000, 1.0, ot, 9, avg, threads=k)
-            for k in (1, 3)]
-    assert np.array_equal(outs[0].theta_lift, outs[1].theta_lift)
+    for name in ("LIN", "CPL"):
+        outs = [run_ensemble(fixture(name), pair, 1e-3, 5000, 1.0, ot, 9, avg, threads=k)
+                for k in (1, 3)]
+        assert np.array_equal(outs[0].theta_lift.view(np.int64),
+                              outs[1].theta_lift.view(np.int64)), name
+
+
+def test_concurrent_f_omega_equals_serial_bitwise():
+    # more threads than cores run one system's evaluation plan at once, each on
+    # its own points, switching as often as the interpreter allows
+    cpl = fixture("CPL")
+    rng = np.random.default_rng(21)
+    inputs = [(rng.random(8192), rng.random((8192, 1))) for _ in range(4)]
+    serial = [cpl.f_omega(x, th) for x, th in inputs]
+    start = threading.Barrier(len(inputs))
+
+    def work(k):
+        start.wait(timeout=30)
+        return [cpl.f_omega(*inputs[k]) for _ in range(25)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(inputs)) as pool:
+            futures = [pool.submit(work, k) for k in range(len(inputs))]
+            runs = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for k, run in enumerate(runs):
+        for got in run:
+            for g, e in zip(got, serial[k]):
+                assert np.array_equal(g.view(np.int64), e.view(np.int64))
 
 
 def test_fluctuation_mean_is_centered():

@@ -74,9 +74,39 @@ def uncalled_public_names(trees: dict[str, ast.Module]) -> list[str]:
     return found
 
 
+def private_definitions(tree: ast.Module):
+    """(node, label) for each private module-level function or class and each
+    private method; dunder methods are called by Python."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node, node.name
+        if isinstance(node, ast.ClassDef):
+            yield from ((item, f"{node.name}.{item.name}") for item in node.body
+                        if isinstance(item, ast.FunctionDef))
+
+
+def unread_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    """Private definitions that no module reads, by name or as an attribute,
+    outside the definition itself."""
+    reads = [(name, node, node.id if isinstance(node, ast.Name) else node.attr)
+             for name, tree in trees.items() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)]
+    found = []
+    for name, tree in trees.items():
+        for node, label in private_definitions(tree):
+            if not node.name.startswith("_") or node.name.startswith("__"):
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            if not any(read == node.name and not (m == name and id(n) in inside)
+                       for m, n, read in reads):
+                found.append(f"{name}:{label}")
+    return found
+
+
 def test_every_public_name_has_a_caller():
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     assert uncalled_public_names(trees) == []
+    assert unread_private_names(trees) == []
 
 
 def defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int]]:

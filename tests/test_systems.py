@@ -343,18 +343,61 @@ def _check_evaluators(system):
     x = np.concatenate([[0.0, -0.0, 0.5, 1 - 2.0**-53], rng.uniform(-1.0, 2.0, 252)])
     theta = np.concatenate([np.zeros((2, system.d)), -np.zeros((2, system.d)),
                             rng.uniform(-1.0, 2.0, (252, system.d))])
-    for name, expected in _reference_accessors(system, x, theta).items():
-        got = getattr(system, name)(x, theta)
-        if name == "f_omega":
-            for g, e in zip(got, expected):
-                _assert_bitwise(g, e)
-        else:
-            _assert_bitwise(got, expected)
+    # equal shapes, one theta for every x, and one x for every theta
+    for xs, ths in ((x, theta), (x, theta[5]), (np.asarray(-0.0), theta)):
+        for name, expected in _reference_accessors(system, xs, ths).items():
+            got = getattr(system, name)(xs, ths)
+            if name == "f_omega":
+                for g, e in zip(got, expected):
+                    _assert_bitwise(g, e)
+            else:
+                _assert_bitwise(got, expected)
 
 
-@pytest.mark.parametrize("name", ["LIN", "CBD", "CPL"])
-def test_evaluators_equal_per_term_loop_on_fixtures(name):
-    _check_evaluators(fixture(name))
+TP = 2.0 * np.pi
+EDGE_SYSTEMS = {
+    "planar-d2": planar_system,
+    "sin-cos-one-x-harmonic": lambda: FastSlowSystem(
+        d=1, degree=3,
+        f_terms=[TrigTerm(0.05, kx=1, px=0.1, fx="sin"), TrigTerm(0.03, kx=1, px=0.1, fx="cos")],
+        omega_terms=[[TrigTerm(0.7, kx=1, px=0.1, fx="cos"), TrigTerm(1.0, kx=1, px=0.1, fx="sin")]]),
+    "theta-harmonic-in-f-and-omega": lambda: FastSlowSystem(
+        d=1, degree=3,
+        f_terms=[TrigTerm(0.05, kx=2, fx="cos", lt=(1,), pt=0.2, ft="cos")],
+        omega_terms=[[TrigTerm(0.5, lt=(1,), pt=0.2, ft="cos"),
+                      TrigTerm(0.3, kx=1, fx="sin", lt=(1,), pt=0.2, ft="sin")]]),
+    "constant-terms": lambda: FastSlowSystem(
+        d=2, degree=3,
+        f_terms=[TrigTerm(0.25), TrigTerm(0.4 / TP, kx=1, fx="sin", lt=(1, -1), ft="cos")],
+        omega_terms=[[TrigTerm(0.4), TrigTerm(1.0, lt=(0, 1), ft="sin")],
+                     [TrigTerm(1.0, kx=2, fx="none", lt=(2, 0), ft="none")]]),
+    "amp-1-beside-amp-not-1": lambda: FastSlowSystem(
+        d=1, degree=3,
+        f_terms=[TrigTerm(1.0, lt=(1,), ft="cos"), TrigTerm(-0.1 / TP, kx=1, fx="cos"),
+                 TrigTerm(0.3 / TP, kx=1, fx="sin", lt=(1,), ft="cos")],
+        omega_terms=[[TrigTerm(1.0, kx=1, fx="cos"), TrigTerm(-0.5, kx=1, fx="cos"),
+                      TrigTerm(1.0, lt=(1,), ft="sin"), TrigTerm(2.5, lt=(1,), ft="sin")]]),
+    "kx-2-and-up-with-phases": lambda: FastSlowSystem(
+        d=1, degree=4,
+        f_terms=[TrigTerm(0.02, kx=3, px=0.3, fx="sin", lt=(2,), pt=0.7, ft="cos")],
+        omega_terms=[[TrigTerm(0.8, kx=2, px=0.25, fx="cos", lt=(1,), pt=0.1, ft="sin"),
+                      TrigTerm(-0.6, kx=5, px=0.9, fx="sin", lt=(-1,), pt=0.45, ft="cos")]]),
+    "signed-zero-phases": lambda: FastSlowSystem(
+        d=1, degree=3,
+        f_terms=[TrigTerm(0.05, kx=1, px=-0.0, fx="sin"), TrigTerm(0.05, kx=1, px=0.0, fx="sin"),
+                 TrigTerm(0.5, lt=(1,), pt=-0.0, ft="sin")],
+        omega_terms=[[TrigTerm(0.5, kx=1, px=-0.0, fx="sin", lt=(1,), pt=0.0, ft="cos")]]),
+    "empty-f-terms": lambda: FastSlowSystem(
+        d=1, degree=3, f_terms=[],
+        omega_terms=[[TrigTerm(1.0, lt=(1,), ft="sin"), TrigTerm(0.5, kx=2, fx="sin")]]),
+}
+
+
+@pytest.mark.parametrize("make", [lambda: fixture("LIN"), lambda: fixture("CBD"),
+                                  lambda: fixture("CPL"), *EDGE_SYSTEMS.values()],
+                         ids=["LIN", "CBD", "CPL", *EDGE_SYSTEMS])
+def test_evaluators_equal_per_term_loop_on_fixtures(make):
+    _check_evaluators(make())
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -5,13 +5,14 @@ centered drift under the frozen dynamics,
 
     sigma2 = Gamma_0 + sum_{m>=1} (Gamma_m + Gamma_m^T),
 
-truncated where the certified correlation decay makes the tail negligible and
-verified a posteriori. The symmetric PSD square root comes from a dense
-eigendecomposition; the slow dimension is small (1-3) so dense d x d work is
-free while the N x N transfer matrix stays sparse.
+truncated at M lags: M starts at default_truncation(lam) and doubles, up to
+MAX_TRUNCATION, until max ||Gamma_k|| over [M/2, M] is at most TAIL_TOL.
+The symmetric PSD square root comes from a dense eigendecomposition; the
+slow dimension is small (1-3) so dense d x d work is free while the N x N
+transfer matrix stays sparse.
 
-This module owns the sizes of the frozen solve: ULAM_N cells, the cutoff
-default_truncation(lam) and the tail bound TAIL_TOL. No config sets them.
+These sizes of the frozen solve and its ULAM_N cells are constants of this
+module; no config sets them.
 """
 from __future__ import annotations
 
@@ -28,20 +29,18 @@ from .ulam import SRBDensity, UlamOperator, srb_density, ulam_operator
 
 ULAM_N = 4096           # transfer-operator grid cells of the frozen solve
 TAIL_TOL = 1e-9         # bound on ||Gamma_k|| over the tail window [M/2, M]
+MAX_TRUNCATION = 400    # ceiling on the truncation M of the Green-Kubo sum
 FD_STEP = 1e-3          # central-difference step of the drift Jacobian
 CLAMP_TOL = 1e-9        # eigenvalues within -CLAMP_TOL of 0 are discretization noise
 COBOUNDARY_TOL = 1e-3   # smallest eigenvalue <= this * trace(Gamma_0): degenerate
 
 
 def default_truncation(lam: float) -> int:
-    """Autocovariance cutoff from the certified expansion rate.
-
-    Correlations decay at least geometrically for smooth expanding maps, so a
-    multiple of log(1/TAIL_TOL)/log(lambda) steps suffices; the factor 10
-    leaves room for a slow prefactor and the tail check verifies a posteriori.
+    """Starting cutoff: twice the lag where lam^-k reaches TAIL_TOL, since the
+    transfer operator of a map expanding by lam has essential spectral radius
+    1/lam; the tail window [M/2, M] then starts where that decay meets the check.
     """
-    m = math.ceil(10.0 * math.log(1.0 / TAIL_TOL) / math.log(lam))
-    return max(8, min(m, 400))
+    return max(8, 2 * math.ceil(math.log(1.0 / TAIL_TOL) / math.log(lam)))
 
 
 def average_drift(system: FastSlowSystem, density: SRBDensity) -> np.ndarray:
@@ -112,6 +111,21 @@ def autocovariances(system: FastSlowSystem, ops: Sequence[UlamOperator],
     return gam
 
 
+def push_autocovariances(system: FastSlowSystem, ops: Sequence[UlamOperator],
+                         densities: Sequence[SRBDensity]) -> np.ndarray:
+    """autocovariances to an M sized by the tail check: (B, M+1, d, d).
+
+    M starts at default_truncation(lam) and doubles, up to MAX_TRUNCATION,
+    while some solve's max ||Gamma_k|| over [M/2, M] exceeds TAIL_TOL.
+    """
+    M = default_truncation(system.lam)
+    while True:
+        gam = autocovariances(system, ops, densities, M)
+        if M >= MAX_TRUNCATION or np.linalg.norm(gam[:, M // 2:], axis=(2, 3)).max() <= TAIL_TOL:
+            return gam
+        M = min(2 * M, MAX_TRUNCATION)
+
+
 def green_kubo(gam: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Green-Kubo sum of Gamma_0..Gamma_M with the checks every caller needs.
 
@@ -129,9 +143,7 @@ def green_kubo(gam: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
 
     tail = float(np.linalg.norm(gam[M // 2:], axis=(1, 2)).max())
     if tail > TAIL_TOL:
-        raise TruncationTailError(
-            f"||Gamma_k|| tail {tail:.2e} above {TAIL_TOL:.1e}; increase M"
-        )
+        raise TruncationTailError(f"||Gamma_k|| tail {tail:.2e} above {TAIL_TOL:.1e} at M = {M}")
 
     evals = np.linalg.eigvalsh(sigma2)
     if evals.min() < -CLAMP_TOL:
@@ -161,16 +173,16 @@ def diffusion_matrix(system: FastSlowSystem, theta, N: int,
                      with_jacobian: bool = True) -> DiffusionContext:
     """Assemble the diffusion matrix and its context at frozen theta.
 
-    The sum runs to M = default_truncation(lam) and its checks are those of
-    green_kubo: a materially negative eigenvalue signals a truncation that is
-    too short or a grid that is too coarse, and the tail of ||Gamma_k|| over
-    [M/2, M] must fall below TAIL_TOL.
+    The sum runs to the M that push_autocovariances sizes by its tail check,
+    and ctx.M reports it. The checks are those of green_kubo: a materially
+    negative eigenvalue signals a truncation that is too short or a grid that
+    is too coarse, and the tail of ||Gamma_k|| over [M/2, M] must fall below
+    TAIL_TOL, which past MAX_TRUNCATION raises TruncationTailError.
     """
-    M = default_truncation(system.lam)
     op = ulam_operator(system, theta, N)
     density = srb_density(op)
     wbar = average_drift(system, density)
-    gam = autocovariances(system, [op], [density], M)[0]
+    gam = push_autocovariances(system, [op], [density])[0]
 
     sigma2, evals, tail = green_kubo(gam)
     sigma = sym_sqrt(sigma2)
@@ -185,7 +197,7 @@ def diffusion_matrix(system: FastSlowSystem, theta, N: int,
     )
     return DiffusionContext(
         theta=np.atleast_1d(np.asarray(theta, dtype=float)),
-        N=N, M=M, omega_bar=wbar, D_omega_bar=dbar,
+        N=N, M=gam.shape[0] - 1, omega_bar=wbar, D_omega_bar=dbar,
         sigma2=sigma2, sigma=sigma, tail_estimate=tail,
         coboundary=coboundary, decay_rate=decay,
     )

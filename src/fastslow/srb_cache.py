@@ -3,7 +3,8 @@
 omega_bar and sigma2 are tabulated once, at construction, on a uniform grid
 of n^d nodes. Each node has its own Ulam matrix and invariant density; the
 autocovariances of all the nodes a level adds come from one block-diagonal
-push, then each node gets its averaged drift and checked Green-Kubo sum.
+push, sized by its tail check (M is the largest truncation of any level),
+then each node gets its averaged drift and checked Green-Kubo sum.
 Queries evaluate the interpolant of the immutable table and d_omega_bar is
 its exact derivative, so the providers are smooth, thread-safe and cost no
 solve.
@@ -22,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .diffusion import ULAM_N, autocovariances, average_drift, default_truncation, green_kubo
+from .diffusion import ULAM_N, average_drift, green_kubo, push_autocovariances
 from .exceptions import TableResolutionError
 from .systems import FastSlowSystem, torus
 from .ulam import srb_density, ulam_operator
@@ -61,7 +62,7 @@ class SRBCache:
         t0 = time.perf_counter()
         self.system = system
         self.N = int(N)
-        self.M = default_truncation(system.lam)
+        self.M = 0
         d = self.d = system.d
         n, table, last = START_NODES, None, np.inf
         while True:
@@ -95,7 +96,8 @@ class SRBCache:
         """Frozen solve at each row of thetas: (P, d + d*d) of omega_bar, sigma2."""
         ops = [ulam_operator(self.system, theta, self.N) for theta in thetas]
         densities = [srb_density(op) for op in ops]
-        gams = autocovariances(self.system, ops, densities, self.M)
+        gams = push_autocovariances(self.system, ops, densities)
+        self.M = max(self.M, gams.shape[1] - 1)
         return np.array([np.concatenate([average_drift(self.system, density),
                                          green_kubo(gam)[0].ravel()])
                          for density, gam in zip(densities, gams)])

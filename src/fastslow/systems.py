@@ -339,21 +339,21 @@ def dataclass_tuple(t: TrigTerm):
     return (t.amp, t.kx, t.px, t.fx, list(t.lt), t.pt, t.ft)
 
 
-def invert_monotone(F, dF, lo, hi, target) -> np.ndarray:
+def invert_monotone(F, dF, lo, hi, target, x) -> np.ndarray:
     """Solve F(x) = target elementwise for an increasing F with F(lo) <= target <= F(hi).
 
-    Safeguarded Newton from the bracket midpoints: each pass moves one end of
-    every bracket to the iterate by the sign of F - target, then steps. A step
-    leaving the bracket is clipped to the end it overshoots (landing on a root
-    there, as at pair ends); a second overshoot in a row bisects. Passes stop
-    once every step is within 4 ulp of the larger end of its first bracket (not
-    of the iterate, whose ulp vanishes at a root at 0), or after 64 passes.
-    Callers check the residual at their own tolerance.
+    Safeguarded Newton from the caller's start x in [lo, hi]: each pass moves
+    one end of every bracket to the iterate by the sign of F - target, then
+    steps. A step leaving the bracket is clipped to the end it overshoots
+    (landing on a root there, as at pair ends); a second overshoot in a row
+    bisects. Passes stop once every step is within 4 ulp of the larger end of
+    its first bracket (not of the iterate, whose ulp vanishes at a root at 0),
+    or after 64 passes. Callers check the residual at their own tolerance.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     tol = 4 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
-    x = 0.5 * (lo + hi)
+    x = np.asarray(x, dtype=float)
     clipped = np.zeros(x.shape, dtype=bool)
     for _ in range(64):
         r = F(x) - target

@@ -3,9 +3,13 @@
 The frozen fast map f(., theta) is discretized on N uniform cells by exact
 branch inversion: the matrix entry P[i, j] is the fraction of cell j that
 lands in cell i, computed from Newton-solved preimages of cell boundaries
-(systems.invert_monotone, ~4 passes), not from sampling. Columns are
-stochastic, so grid density values (quadrature weight 1/N) are mapped to
-grid density values. The invariant density is the power-iteration fixed point.
+(systems.invert_monotone from the chord of each cell, 2-3 passes), not from
+sampling. The cell edges and the preimages form one sorted list whose
+consecutive points bound the segments of each column, so the matrix is
+assembled in CSC form in one pass and each column is divided by its sum.
+Columns are stochastic, so grid density values (quadrature weight 1/N) are
+mapped to grid density values. The invariant density is the power-iteration
+fixed point.
 """
 from __future__ import annotations
 
@@ -66,54 +70,35 @@ def ulam_operator(system: FastSlowSystem, theta, N: int) -> UlamOperator:
     if np.any(np.diff(Fb) <= 0):
         raise BranchInversionError("lifted fast map is not increasing across cells")
 
-    # inner crossing levels k/N with Fb[j] < k/N < Fb[j+1], flattened
+    # inner crossing levels k/N with Fb[j] < k/N < Fb[j+1], column by column;
+    # each image is longer than lam/N > 2/N, so every column holds a crossing
     k_lo = np.floor(Fb[:-1] * N).astype(np.int64) + 1
-    k_hi = np.ceil(Fb[1:] * N).astype(np.int64) - 1
-    counts = np.maximum(k_hi - k_lo + 1, 0)
-    total = int(counts.sum())
-    col_of = np.repeat(np.arange(N), counts)
-    start = np.concatenate([[0], np.cumsum(counts)])
-    within = np.arange(total) - np.repeat(start[:-1], counts)
-    klev = np.repeat(k_lo, counts) + within
-    ylev = klev / N
+    counts = np.ceil(Fb[1:] * N).astype(np.int64) - k_lo
+    col = np.repeat(np.arange(N), counts)
+    ylev = ((k_lo - np.cumsum(counts) + counts)[col] + np.arange(col.size)) / N
 
-    # preimages of the crossing levels inside their cells
-    x = invert_monotone(F, lambda x: system.df_dx(x, theta), xb[col_of], xb[col_of + 1], ylev)
-    resid = np.abs(F(x) - ylev)
-    if total and resid.max() > 1e-10:
-        raise BranchInversionError(
-            f"crossing inversion residual {resid.max():.2e}; grid too coarse "
-            "or map not monotone on a cell"
-        )
+    # preimages of the crossing levels, Newton from the chord of their cell
+    chord = xb[col] + (ylev - Fb[col]) / (Fb[col + 1] - Fb[col]) / N
+    x = invert_monotone(F, lambda x: system.df_dx(x, theta), xb[col], xb[col + 1], ylev, chord)
+    resid = float(np.abs(F(x) - ylev).max())
+    if resid > 1e-10:
+        raise BranchInversionError(f"crossing inversion residual {resid:.2e}; grid too "
+                                   "coarse or map not monotone on a cell")
 
-    # segments between consecutive crossings within each column
-    seg_counts = counts + 1
-    seg_total = int(seg_counts.sum())
-    seg_col = np.repeat(np.arange(N), seg_counts)
-    seg_start = np.concatenate([[0], np.cumsum(seg_counts)])
-    w = np.arange(seg_total) - np.repeat(seg_start[:-1], seg_counts)
-    first = w == 0
-    last = w == np.repeat(seg_counts, seg_counts) - 1
-    cross_base = np.repeat(start[:-1], seg_counts)
-    left_idx = np.clip(cross_base + w - 1, 0, max(total - 1, 0))
-    right_idx = np.clip(cross_base + w, 0, max(total - 1, 0))
-    if total:
-        x_left = np.where(first, xb[seg_col], x[left_idx])
-        x_right = np.where(last, xb[seg_col + 1], x[right_idx])
-        y_left = np.where(first, Fb[seg_col], ylev[left_idx])
-        y_right = np.where(last, Fb[seg_col + 1], ylev[right_idx])
-    else:
-        x_left, x_right = xb[:-1], xb[1:]
-        y_left, y_right = Fb[:-1], Fb[1:]
-    cell = np.mod(np.floor(0.5 * (y_left + y_right) * N).astype(np.int64), N)
-    weight = (x_right - x_left) * N
+    # xb[0], the crossings of column 0, xb[1], ..., xb[N]: consecutive points bound
+    # the segments, already grouped by column, and the cell edges sit at the indptr
+    indptr = np.concatenate([[0], np.cumsum(counts + 1)])
+    inner = np.arange(col.size) + col + 1
+    xs, ys = np.empty((2, indptr[-1] + 1))
+    xs[indptr], xs[inner], ys[indptr], ys[inner] = xb, x, Fb, ylev
+    weight = np.diff(xs) * N
+    cell = np.floor(0.5 * (ys[:-1] + ys[1:]) * N).astype(np.int64) % N
 
-    P = sp.coo_matrix((weight, (cell, seg_col)), shape=(N, N)).tocsr()
-    colsum = np.asarray(P.sum(axis=0)).ravel()
+    colsum = np.add.reduceat(weight, indptr[:-1])
     defect = float(np.abs(colsum - 1.0).max())
     if defect > 1e-12:
         raise BranchInversionError(f"column mass defect {defect:.2e} above 1e-12")
-    P = P @ sp.diags(1.0 / colsum)
+    P = sp.csc_matrix((weight / np.repeat(colsum, counts + 1), cell, indptr), shape=(N, N))
     return UlamOperator(theta=theta, N=N, P=P.tocsr(), column_defect=defect)
 
 

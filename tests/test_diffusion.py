@@ -7,7 +7,7 @@ from fastslow.diffusion import (autocovariances, average_drift,
 from fastslow.exceptions import NegativeEigenvalueError, TruncationTailError
 from fastslow.systems import FastSlowSystem, TrigTerm, fixture
 from fastslow.ulam import srb_density, ulam_operator
-from test_srb_cache import per_node_autocovariances
+from test_srb_cache import counted_pushes, per_node_autocovariances, tail_tol_between_windows
 
 
 def theta_only_drift():
@@ -165,6 +165,14 @@ def test_diffusion_matrix_equals_per_node_push_bitwise(name, monkeypatch):
             assert getattr(batched, field).tobytes() == getattr(oracle, field).tobytes()
         assert batched.tail_estimate == oracle.tail_estimate
         assert batched.decay_rate == oracle.decay_rate
+        # the sized sum equals one of 280 lags, the CPL truncation of the fixed
+        # rule 10 log(1/TAIL_TOL)/log(lam) that it replaced
+        op = ulam_operator(system, [theta], 4096)
+        density = srb_density(op)
+        assert batched.M == diffusion.default_truncation(system.lam)
+        assert batched.sigma2.tobytes() == green_kubo(
+            autocovariances(system, [op], [density], 280)[0])[0].tobytes()
+        assert batched.omega_bar.tobytes() == average_drift(system, density).tobytes()
 
 
 def test_green_kubo_sum_equals_a_per_lag_loop():
@@ -189,3 +197,35 @@ def test_sym_sqrt_and_negative_rejection():
     assert np.abs(S @ S - A).max() <= 1e-12
     with pytest.raises(NegativeEigenvalueError):
         sym_sqrt(np.array([[-1.0]]))
+
+
+def test_default_truncation_puts_the_window_where_lam_decay_meets_the_tail_check():
+    assert [diffusion.default_truncation(fixture(name).lam) for name in ("LIN", "CBD", "CPL")] \
+        == [38, 38, 56]
+    for lam in (2.1, 3.0, 7.5):
+        half = diffusion.default_truncation(lam) // 2
+        assert lam ** -half <= diffusion.TAIL_TOL < lam ** -(half - 1)
+    assert diffusion.default_truncation(1e6) == 8
+
+
+def test_failed_tail_check_doubles_the_truncation(cpl, monkeypatch):
+    # TAIL_TOL between the tails of the windows [M0/2, M0] and [M0, 2 M0];
+    # the start M0 stays the one the real TAIL_TOL gives
+    tol, m0 = tail_tol_between_windows(cpl, [[0.3]], 512)
+    monkeypatch.setattr(diffusion, "TAIL_TOL", tol)
+    monkeypatch.setattr(diffusion, "default_truncation", lambda lam: m0)
+    pushes = counted_pushes(monkeypatch)
+    ctx = diffusion_matrix(cpl, [0.3], 512, with_jacobian=False)
+    assert pushes == [m0, 2 * m0]
+    assert ctx.M == 2 * m0 and ctx.tail_estimate <= tol
+
+
+def test_tail_check_raises_past_the_ceiling(cpl, monkeypatch):
+    # a TAIL_TOL below the rounding floor of ||Gamma_k||: every window fails
+    m0 = diffusion.default_truncation(cpl.lam)
+    monkeypatch.setattr(diffusion, "TAIL_TOL", 1e-40)
+    monkeypatch.setattr(diffusion, "default_truncation", lambda lam: m0)
+    pushes = counted_pushes(monkeypatch)
+    with pytest.raises(TruncationTailError):
+        diffusion_matrix(cpl, [0.3], 512, with_jacobian=False)
+    assert pushes == [56, 112, 224, diffusion.MAX_TRUNCATION] and diffusion.MAX_TRUNCATION == 400

@@ -1,10 +1,12 @@
 """The tabulated drift/diffusion provider against point solves and closed forms."""
+import copy
+
 import numpy as np
 import pytest
 
 from fastslow import diffusion, srb_cache
-from fastslow.diffusion import (autocovariances, average_drift, centered_drift_values,
-                                diffusion_matrix, green_kubo)
+from fastslow.diffusion import (ULAM_N, autocovariances, average_drift, centered_drift_values,
+                                diffusion_matrix, green_kubo, push_autocovariances)
 from fastslow.exceptions import TableResolutionError, TruncationTailError
 from fastslow.srb_cache import SRBCache
 from fastslow.systems import FastSlowSystem, TrigTerm, fixture
@@ -39,13 +41,42 @@ def per_node_autocovariances(system, op, density, kmax):
     return gam
 
 
+def tail_tol_between_windows(system, thetas, N):
+    """A TAIL_TOL that fails the tail check at M0 = default_truncation(lam) and
+    passes it at 2 M0, for the block of solves at thetas; and M0."""
+    m0 = diffusion.default_truncation(system.lam)
+    ops = [ulam_operator(system, theta, N) for theta in thetas]
+    norms = np.linalg.norm(autocovariances(system, ops, [srb_density(op) for op in ops],
+                                           2 * m0), axis=(2, 3))
+    first, second = norms[:, m0 // 2:m0 + 1].max(), norms[:, m0:].max()
+    assert first > 1e3 * second
+    return float(np.sqrt(first * second)), m0
+
+
+def counted_pushes(monkeypatch):
+    """Record the kmax of every diffusion.autocovariances call."""
+    pushes = []
+
+    def counted(system, ops, densities, kmax):
+        pushes.append(kmax)
+        return autocovariances(system, ops, densities, kmax)
+
+    monkeypatch.setattr(diffusion, "autocovariances", counted)
+    return pushes
+
+
 def per_node_solve(table, thetas):
-    """SRBCache._solve as one frozen solve per node: oracle of the batched fill."""
+    """SRBCache._solve as one frozen solve per node: oracle of the batched fill.
+
+    Every node is pushed to the truncation M that the batched fill gives its
+    level; the pushes of the batched call only size M.
+    """
+    ops = [ulam_operator(table.system, theta, table.N) for theta in thetas]
+    densities = [srb_density(op) for op in ops]
+    M = push_autocovariances(table.system, ops, densities).shape[1] - 1
     rows = []
-    for theta in thetas:
-        op = ulam_operator(table.system, theta, table.N)
-        density = srb_density(op)
-        sigma2 = green_kubo(per_node_autocovariances(table.system, op, density, table.M))[0]
+    for op, density in zip(ops, densities):
+        sigma2 = green_kubo(per_node_autocovariances(table.system, op, density, M))[0]
         rows.append(np.concatenate([average_drift(table.system, density), sigma2.ravel()]))
     return np.array(rows)
 
@@ -147,7 +178,7 @@ def test_cpl_fill_pushes_each_level_once(cpl, monkeypatch):
         sums.append(gam.shape)
         return green_kubo(gam)
 
-    monkeypatch.setattr(srb_cache, "autocovariances", counted_autocovariances)
+    monkeypatch.setattr(diffusion, "autocovariances", counted_autocovariances)
     monkeypatch.setattr(srb_cache, "green_kubo", counted_green_kubo)
     SRBCache(cpl, N=512)
     assert batches == [8, 8, 16]
@@ -158,3 +189,30 @@ def test_fill_still_raises_on_a_long_tail(cpl, monkeypatch):
     monkeypatch.setattr(diffusion, "TAIL_TOL", 1e-40)
     with pytest.raises(TruncationTailError):
         SRBCache(cpl, N=512)
+
+
+def test_level_that_fails_the_tail_check_is_pushed_again_at_twice_m(cpl, cpl_table, monkeypatch):
+    # TAIL_TOL between the tails of the windows [M0/2, M0] and [M0, 2 M0] of
+    # the first level's nodes; the start M0 stays the one the real TAIL_TOL gives
+    thetas = np.arange(srb_cache.START_NODES)[:, None] / srb_cache.START_NODES
+    tol, m0 = tail_tol_between_windows(cpl, thetas, cpl_table.N)
+    table = copy.copy(cpl_table)
+    monkeypatch.setattr(diffusion, "TAIL_TOL", tol)
+    monkeypatch.setattr(diffusion, "default_truncation", lambda lam: m0)
+    pushes = counted_pushes(monkeypatch)
+    rows = table._solve(thetas)
+    assert pushes == [m0, 2 * m0]
+    assert table.M == table.stats()["M"] == 2 * m0
+    assert rows.tobytes() == per_node_solve(table, thetas).tobytes()
+
+
+@pytest.mark.parametrize("N", [512, ULAM_N])
+def test_fixtures_need_no_restart(N):
+    # tripwire: at 16 uniform theta every fixture passes the tail check at the
+    # first M, so pushing further would only spend lags
+    thetas = np.arange(16)[:, None] / 16
+    for name in ("LIN", "CBD", "CPL"):
+        system = fixture(name)
+        ops = [ulam_operator(system, theta, N) for theta in thetas]
+        gam = push_autocovariances(system, ops, [srb_density(op) for op in ops])
+        assert gam.shape[1] - 1 == diffusion.default_truncation(system.lam)

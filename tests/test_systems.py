@@ -176,10 +176,11 @@ def test_invert_monotone_on_cpl_lift(width):
     lo = rng.random(200) * (1 - width)
     hi = lo + width
     target = F(lo + rng.random(200) * width)
-    x = invert_monotone(F, dF, lo, hi, target)
+    x = invert_monotone(F, dF, lo, hi, target, 0.5 * (lo + hi))
     assert np.all((lo <= x) & (x <= hi))
     assert np.abs(F(x) - target).max() <= 1e-12
-    assert invert_monotone(F, dF, np.empty(0), np.empty(0), np.empty(0)).shape == (0,)
+    empty = np.empty(0)
+    assert invert_monotone(F, dF, empty, empty, empty, empty).shape == (0,)
 
 
 def _counted(F, calls):
@@ -200,7 +201,7 @@ def test_invert_monotone_stops_on_lifted_values_near_1e3():
     hi = lo + 1 / 4096
     target = F(lo + rng.random(200) / 4096)
     calls.clear()
-    x = invert_monotone(F, lambda x: cpl.df_dx(x, theta), lo, hi, target)
+    x = invert_monotone(F, lambda x: cpl.df_dx(x, theta), lo, hi, target, 0.5 * (lo + hi))
     assert len(calls) <= 6
     assert np.all((lo <= x) & (x <= hi))
     assert (np.abs(F(x) - target) / np.abs(target)).max() <= 1e-12
@@ -218,7 +219,7 @@ def test_invert_monotone_bisects_where_newton_leaves_the_bracket():
 
     lo, hi = np.array([-4.0, -4.0]), np.array([10.0, 10.0])
     target = np.arctan(np.array([0.0, 0.4]))
-    x = invert_monotone(F, lambda x: 1 / (1 + x * x), lo, hi, target)
+    x = invert_monotone(F, lambda x: 1 / (1 + x * x), lo, hi, target, 0.5 * (lo + hi))
     assert [list(v) for v in seen[:3]] == [[3.0, 3.0], [-4.0, -4.0], [-0.5, -0.5]]
     assert np.abs(x - [0.0, 0.4]).max() <= 1e-15
     assert len(seen) <= 10
@@ -248,7 +249,7 @@ def test_invert_monotone_stops_at_a_root_on_a_bracket_end(case):
     calls = []
     hi = lo + 0.1
     target = F(lo)
-    x = invert_monotone(_counted(F, calls), dF, lo, hi, target)
+    x = invert_monotone(_counted(F, calls), dF, lo, hi, target, 0.5 * (lo + hi))
     assert len(calls) <= 5
     assert np.all((lo <= x) & (x <= hi))
     assert np.abs(F(x) - target).max() <= 1e-15

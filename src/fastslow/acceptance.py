@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, configured_system
 from .diffusion import ULAM_N, diffusion_matrix
 from .experiments import (
     Ensemble,
@@ -42,7 +42,7 @@ from .standard_pairs import (
     random_admissible_pair,
     validate_pair,
 )
-from .systems import FastSlowSystem, fixture, validate_system
+from .systems import FastSlowSystem, fixture
 from .ulam import srb_density, ulam_operator
 
 OUT_TIMES = 33          # output grid the statistical bands were calibrated on
@@ -74,11 +74,11 @@ class Workspace:
     """Lazily built shared artifacts for the acceptance suite and the CLI.
 
     theta0 is a sequence of length d; the averaged, covariance and ensemble
-    caches key on its tuple.
+    caches key on its tuple. Ensembles run on config.threads threads unless
+    a call names another count.
     """
 
     config: ExperimentConfig = field(default_factory=lambda: ExperimentConfig(fixture="CPL"))
-    threads: int = 1
     _systems: dict = field(default_factory=dict)
     _caches: dict = field(default_factory=dict)
     _avg: dict = field(default_factory=dict)
@@ -92,14 +92,8 @@ class Workspace:
     def system(self, name: Optional[str] = None) -> FastSlowSystem:
         """A fixture by name; with no name, the configured system, fixture or inline."""
         if name not in self._systems:
-            if name is not None:
-                self._systems[name] = fixture(name)
-            elif self.config.fixture is not None:
-                self._systems[name] = fixture(self.config.fixture)
-            else:
-                system = FastSlowSystem.from_dict(self.config.system)
-                validate_system(system)
-                self._systems[name] = system
+            self._systems[name] = fixture(name) if name is not None \
+                else configured_system(self.config)
         return self._systems[name]
 
     def cache(self, name: Optional[str] = None) -> SRBCache:
@@ -128,14 +122,15 @@ class Workspace:
     def ensemble(self, name: Optional[str], eps: float, n: int,
                  theta0: Sequence[float] = (0.25,), T: float = 1.0,
                  threads: Optional[int] = None) -> Ensemble:
-        key = (name, eps, n, tuple(theta0), T, threads or self.threads)
+        threads = threads or self.config.threads
+        key = (name, eps, n, tuple(theta0), T, threads)
         if key not in self._ens:
             pair = constant_pair(list(theta0), 0.2, 0.3, eps)
             self._ens[key] = run_ensemble(
                 self.system(name), pair, eps, n, T,
                 default_out_times(T, self.config.out_times), self.seed,
                 self.averaged(name, theta0, T),
-                threads=threads or self.threads,
+                threads=threads,
             )
         return self._ens[key]
 
@@ -323,11 +318,7 @@ def criterion_11(ws: Workspace) -> CriterionResult:
     reports = {}
     # trajectory count spans several chunks so the pool actually engages
     for threads in (1, 2, 4):
-        local = Workspace(config=ws.config, threads=threads)
-        local._systems = ws._systems
-        local._caches = ws._caches
-        local._avg = ws._avg
-        ens = local.ensemble("LIN", 1e-3, 10_000, theta0=[0.3], threads=threads)
+        ens = ws.ensemble("LIN", 1e-3, 10_000, theta0=[0.3], threads=threads)
         cov = ws.covariance("LIN", theta0=[0.3])
         blob = clt_test(ens, cov).to_json() + moment_scaling(ens).to_json()
         reports[threads] = blob
@@ -368,7 +359,7 @@ def run_all(ws: Optional[Workspace] = None, ids: Optional[list[int]] = None,
     """
     ws = ws or Workspace()
     if ws.config.out_times != OUT_TIMES:
-        ws = Workspace(config=replace(ws.config, out_times=OUT_TIMES), threads=ws.threads)
+        ws = Workspace(config=replace(ws.config, out_times=OUT_TIMES))
     results = []
     for fn in CRITERIA:
         cid = int(fn.__name__.split("_")[1])

@@ -314,7 +314,7 @@ def shadow(ctx, cfg, run):
 @_guard
 def fluctuate(ctx, cfg, run):
     """Fluctuation ensemble: moment scaling and Gaussian-limit comparison."""
-    ws = Workspace(config=cfg, threads=cfg.threads)
+    ws = Workspace(config=cfg)
     if ws.system().d != 1:
         raise ConfigError(f"fluctuate needs a system with d = 1, got d = {ws.system().d}")
     gaps = cfg.out_times - 1    # the reports read dyadic gaps and the times T/4, T/2
@@ -365,7 +365,7 @@ def verify_all(ctx, cfg, run):
         ids = [int(tok) for tok in ctx.params["criteria"].split(",")]
     elif ctx.obj.get("fixture"):
         ids = FIXTURE_CRITERIA[ctx.obj["fixture"].upper()]
-    ws = Workspace(config=cfg, threads=cfg.threads)
+    ws = Workspace(config=cfg)
     results = run_all(ws, ids=ids, echo=click.echo)
     (run.dir / "acceptance.json").write_text(results_to_json(results))
     return 0 if all(r.passed for r in results) else EXIT_ACCEPTANCE

@@ -5,8 +5,11 @@ eps values, ensemble size, horizon, seed, start point, output grid, threads
 and output directory. It sets no tolerance: the sizes of the frozen solve
 are constants of `diffusion`, and every acceptance threshold and size is a
 constant of the module that uses it. Unknown keys are rejected so a typo (or
-a key that no longer exists) cannot silently fall back to a default. Every
-run writes the fully resolved configuration next to its outputs.
+a key that no longer exists) cannot silently fall back to a default; so are
+unknown keys of an inline system, and a config naming both a fixture and an
+inline system. `configured_system` is the one path from a config to its
+system. Every run writes the fully resolved configuration next to its
+outputs.
 """
 from __future__ import annotations
 
@@ -70,19 +73,24 @@ def load_config(path: str) -> ExperimentConfig:
     return config_from_dict(data)
 
 
+def configured_system(cfg: ExperimentConfig) -> FastSlowSystem:
+    """The system of a config: its fixture or its inline system, exactly one of them."""
+    if (cfg.fixture is None) == (cfg.system is None):
+        raise ConfigError("give exactly one of 'fixture' and 'system'")
+    if cfg.fixture is not None:
+        if str(cfg.fixture).upper() not in FIXTURES:
+            raise ConfigError(f"unknown fixture {cfg.fixture!r}; known: {', '.join(FIXTURES)}")
+        return fixture(cfg.fixture)
+    try:
+        return FastSlowSystem.from_dict(cfg.system)
+    except (KeyError, TypeError, ValueError, SystemValidationError) as exc:
+        raise ConfigError(f"malformed inline system: {exc!r}") from exc
+
+
 def check_config(cfg: ExperimentConfig) -> None:
-    """Reject values a run cannot use, including a malformed inline system
-    and a theta0 whose length is not the system's d."""
-    if cfg.fixture is None and cfg.system is None:
-        raise ConfigError("either 'fixture' or 'system' must be given")
-    if cfg.fixture is not None and str(cfg.fixture).upper() not in FIXTURES:
-        raise ConfigError(f"unknown fixture {cfg.fixture!r}; known: {', '.join(FIXTURES)}")
-    if cfg.system is not None:
-        try:
-            system = FastSlowSystem.from_dict(cfg.system)
-        except (KeyError, TypeError, ValueError, SystemValidationError) as exc:
-            raise ConfigError(f"malformed inline system: {exc!r}") from exc
-    d = fixture(cfg.fixture).d if cfg.fixture is not None else system.d
+    """Reject values a run cannot use, among them a config whose system
+    `configured_system` rejects and a theta0 whose length is not its d."""
+    d = configured_system(cfg).d
     if cfg.theta0 is not None and len(cfg.theta0) != d:
         raise ConfigError(f"theta0 has {len(cfg.theta0)} coordinates; the system has d = {d}")
     for e in cfg.eps:

@@ -7,8 +7,11 @@ A system is a pair of maps
 
 restricted here to trigonometric polynomials, so that every derivative is
 available in closed form and the expansion bound lam and the derivative
-bound K are certified by coefficient sums. All evaluators broadcast:
-``x`` has shape ``(...)`` and ``theta`` shape ``(..., d)``.
+bound K are certified by coefficient sums. A system is checked once, by its
+constructor, which computes both; they cannot be supplied, and nothing
+re-checks a built system. ``to_dict``/``from_dict`` carry exactly the keys
+SYSTEM_KEYS. All evaluators broadcast: ``x`` has shape ``(...)`` and
+``theta`` shape ``(..., d)``.
 
 Each system compiles its terms once into an evaluation plan (``_Plan``): per
 accessor, the distinct arguments 2*pi*(k*u + phase), the distinct sin/cos
@@ -23,13 +26,13 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .exceptions import SystemValidationError
 
 _TWO_PI = 2.0 * math.pi
+SYSTEM_KEYS = ("name", "d", "degree", "f_terms", "omega_terms")   # of to_dict / from_dict
 
 
 @dataclass(frozen=True)
@@ -185,6 +188,12 @@ def _coef_sup(terms, ox: int, js: tuple[int, ...]) -> float:
 class FastSlowSystem:
     """Trig-polynomial fast-slow system with analytic derivative accessors.
 
+    The constructor is the one place a system is checked: it rejects
+    malformed terms and certifies, from coefficient sums, the expansion bound
+    ``lam`` = degree - sup |d/dx of the periodic part of f| (which must
+    exceed 2) and the derivative bound ``K`` = max(sup |df/dtheta|,
+    sup |domega/dx|, sup |domega/dtheta|). Both are attributes, not inputs.
+
     Parameters
     ----------
     d : slow dimension (theta lives on T^d)
@@ -192,7 +201,6 @@ class FastSlowSystem:
     f_terms : periodic part of f as a list of TrigTerm
     omega_terms : one list of TrigTerm per slow component
     name : identifier used in reports
-    lam, K : optional certified bounds; derived from coefficients if omitted
     """
 
     def __init__(
@@ -202,8 +210,6 @@ class FastSlowSystem:
         f_terms: list[TrigTerm],
         omega_terms: list[list[TrigTerm]],
         name: str = "custom",
-        lam: Optional[float] = None,
-        K: Optional[float] = None,
     ):
         if d < 1:
             raise SystemValidationError("slow dimension d must be >= 1")
@@ -212,11 +218,8 @@ class FastSlowSystem:
         self.d = d
         self.degree = int(degree)
         self.name = name
-        self.f_terms = [TrigTerm(*t) if not isinstance(t, TrigTerm) else t for t in f_terms]
-        self.omega_terms = [
-            [TrigTerm(*t) if not isinstance(t, TrigTerm) else t for t in comp]
-            for comp in omega_terms
-        ]
+        self.f_terms = list(f_terms)
+        self.omega_terms = [list(comp) for comp in omega_terms]
         for t in self.f_terms + [t for comp in self.omega_terms for t in comp]:
             if len(t.lt) not in (0, d):
                 raise SystemValidationError("theta frequency vector has wrong length")
@@ -233,24 +236,14 @@ class FastSlowSystem:
                        for js in itertools.product(range(d), repeat=nt))
 
         fx_wobble = sup(fs, 1, 0)
-        lam_cert = self.degree - fx_wobble
-        self.lam = float(lam) if lam is not None else lam_cert
+        self.lam = self.degree - fx_wobble
         if self.lam <= 2.0:
             raise SystemValidationError(f"expansion bound lam={self.lam:.4f} <= 2")
-        if self.lam > lam_cert + 1e-12:
-            raise SystemValidationError(
-                f"claimed lam={self.lam} exceeds certified bound {lam_cert:.6f}"
-            )
         self.dfx_sup = self.degree + fx_wobble
         self.dft_sup = sup(fs, 0, 1)
         self.domx_sup = sup(comps, 1, 0)
         self.domt_sup = sup(comps, 0, 1)
-        K_cert = max(self.domx_sup, self.domt_sup, self.dft_sup)
-        self.K = float(K) if K is not None else K_cert
-        if self.K + 1e-12 < K_cert:
-            raise SystemValidationError(
-                f"claimed K={self.K} below certified bound {K_cert:.6f}"
-            )
+        self.K = max(self.domx_sup, self.domt_sup, self.dft_sup)
         # Euclidean bound on omega, for Lipschitz checks
         self.omega_sup = float(np.linalg.norm([_coef_sup(c, 0, ()) for c in comps]))
         # curvature bounds used by the standard-pair constants
@@ -311,8 +304,6 @@ class FastSlowSystem:
             "name": self.name,
             "d": self.d,
             "degree": self.degree,
-            "lam": self.lam,
-            "K": self.K,
             "f_terms": [list(dataclass_tuple(t)) for t in self.f_terms],
             "omega_terms": [
                 [list(dataclass_tuple(t)) for t in comp] for comp in self.omega_terms
@@ -321,6 +312,10 @@ class FastSlowSystem:
 
     @staticmethod
     def from_dict(data: dict) -> "FastSlowSystem":
+        """Inverse of ``to_dict``; a key other than SYSTEM_KEYS is a ValueError."""
+        unknown = sorted(set(data) - set(SYSTEM_KEYS))
+        if unknown:
+            raise ValueError(f"unknown system keys {unknown}; known: {', '.join(SYSTEM_KEYS)}")
         return FastSlowSystem(
             d=data["d"],
             degree=data["degree"],
@@ -330,8 +325,6 @@ class FastSlowSystem:
                 for comp in data["omega_terms"]
             ],
             name=data.get("name", "custom"),
-            lam=data.get("lam"),
-            K=data.get("K"),
         )
 
 
@@ -409,58 +402,3 @@ def fixture(name: str) -> FastSlowSystem:
 
 
 FIXTURES = ("LIN", "CBD", "CPL")
-
-
-# -- validation ---------------------------------------------------------------
-
-def validate_system(system: FastSlowSystem) -> None:
-    """Check analytic derivatives against finite differences, to a relative
-    1e-6, on a 13 x 13 probe grid.
-
-    Also verifies df/dx >= lam and that K dominates the three derivative
-    sup-norms at the probes. Guards against inconsistent user-supplied data.
-    """
-    h, rtol, n_probe = 1e-6, 1e-6, 13
-    xs = (np.arange(n_probe) + 0.383) / n_probe
-    rows = np.stack(
-        [torus((np.arange(n_probe) * (j + 2) + 0.271) / n_probe) for j in range(system.d)],
-        axis=-1,
-    )
-    xg, ig = np.meshgrid(xs, np.arange(n_probe), indexing="ij")
-    x = xg.ravel()
-    theta = rows[ig.ravel()]
-
-    def _close(a, b, what):
-        scale = 1.0 + np.abs(a)
-        bad = np.abs(a - b) > rtol * scale
-        if np.any(bad):
-            i = int(np.argmax(np.abs(a - b) / scale))
-            raise SystemValidationError(
-                f"{what}: analytic and finite-difference values disagree "
-                f"(worst rel err {float((np.abs(a - b) / scale).ravel()[i]):.2e})"
-            )
-
-    fd_fx = (system.f_lift(x + h, theta) - system.f_lift(x - h, theta)) / (2 * h)
-    _close(system.df_dx(x, theta), fd_fx, "df/dx")
-    fd_ox = (system.omega(x + h, theta) - system.omega(x - h, theta)) / (2 * h)
-    _close(system.domega_dx(x, theta), fd_ox, "domega/dx")
-    for j in range(system.d):
-        e = np.zeros(system.d)
-        e[j] = h
-        fd_ft = (system.f_lift(x, theta + e) - system.f_lift(x, theta - e)) / (2 * h)
-        _close(system.df_dtheta(x, theta)[..., j], fd_ft, "df/dtheta")
-        fd_ot = (system.omega(x, theta + e) - system.omega(x, theta - e)) / (2 * h)
-        _close(system.domega_dtheta(x, theta)[..., j], fd_ot, "domega/dtheta")
-
-    dfx = system.df_dx(x, theta)
-    if np.any(dfx < system.lam - 1e-9):
-        raise SystemValidationError(
-            f"df/dx drops to {float(dfx.min()):.6f} < lam = {system.lam}"
-        )
-    sup = max(
-        float(np.abs(system.domega_dx(x, theta)).max()),
-        float(np.abs(system.domega_dtheta(x, theta)).max()),
-        float(np.abs(system.df_dtheta(x, theta)).max()),
-    )
-    if sup > system.K + 1e-9:
-        raise SystemValidationError(f"K={system.K} smaller than observed sup {sup:.6f}")

@@ -302,6 +302,10 @@ def inline_system(f_term=TERM, **keys):
     pytest.param(inline_system(TERM[:2] + ["a"] + TERM[3:]), id="text-phase"),
     pytest.param(inline_system(degree=2), id="degree-2"),
     pytest.param(inline_system(TERM[:4] + [[1, 0]] + TERM[5:]), id="lt-length"),
+    # lam and K are certified by the constructor, never read from a config
+    pytest.param(inline_system(lam=2.05), id="lam-key"),
+    pytest.param(inline_system(K=100.0), id="K-key"),
+    pytest.param(inline_system(nmae="x"), id="unknown-key"),
 ])
 @pytest.mark.parametrize("command", ["sigma", "fluctuate"])
 def test_malformed_inline_system_exits_2(runner, tmp_path, system, command):
@@ -312,6 +316,32 @@ def test_malformed_inline_system_exits_2(runner, tmp_path, system, command):
     assert "malformed inline system" in res.output
     manifest = json.loads((tmp_path / command / "manifest.json").read_text())
     assert manifest["status"] == "config-error"
+
+
+@pytest.mark.parametrize("config, args", [
+    ({"fixture": "LIN", "system": inline_system()}, []),
+    ({"system": inline_system()}, ["--fixture", "LIN"]),
+], ids=["both-keys", "fixture-flag"])
+def test_fixture_and_inline_system_together_exit_2(runner, tmp_path, config, args):
+    cfg = tmp_path / "both.json"
+    cfg.write_text(json.dumps(config))
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path), *args, "sigma"])
+    assert res.exit_code == 2, res.output
+    manifest = json.loads((tmp_path / "sigma" / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+
+
+def test_sigma_of_a_high_harmonic_drift(runner, tmp_path):
+    # omega = cos(2 pi 500 x) under x -> 3x: every lag k >= 1 pairs harmonics
+    # 500 and 500 * 3^k, which are orthogonal, so sigma2 is the variance 1/2
+    system = {"d": 1, "degree": 3, "f_terms": [],
+              "omega_terms": [[[1.0, 500, 0.0, "cos", [], 0.0, "none"]]]}
+    cfg = tmp_path / "harmonic.json"
+    cfg.write_text(json.dumps({"system": system}))
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path), "sigma"])
+    assert res.exit_code == 0, res.output
+    data = json.loads((tmp_path / "sigma" / "sigma.json").read_text())
+    assert abs(data["sigma2"][0][0] - 0.5) <= 1e-12
 
 
 @pytest.mark.parametrize("command", ["decompose", "fluctuate"])

@@ -15,6 +15,10 @@ together and must agree; disagreement signals a provider discontinuity or an
 integrator failure. Note the right multiplication in S' = -S B: with a left
 product the reconstruction identity fails whenever B(t) does not commute
 with its history, and the flow inverse S(t)^-1 would not solve Phi' = B Phi.
+
+Both ODEs are solved by the in-package DOP853 of `ode` (Hairer, Norsett &
+Wanner, Solving ODEs I, II.5-II.6): bit-identical to, and tested against,
+scipy 1.17.1's solve_ivp(method="DOP853", dense_output=True).
 """
 from __future__ import annotations
 
@@ -22,9 +26,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .exceptions import CovarianceCrossCheckError, FastSlowError
+from .ode import DenseOutput, dop853
 
 Provider = Callable[[np.ndarray], np.ndarray]
 
@@ -37,7 +41,7 @@ class AveragedTrajectory:
 
     theta0: np.ndarray
     T: float
-    sol: object                # scipy OdeSolution
+    sol: DenseOutput           # piecewise DOP853 interpolant of theta
     lipschitz_estimate: float
 
     def at(self, t):
@@ -49,7 +53,7 @@ class AveragedTrajectory:
 
 def solve_averaged(drift: Provider, theta0, T: float,
                    tol: float = 1e-10) -> AveragedTrajectory:
-    """Adaptive Dormand-Prince 8(5,3) solve (DOP853) with dense output.
+    """Adaptive Dormand-Prince 8(5,3) solve (`ode.dop853`) with dense output.
 
     The drift provider must accept any real theta (it reduces to the torus
     internally); an estimated Lipschitz constant over the unit cell is
@@ -61,10 +65,9 @@ def solve_averaged(drift: Provider, theta0, T: float,
     def rhs(t, y):
         return np.asarray(drift(y), dtype=float).ravel()
 
-    res = solve_ivp(rhs, (0.0, T), theta0, method="DOP853", dense_output=True,
-                    rtol=tol, atol=0.01 * tol)
-    if not res.success:
-        raise FastSlowError(f"averaged solve failed: {res.message}")
+    sol = dop853(rhs, T, theta0, tol, 0.01 * tol)
+    if sol.message is not None:
+        raise FastSlowError(f"averaged solve failed: {sol.message}")
 
     probe = 64
     lip = 0.0
@@ -74,7 +77,7 @@ def solve_averaged(drift: Provider, theta0, T: float,
         vals = np.array([np.asarray(drift(theta0 + (i / probe) * e)).ravel()
                          for i in range(probe + 1)])
         lip = max(lip, float(np.abs(np.diff(vals, axis=0)).max() * probe))
-    return AveragedTrajectory(theta0=theta0, T=T, sol=res.sol, lipschitz_estimate=lip)
+    return AveragedTrajectory(theta0=theta0, T=T, sol=sol, lipschitz_estimate=lip)
 
 
 def _conjugated(S: np.ndarray, I: np.ndarray) -> np.ndarray:
@@ -94,7 +97,7 @@ class CovarianceTrajectory:
     det_flow: np.ndarray       # (m,) determinant of S via the trace equation
     jac_provider: Provider
     sigma2_provider: Provider
-    sol: object                # dense output of the joint ODE
+    sol: DenseOutput           # piecewise DOP853 interpolant of (S, Sigma, I, det S)
     cross_check: float         # worst disagreement of the two covariance routes
 
     @property
@@ -133,7 +136,7 @@ def covariance_evolve(avg: AveragedTrajectory, sigma2_provider: Provider,
                       jac_provider: Provider, T: float,
                       out_times: Optional[np.ndarray] = None,
                       agree_tol: float = 1e-8) -> CovarianceTrajectory:
-    """Joint DOP853 solve of the conjugation flow, covariance and conjugated integral.
+    """Joint `ode.dop853` solve of the conjugation flow, covariance and conjugated integral.
 
     Returns only if the direct covariance and the conjugated reconstruction
     agree to agree_tol at every output time, and the Liouville determinant
@@ -157,12 +160,11 @@ def covariance_evolve(avg: AveragedTrajectory, sigma2_provider: Provider,
         return np.concatenate([dS.ravel(), dSig.ravel(), dI.ravel(), [dvs]])
 
     y0 = np.concatenate([np.eye(d).ravel(), np.zeros(2 * d * d), [1.0]])
-    res = solve_ivp(rhs, (0.0, T), y0, method="DOP853", dense_output=True,
-                    rtol=COVARIANCE_TOL, atol=0.01 * COVARIANCE_TOL)
-    if not res.success:
-        raise FastSlowError(f"covariance solve failed: {res.message}")
+    sol = dop853(rhs, T, y0, COVARIANCE_TOL, 0.01 * COVARIANCE_TOL)
+    if sol.message is not None:
+        raise FastSlowError(f"covariance solve failed: {sol.message}")
 
-    ys = res.sol(out_times)
+    ys = sol(out_times)
     S = ys[: d * d].T.reshape(-1, d, d)
     Sig = ys[d * d: 2 * d * d].T.reshape(-1, d, d)
     Ii = ys[2 * d * d: 3 * d * d].T.reshape(-1, d, d)
@@ -186,7 +188,7 @@ def covariance_evolve(avg: AveragedTrajectory, sigma2_provider: Provider,
     return CovarianceTrajectory(
         avg=avg, times=out_times, Sigma=Sig, S=S, det_flow=vs,
         jac_provider=jac_provider, sigma2_provider=sigma2_provider,
-        sol=res.sol, cross_check=worst,
+        sol=sol, cross_check=worst,
     )
 
 

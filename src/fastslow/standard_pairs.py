@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .exceptions import PairInvariantError
 from .systems import FastSlowSystem, invert_monotone, torus
@@ -96,11 +95,37 @@ def _simpson_weights(a, b, n: int) -> np.ndarray:
     return w * h[..., None] / 3.0
 
 
+def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients (4, len(x) - 1, ...) of the not-a-knot cubic through y (knots on axis 0),
+    equal to scipy's CubicSpline(x, y).c to the bit: the knot slopes solve its tridiagonal
+    system as LAPACK's gtsv does, which swaps no rows on uniform knots."""
+    dx = np.diff(x)
+    dxr = dx.reshape((-1,) + (1,) * (y.ndim - 1))
+    slope = np.diff(y, axis=0) / dxr
+    s = np.empty(y.shape)                      # right-hand side, then the slopes
+    s[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    s[0] = ((dxr[0] + 2 * d0) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d0
+    s[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d1 + dxr[-1]) * dxr[-2] * slope[-1]) / d1
+    lower = np.append(dx[1:], d1)
+    diag = np.concatenate([[dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]])
+    upper = np.append(d0, dx[:-1])
+    for i in range(x.size - 1):
+        m = lower[i] / diag[i]
+        diag[i + 1] -= m * upper[i]
+        s[i + 1] -= m * s[i]
+    s[-1] /= diag[-1]
+    for i in range(x.size - 2, -1, -1):
+        s[i] = (s[i] - upper[i] * s[i + 1]) / diag[i]
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    return np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
+
+
 class _Splines:
     """One not-a-knot cubic spline through the G and rho grids of stacked pairs.
 
-    The spline is fitted once on the knots of s = (x - a)/(b - a), which all
-    pairs share, with every grid as a column; evaluation gathers its
+    The spline is fitted once, by _not_a_knot, on the knots of s = (x - a)/(b - a),
+    which all pairs share, with every grid as a column; evaluation gathers its
     coefficients, and a derivative of order nu is scaled by (b - a)**-nu.
     """
 
@@ -109,8 +134,8 @@ class _Splines:
         self.length = b - a
         self.grid = rho.shape[1] - 1
         self.knots = np.linspace(0.0, 1.0, self.grid + 1)
-        coef = CubicSpline(self.knots, np.concatenate([G, rho[..., None]], axis=-1),
-                           axis=1).c                 # (4, grid, n, d+1)
+        coef = _not_a_knot(self.knots, np.concatenate([G, rho[..., None]], axis=-1)
+                           .swapaxes(0, 1))            # (4, grid, n, d+1)
         # (4, d+1, n*grid): entry pair*grid + interval, gathered by one np.take
         self.coef = np.ascontiguousarray(coef.transpose(0, 3, 2, 1)).reshape(
             4, coef.shape[-1], -1)

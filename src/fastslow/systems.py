@@ -189,7 +189,8 @@ class FastSlowSystem:
     """Trig-polynomial fast-slow system with analytic derivative accessors.
 
     The constructor is the one place a system is checked: it rejects
-    malformed terms and certifies, from coefficient sums, the expansion bound
+    malformed terms and a non-integral degree, kx or lt (which would not give
+    a circle map), and certifies, from coefficient sums, the expansion bound
     ``lam`` = degree - sup |d/dx of the periodic part of f| (which must
     exceed 2) and the derivative bound ``K`` = max(sup |df/dtheta|,
     sup |domega/dx|, sup |domega/dtheta|). Both are attributes, not inputs.
@@ -197,7 +198,7 @@ class FastSlowSystem:
     Parameters
     ----------
     d : slow dimension (theta lives on T^d)
-    degree : topological degree of the fast map (integer >= 2)
+    degree : topological degree of the fast map (integer >= 2; 3.0 counts as 3)
     f_terms : periodic part of f as a list of TrigTerm
     omega_terms : one list of TrigTerm per slow component
     name : identifier used in reports
@@ -215,6 +216,8 @@ class FastSlowSystem:
             raise SystemValidationError("slow dimension d must be >= 1")
         if len(omega_terms) != d:
             raise SystemValidationError("omega_terms must have one list per component")
+        if not (isinstance(degree, numbers.Real) and float(degree).is_integer()):
+            raise SystemValidationError(f"degree {degree!r} is not an integer")
         self.d = d
         self.degree = int(degree)
         self.name = name
@@ -227,6 +230,8 @@ class FastSlowSystem:
                 raise ValueError(f"unknown trig kind in {t}")
             if not all(isinstance(v, numbers.Real) for v in (t.amp, t.kx, t.px, t.pt, *t.lt)):
                 raise TypeError(f"non-numeric coefficient in {t}")
+            if not all(float(k).is_integer() for k in (t.kx, *t.lt)):
+                raise SystemValidationError(f"non-integer frequency in {t}")
 
         # certified coefficient-sum bounds
         fs, comps = [self.f_terms], self.omega_terms

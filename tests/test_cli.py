@@ -318,6 +318,21 @@ def test_malformed_inline_system_exits_2(runner, tmp_path, system, command):
     assert manifest["status"] == "config-error"
 
 
+@pytest.mark.parametrize("system", [
+    pytest.param(inline_system(degree=3.7), id="degree-3.7"),
+    pytest.param(inline_system(TERM[:1] + [0.5] + TERM[2:]), id="kx-0.5"),
+    pytest.param(inline_system(TERM[:4] + [[1.5]] + TERM[5:]), id="lt-1.5"),
+])
+def test_non_integral_degree_or_frequency_exits_2(runner, tmp_path, system):
+    cfg = tmp_path / "non_integral.json"
+    cfg.write_text(json.dumps({"system": system}))
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path), "sigma"])
+    assert res.exit_code == 2, res.output
+    assert "malformed inline system" in res.output
+    manifest = json.loads((tmp_path / "sigma" / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+
+
 @pytest.mark.parametrize("config, args", [
     ({"fixture": "LIN", "system": inline_system()}, []),
     ({"system": inline_system()}, ["--fixture", "LIN"]),

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import fastslow
@@ -170,3 +173,22 @@ def test_every_parameter_default_is_set_by_a_caller():
     calling = [ast.parse(p.read_text()) for d in ("src", "tests", "perfbench")
                for p in sorted((root / d).rglob("*.py"))]
     assert unset_defaults(defining, calling) == []
+
+
+HEAVY_SCIPY = ("scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.special",
+               "scipy.linalg")
+
+
+def test_no_module_loads_a_heavy_scipy_subpackage():
+    """Importing every fastslow module, cli included, leaves these scipy
+    subpackages unloaded: each costs process start-up and none is used."""
+    code = ("import importlib, pkgutil, sys, fastslow\n"
+            "for m in pkgutil.iter_modules(fastslow.__path__):\n"
+            "    importlib.import_module('fastslow.' + m.name)\n"
+            "print('\\n'.join(sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True).stdout.split()
+    assert "fastslow.cli" in loaded
+    assert [m for m in loaded if m.startswith(HEAVY_SCIPY)] == []

@@ -5,7 +5,7 @@ from scipy.interpolate import CubicSpline
 from fastslow import standard_pairs
 from fastslow.exceptions import PairInvariantError
 from fastslow.standard_pairs import (
-    PairConstants, StandardFamily, StandardPair, _Splines,
+    PairConstants, StandardFamily, StandardPair, _not_a_knot, _Splines,
     as_family, class_margins, constant_pair, default_constants, integrate,
     pushforward_decompose, random_admissible_pair, sample_from_uniform, validate_pair,
 )
@@ -181,6 +181,30 @@ def test_batched_spline_matches_per_pair_splines(name, lin, cpl):
         close(got[2][0][k], uniform((x[k] - p.a) / (p.b - p.a), 2) / (p.b - p.a) ** 2)
 
 
+@pytest.mark.parametrize("grid", [4, 5, 16, 64])
+@pytest.mark.parametrize("columns", [1, 2, 500])
+def test_not_a_knot_fit_equals_cubic_spline_bitwise(grid, columns):
+    rng = np.random.default_rng(1000 * grid + columns)
+    knots = np.linspace(0.0, 1.0, grid + 1)
+    y = rng.normal(size=(grid + 1, columns))
+    assert np.array_equal(_not_a_knot(knots, y), CubicSpline(knots, y).c)
+    if columns == 1:
+        assert np.array_equal(_not_a_knot(knots, y[:, 0]), CubicSpline(knots, y[:, 0]).c)
+
+
+@pytest.mark.parametrize("name", ["LIN", "CPL"])
+def test_family_spline_coefficients_equal_cubic_spline_bitwise(name, lin, cpl):
+    system = {"LIN": lin, "CPL": cpl}[name]
+    consts = default_constants(system)
+    rng = np.random.default_rng(11)
+    pairs = [random_admissible_pair(system, 1e-3, consts, rng) for _ in range(7)]
+    G, rho = np.stack([p.G for p in pairs]), np.stack([p.rho for p in pairs])
+    splines = _Splines(np.array([p.a for p in pairs]), np.array([p.b for p in pairs]), G, rho)
+    want = CubicSpline(splines.knots, np.concatenate([G, rho[..., None]], axis=-1), axis=1).c
+    assert np.array_equal(splines.coef, np.ascontiguousarray(
+        want.transpose(0, 3, 2, 1)).reshape(4, want.shape[-1], -1))
+
+
 def test_pushforward_makes_the_same_calls_for_any_number_of_pairs(lin, monkeypatch):
     consts = default_constants(lin)
     families = [as_family(constant_pair([0.3], 0.2, 0.3, 0.02), consts)]
@@ -196,7 +220,7 @@ def test_pushforward_makes_the_same_calls_for_any_number_of_pairs(lin, monkeypat
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("invert_monotone", "CubicSpline"):
+    for name in ("invert_monotone", "_not_a_knot"):
         monkeypatch.setattr(standard_pairs, name, counted(name, getattr(standard_pairs, name)))
     seen = []
     for family in (families[1], families[-1]):

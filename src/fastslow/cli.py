@@ -20,7 +20,8 @@ import scipy
 
 from . import __version__
 from .acceptance import FIXTURE_CRITERIA, Workspace, results_to_json, run_all
-from .config import ExperimentConfig, check_config, config_from_dict, load_config
+from .config import ExperimentConfig, check_config, config_from_dict, configured_system, \
+    load_config
 from .diffusion import ULAM_N, diffusion_matrix
 from .exceptions import ConfigError, FastSlowError
 from .experiments import clt_test, default_out_times, moment_scaling
@@ -57,13 +58,11 @@ class Run:
         self.dir = Path(out_dir) / command
         self.dir.mkdir(parents=True, exist_ok=True)
         self.t0 = time.time()
-        self.status = "running"
         if cfg is not None:
             resolved = json.dumps(cfg.resolved(), sort_keys=True, indent=1)
             (self.dir / "resolved_config.json").write_text(resolved)
 
     def finish(self, status: str) -> None:
-        self.status = status
         manifest = {
             "config_sha256": self.cfg.sha256() if self.cfg is not None else None,
             "versions": {"fastslow": __version__, "numpy": np.__version__,
@@ -173,7 +172,7 @@ def main(ctx, config, fixture_, seed, threads, out_dir, eps, n, t_final, theta0)
 def srb(ctx, cfg, run):
     """Invariant-density sweep: drift, diffusion and tail data per theta."""
     count = _count(ctx, "theta_count")
-    system = Workspace(config=cfg).system()
+    system = configured_system(cfg)
     rows = []
     for i in range(count):
         theta = np.full(system.d, i / count)
@@ -195,7 +194,7 @@ def srb(ctx, cfg, run):
 @_guard
 def sigma(ctx, cfg, run):
     """Diffusion matrix at theta0 (default 0)."""
-    system = Workspace(config=cfg).system()
+    system = configured_system(cfg)
     theta = cfg.theta0 or [0.0] * system.d
     c = diffusion_matrix(system, theta, ULAM_N)
     out = {
@@ -261,7 +260,7 @@ def average(ctx, cfg, run):
 def decompose(ctx, cfg, run):
     """Iterated pushforward decomposition of a flat standard pair."""
     steps = _count(ctx, "steps")
-    system = Workspace(config=cfg).system()
+    system = configured_system(cfg)
     eps = _single_eps(cfg, "decompose")
     consts = default_constants(system)
     margins = class_margins(system, eps, consts)
@@ -291,7 +290,7 @@ def shadow(ctx, cfg, run):
         raise ConfigError(f"shadow needs every eps > 0 (its horizon is eps^-1/2), got {cfg.eps}")
     if len(set(cfg.eps)) < len(cfg.eps):
         raise ConfigError(f"shadow needs distinct eps (summary.json keys each one), got {cfg.eps}")
-    system = Workspace(config=cfg).system()
+    system = configured_system(cfg)
     rows = []
     summary = {}
     for eps in cfg.eps:

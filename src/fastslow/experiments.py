@@ -138,8 +138,6 @@ def observable_library(d: int) -> list[Observable]:
 
 def cylinder_weight(name: str, center=None, width: float = 0.2) -> Callable:
     """Named smooth weight B(theta); input is a lifted (..., d) array."""
-    if name == "one":
-        return lambda th: np.ones(np.shape(th)[:-1])
     center = np.atleast_1d(np.asarray(center, dtype=float))
     if name == "bump":
         s = np.sin(np.pi * width) ** 2

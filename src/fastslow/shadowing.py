@@ -42,21 +42,15 @@ def _circle_dist(a, b):
     return np.minimum(d, 1.0 - d)
 
 
-def tangent_data(system: FastSlowSystem, x, theta):
-    """df/dx, df/dtheta, domega/dx and domega/dtheta, as tangent_forward takes them."""
-    return (system.df_dx(x, theta), system.df_dtheta(x, theta),
-            system.domega_dx(x, theta), system.domega_dtheta(x, theta))
-
-
 def tangent_forward(fx, ft, ox, ot, eps):
     """Forward slope u_k and log expansion factor log v_k for k = 0..n.
 
     The differential of the skew product maps a near-horizontal vector
     (1, eps*u) to a multiple v of (1, eps*u'); while eps*K*c <= 1 the slope
-    stays in the cone |u| <= c = (K+1)/(lam-2). The inputs are the
-    derivatives along n steps of B orbits: fx (n, B), ft and ox (n, B, d),
-    ot (n, B, d, d). Returns u (n+1, B, d) and log_v (n+1, B), both zero at
-    k = 0.
+    stays in the cone |u| <= c = (K+1)/(lam-2). The inputs are the parts of
+    ``system.tangent`` along n steps of B orbits: fx (n, B), ft and ox
+    (n, B, d), ot (n, B, d, d). Returns u (n+1, B, d) and log_v (n+1, B),
+    both zero at k = 0.
     """
     n, B, d = ft.shape
     u = np.zeros((n + 1, B, d))
@@ -96,8 +90,7 @@ def shadow_solve_batch(system: FastSlowSystem, eps: float, x0: np.ndarray,
     ths[0] = torus(theta0)
     for k in range(n):
         xs[k + 1], ths[k + 1], _ = step(system, eps, xs[k], ths[k])
-    der = tangent_data(system, xs[:-1], ths[:-1])
-    log_v = tangent_forward(*der, eps)[1][n]
+    log_v = tangent_forward(*system.tangent(xs[:-1], ths[:-1]), eps)[1][n]
 
     def F(w):
         return system.f_lift(w, theta_star)

@@ -332,7 +332,7 @@ def pushforward_decompose(family: StandardFamily, system: FastSlowSystem) -> Sta
         raise TypeError("wrap single pairs with as_family() first")
     eps, consts = family.eps, family.constants
     # class-level expansion bound: every admissible graph map must stay expanding
-    class_fmin = system.lam - eps * consts.c1 * system.dft_sup
+    class_fmin = class_margins(system, eps, consts)["fmin"]
     if class_fmin <= 1.5:
         raise PairInvariantError(
             f"lam - eps*c1*|df/dtheta| = {class_fmin:.4f} <= 3/2; eps too large "
@@ -349,9 +349,8 @@ def pushforward_decompose(family: StandardFamily, system: FastSlowSystem) -> Sta
     def dfG(x, pair):
         xm = torus(x)
         th = torus(splines(x, pair)[0])
-        return system.df_dx(xm, th) + np.einsum(
-            "...j,...j->...", system.df_dtheta(xm, th), splines(x, pair, 1)[0]
-        )
+        fx, ft = system.tangent(xm, th)[:2]
+        return fx + np.einsum("...j,...j->...", ft, splines(x, pair, 1)[0])
 
     pairs = np.arange(a.size)
     fmin = float(dfG(np.linspace(a, b, 4 * grid + 1, axis=-1), pairs[:, None]).min())

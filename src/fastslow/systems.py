@@ -14,7 +14,7 @@ SYSTEM_KEYS. All evaluators broadcast: ``x`` has shape ``(...)`` and
 ``theta`` shape ``(..., d)``.
 
 Each system compiles its terms once into an evaluation plan (``_Plan``): per
-accessor, the distinct arguments 2*pi*(k*u + phase), the distinct sin/cos
+evaluator, the distinct arguments 2*pi*(k*u + phase), the distinct sin/cos
 arrays of them and each term as indices into those arrays. Evaluating it
 runs the float operations of a plain per-term loop in the same order, minus
 exact identities, so results are bit-identical to that loop; it holds no
@@ -62,7 +62,7 @@ def _key(*values) -> tuple:
 
 
 class _Plan:
-    """A system's trig polynomial compiled once into one program per accessor.
+    """A system's trig polynomial compiled once into one program per evaluator.
 
     A program lists each entry it needs once: ``thetas``, the theta.l it reads
     (None for theta_0 itself when l = (1,) in d = 1, an empty array for l = ()),
@@ -78,8 +78,10 @@ class _Plan:
     only exact identities: k * u, amp * and * l_j where they are 1, the
     np.zeros that seeds a sum whose first term has the sum's shape (0.0 +
     first keeps its sign of zero) and theta @ [1.0], which is theta_0 + 0.0
-    with the + 0.0 moved into the phase. Its arrays are local to the call, so
-    threads can run one plan at once.
+    with the + 0.0 moved into the phase. A sum's operations do not depend on
+    the program that lists it, so df/dx has the same bits from ``df_dx`` and
+    from ``tangent``. Its arrays are local to the call, so threads can run one
+    plan at once.
     """
 
     def __init__(self, d: int, f_terms, omega_terms):
@@ -89,10 +91,10 @@ class _Plan:
             "f_omega": self._compile([(terms, 0, None) for terms in [f_terms, *omega_terms]]),
             "omega": self._compile([(terms, 0, None) for terms in omega_terms]),
             "df_dx": self._compile([(f_terms, 1, None)]),
-            "df_dtheta": self._compile([(f_terms, 0, j) for j in range(d)]),
-            "domega_dx": self._compile([(terms, 1, None) for terms in omega_terms]),
-            "domega_dtheta": self._compile([(terms, 0, j) for terms in omega_terms
-                                            for j in range(d)]),
+            "tangent": self._compile([(f_terms, 1, None), *[(f_terms, 0, j) for j in range(d)],
+                                      *[(terms, 1, None) for terms in omega_terms],
+                                      *[(terms, 0, j) for terms in omega_terms
+                                        for j in range(d)]]),
         }
 
     def _compile(self, sums) -> tuple:
@@ -186,7 +188,7 @@ def _coef_sup(terms, ox: int, js: tuple[int, ...]) -> float:
 
 
 class FastSlowSystem:
-    """Trig-polynomial fast-slow system with analytic derivative accessors.
+    """Trig-polynomial fast-slow system with closed-form evaluators.
 
     The constructor is the one place a system is checked: it rejects
     malformed terms and a non-integral degree, kx or lt (which would not give
@@ -267,9 +269,6 @@ class FastSlowSystem:
         """Lift of the fast map to the real line (degree * x + periodic part)."""
         return self.degree * np.asarray(x, dtype=float) + self._plan.run("f_lift", x, theta)[0]
 
-    def f(self, x, theta):
-        return torus(self.f_lift(x, theta))
-
     def f_omega(self, x, theta):
         """``(f(x, theta), omega(x, theta))`` from one run of the plan.
 
@@ -283,26 +282,26 @@ class FastSlowSystem:
     def df_dx(self, x, theta):
         return self.degree + self._plan.run("df_dx", x, theta)[0]
 
-    def df_dtheta(self, x, theta):
-        return _stack(self._plan.run("df_dtheta", x, theta), -1)
-
     # -- slow drift ----------------------------------------------------------
 
     def omega(self, x, theta):
         return _stack(self._plan.run("omega", x, theta), -1)
 
-    def domega_dx(self, x, theta):
-        return _stack(self._plan.run("domega_dx", x, theta), -1)
+    # -- differential of the skew product --------------------------------------
 
-    def domega_dtheta(self, x, theta):
-        """Entry (..., i, j) = d omega_i / d theta_j."""
-        sums, d = self._plan.run("domega_dtheta", x, theta), self.d
-        return _stack([_stack(sums[i * d:(i + 1) * d], -1) for i in range(d)], -2)
+    def tangent(self, x, theta):
+        """``(df/dx, df/dtheta (..., d), domega/dx (..., d), domega/dtheta (..., d, d))``.
 
-    def frozen_map(self, theta):
-        """x -> f_lift(x, theta); theta stays (d,), so its trig factors are evaluated once."""
-        theta = np.asarray(theta, dtype=float)
-        return lambda x: self.f_lift(x, theta)
+        The four partial derivatives through which the differential of the
+        skew product acts, from one run of the plan, so their sums share
+        arguments and sin/cos arrays; entry (..., i, j) of the last is
+        d omega_i / d theta_j.
+        """
+        d = self.d
+        fx, *sums = self._plan.run("tangent", x, theta)
+        ot = sums[2 * d:]
+        return (self.degree + fx, _stack(sums[:d], -1), _stack(sums[d:2 * d], -1),
+                _stack([_stack(ot[i * d:(i + 1) * d], -1) for i in range(d)], -2))
 
     def to_dict(self) -> dict:
         return {

@@ -48,12 +48,6 @@ class SRBDensity:
     def midpoints(self) -> np.ndarray:
         return (np.arange(self.N) + 0.5) / self.N
 
-    def integrate(self, values) -> float:
-        """Quadrature of grid values (or a callable of x) against the density."""
-        if callable(values):
-            values = values(self.midpoints)
-        return float(np.mean(np.asarray(values) * self.rho))
-
 
 def ulam_operator(system: FastSlowSystem, theta, N: int) -> UlamOperator:
     """Exact-inversion Ulam matrix of f(., theta) on N cells.
@@ -64,7 +58,10 @@ def ulam_operator(system: FastSlowSystem, theta, N: int) -> UlamOperator:
     if N < 16:
         raise ValueError("N must be >= 16")
     theta = torus(np.atleast_1d(np.asarray(theta, dtype=float)))
-    F = system.frozen_map(theta)
+
+    def F(x):
+        return system.f_lift(x, theta)
+
     xb = np.arange(N + 1) / N
     Fb = F(xb)
     if np.any(np.diff(Fb) <= 0):

@@ -36,7 +36,7 @@ def birkhoff_fast_orbit(system, theta, x0, n_steps):
     x = x0.copy()
     for k in range(n_steps):
         xs[k] = x
-        x = system.f(x, th)
+        x = torus(system.f_lift(x, th))
     return xs
 
 

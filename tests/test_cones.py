@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import orbit
-from fastslow.shadowing import tangent_data, tangent_forward
+from fastslow.shadowing import tangent_forward
 from fastslow.systems import FastSlowSystem, TrigTerm
 
 
 def forward_tangents(system, eps, x0, theta0, n):
     """df/dx and the forward slopes and log expansion factors along one orbit."""
     orb = orbit(system, eps, x0, theta0, n)
-    der = tangent_data(system, orb.x[:-1, None], orb.theta[:-1, None])
+    der = system.tangent(orb.x[:-1, None], orb.theta[:-1, None])
     u, log_v = tangent_forward(*der, eps)
     return der[0][:, 0], u[:, 0], log_v[:, 0]
 

@@ -20,6 +20,11 @@ from fastslow.systems import FastSlowSystem, TrigTerm, fixture
 from test_srb_cache import planar_system
 
 
+def unit_weight(th):
+    """The constant cylinder weight 1."""
+    return np.ones(np.shape(th)[:-1])
+
+
 def lin_setup(eps, n, seed=42, T=1.0, theta0=0.3, m=33):
     lin = fixture("LIN")
     pair = constant_pair([theta0], 0.2, 0.3, eps)
@@ -219,8 +224,7 @@ def test_martingale_residual_degenerate_and_reduction():
     A = function_library(1)[0]
     rep = martingale_residual(ens, A, [], 0.5, 0.5, cov)
     assert rep.data["mean"] == 0.0
-    one = cylinder_weight("one")
-    a = martingale_residual(ens, A, [(0.25, one)], 0.5, 1.0, cov)
+    a = martingale_residual(ens, A, [(0.25, unit_weight)], 0.5, 1.0, cov)
     b = martingale_residual(ens, A, [], 0.5, 1.0, cov)
     assert a.data["mean"] == b.data["mean"]
 
@@ -229,7 +233,7 @@ def test_martingale_residual_rejects_bad_times():
     _, ens, cov = lin_setup(1e-3, 100)
     A = function_library(1)[0]
     with pytest.raises(ValueError):
-        martingale_residual(ens, A, [(0.6, cylinder_weight("one"))], 0.5, 1.0, cov)
+        martingale_residual(ens, A, [(0.6, unit_weight)], 0.5, 1.0, cov)
     with pytest.raises(GridMismatchError):
         martingale_residual(ens, A, [], 0.513, 1.0, cov)
 

@@ -112,6 +112,34 @@ def test_every_public_name_has_a_caller():
     assert unread_private_names(trees) == []
 
 
+def unread_public_methods(trees: dict[str, ast.Module],
+                          readers: list[ast.Module]) -> list[str]:
+    """Public methods and properties of public classes that no reader reads as
+    an attribute outside the method itself; dunder methods are called by Python."""
+    reads = [node for tree in readers for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+    found = []
+    for name, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for item in cls.body:
+                if not isinstance(item, ast.FunctionDef) or item.name.startswith("_"):
+                    continue
+                inside = {id(n) for n in ast.walk(item)}
+                if not any(n.attr == item.name and id(n) not in inside for n in reads):
+                    found.append(f"{name}:{cls.name}.{item.name}")
+    return found
+
+
+def test_every_public_method_has_a_reader():
+    root = SRC.parents[1]
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    readers = [*trees.values(), *(ast.parse(p.read_text())
+                                  for p in sorted((root / "perfbench").rglob("*.py")))]
+    assert unread_public_methods(trees, readers) == []
+
+
 def defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int]]:
     """(callable name, parameter, position or -1 if keyword-only) for every
     defaulted parameter of a public top-level function, a public method or an

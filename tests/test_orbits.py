@@ -9,7 +9,7 @@ from fastslow.experiments import default_out_times, run_ensemble
 from fastslow.limits import solve_averaged
 from fastslow.orbits import sample_paths_batch, step
 from fastslow.standard_pairs import constant_pair
-from fastslow.systems import FastSlowSystem, TrigTerm, fixture
+from fastslow.systems import FastSlowSystem, TrigTerm, fixture, torus
 
 
 def unit_drift_system():
@@ -167,7 +167,7 @@ def test_batch_paths_equal_loop_over_f_omega_and_mod(name):
     expected = np.empty_like(got)
     for k in range(n_steps + 1):
         dth = eps * system.omega(x, th)
-        x, th, lift_next = system.f(x, th), np.mod(th + dth, 1.0), lift + dth
+        x, th, lift_next = torus(system.f_lift(x, th)), np.mod(th + dth, 1.0), lift + dth
         for p in np.flatnonzero(node == k):
             expected[:, p] = lift + frac[p] * (lift_next - lift)
         lift = lift_next

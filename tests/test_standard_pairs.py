@@ -9,6 +9,7 @@ from fastslow.standard_pairs import (
     as_family, class_margins, constant_pair, default_constants, integrate,
     pushforward_decompose, random_admissible_pair, sample_from_uniform, validate_pair,
 )
+from fastslow.systems import torus
 
 
 def test_integrate_normalization():
@@ -68,7 +69,7 @@ def test_pushforward_identity(name, lin, cpl):
         out.validate()
 
         def g_pull(x, th):
-            x1 = system.f(x, th)
+            x1 = torus(system.f_lift(x, th))
             th1 = np.mod(th + eps * system.omega(x, th), 1.0)
             return g(x1, th1)
 

@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import mpmath
@@ -29,23 +30,24 @@ def assert_derivatives_match_differences(system):
         rel = np.abs(a - b) / (1.0 + np.abs(a))
         assert np.all(rel <= rtol), f"{what}: worst rel err {float(rel.max()):.2e}"
 
+    _, ft, ox, ot = system.tangent(x, theta)
     fd_fx = (system.f_lift(x + h, theta) - system.f_lift(x - h, theta)) / (2 * h)
     close(system.df_dx(x, theta), fd_fx, "df/dx")
     fd_ox = (system.omega(x + h, theta) - system.omega(x - h, theta)) / (2 * h)
-    close(system.domega_dx(x, theta), fd_ox, "domega/dx")
+    close(ox, fd_ox, "domega/dx")
     for j in range(system.d):
         e = np.zeros(system.d)
         e[j] = h
         fd_ft = (system.f_lift(x, theta + e) - system.f_lift(x, theta - e)) / (2 * h)
-        close(system.df_dtheta(x, theta)[..., j], fd_ft, "df/dtheta")
+        close(ft[..., j], fd_ft, "df/dtheta")
         fd_ot = (system.omega(x, theta + e) - system.omega(x, theta - e)) / (2 * h)
-        close(system.domega_dtheta(x, theta)[..., j], fd_ot, "domega/dtheta")
+        close(ot[..., j], fd_ot, "domega/dtheta")
 
     assert system.df_dx(x, theta).min() >= system.lam - 1e-9
     sup = max(
-        float(np.abs(system.domega_dx(x, theta)).max()),
-        float(np.abs(system.domega_dtheta(x, theta)).max()),
-        float(np.abs(system.df_dtheta(x, theta)).max()),
+        float(np.abs(ox).max()),
+        float(np.abs(ot).max()),
+        float(np.abs(ft).max()),
     )
     assert sup <= system.K + 1e-9
 
@@ -82,13 +84,12 @@ def test_broadcasting_shapes():
     cpl = fixture("CPL")
     x = np.linspace(0, 1, 7, endpoint=False)
     th = np.linspace(0, 1, 7, endpoint=False)[:, None]
-    assert cpl.f(x, th).shape == (7,)
+    assert torus(cpl.f_lift(x, th)).shape == (7,)
     assert cpl.omega(x, th).shape == (7, 1)
-    assert cpl.domega_dtheta(x, th).shape == (7, 1, 1)
+    assert cpl.tangent(x, th)[3].shape == (7, 1, 1)
 
 
-ACCESSORS = ("f_lift", "f_omega", "omega", "df_dx", "df_dtheta", "domega_dx",
-             "domega_dtheta")
+ACCESSORS = ("f_lift", "f_omega", "omega", "df_dx", "tangent")
 
 
 def _assert_roundtrip(system):
@@ -100,7 +101,7 @@ def _assert_roundtrip(system):
     x, th = rng.uniform(-1.0, 2.0, 64), rng.uniform(-1.0, 2.0, (64, system.d))
     for name in ACCESSORS:
         got, expected = getattr(clone, name)(x, th), getattr(system, name)(x, th)
-        for g, e in zip(got, expected) if name == "f_omega" else [(got, expected)]:
+        for g, e in _parts(got, expected):
             _assert_bitwise(g, e)
 
 
@@ -138,7 +139,7 @@ def test_integral_floats_are_integers():
     x, th = np.linspace(-0.5, 1.5, 9), np.linspace(0.0, 1.0, 9)[:, None]
     for name in ACCESSORS:
         got, expected = getattr(floats, name)(x, th), getattr(ints, name)(x, th)
-        for g, e in zip(got, expected) if name == "f_omega" else [(got, expected)]:
+        for g, e in _parts(got, expected):
             _assert_bitwise(g, e)
 
 
@@ -211,24 +212,25 @@ def test_certified_bounds_dominate_derivatives(system):
 
     dfx = system.df_dx(x, th)
     assert dfx.min() >= system.lam - 1e-12 and dfx.max() <= system.dfx_sup + 1e-12
-    le(system.df_dtheta(x, th), system.dft_sup)
-    le(system.domega_dx(x, th), system.domx_sup)
-    le(system.domega_dtheta(x, th), system.domt_sup)
+    _, ft, ox, ot = system.tangent(x, th)
+    le(ft, system.dft_sup)
+    le(ox, system.domx_sup)
+    le(ot, system.domt_sup)
     le(np.linalg.norm(system.omega(x, th), axis=-1), system.omega_sup)
     assert system.K >= max(system.dft_sup, system.domx_sup, system.domt_sup)
 
 
     # second-order bounds against central differences of the first-order accessors
     le((system.df_dx(x + h, th) - system.df_dx(x - h, th)) / (2 * h), system.fxx_sup)
-    le((system.domega_dx(x + h, th) - system.domega_dx(x - h, th)) / (2 * h), system.oxx_sup)
+    le((system.tangent(x + h, th)[2] - system.tangent(x - h, th)[2]) / (2 * h), system.oxx_sup)
     for j in range(system.d):
         e = np.zeros(system.d)
         e[j] = h
         le((system.df_dx(x, th + e) - system.df_dx(x, th - e)) / (2 * h), system.fxt_sup)
-        le((system.df_dtheta(x, th + e) - system.df_dtheta(x, th - e)) / (2 * h), system.ftt_sup)
-        le((system.domega_dx(x, th + e) - system.domega_dx(x, th - e)) / (2 * h), system.oxt_sup)
-        le((system.domega_dtheta(x, th + e) - system.domega_dtheta(x, th - e)) / (2 * h),
-           system.ott_sup)
+        up, down = system.tangent(x, th + e), system.tangent(x, th - e)
+        le((up[1] - down[1]) / (2 * h), system.ftt_sup)
+        le((up[2] - down[2]) / (2 * h), system.oxt_sup)
+        le((up[3] - down[3]) / (2 * h), system.ott_sup)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -242,7 +244,9 @@ def test_invert_monotone_on_cpl_lift(width):
     # widths of the Ulam cells, the shadowing brackets and the pair intervals
     cpl = fixture("CPL")
     theta = np.array([0.3])
-    F = cpl.frozen_map(theta)
+
+    def F(x):
+        return cpl.f_lift(x, theta)
 
     def dF(x):
         return cpl.df_dx(x, np.broadcast_to(theta, x.shape + (1,)))
@@ -259,9 +263,9 @@ def test_invert_monotone_on_cpl_lift(width):
 
 
 def _counted(F, calls):
-    def G(x):
+    def G(*args):
         calls.append(1)
-        return F(x)
+        return F(*args)
     return G
 
 
@@ -270,7 +274,7 @@ def test_invert_monotone_stops_on_lifted_values_near_1e3():
     cpl = fixture("CPL")
     theta = np.array([0.3])
     calls = []
-    F = _counted(cpl.frozen_map(theta), calls)
+    F = _counted(lambda x: cpl.f_lift(x, theta), calls)
     rng = np.random.default_rng(12)
     lo = 1e3 + rng.random(200) * 4.0
     hi = lo + 1 / 4096
@@ -332,12 +336,11 @@ def test_invert_monotone_stops_at_a_root_on_a_bracket_end(case):
 
 @pytest.mark.parametrize("N", [512, 4096])
 def test_ulam_crossings_take_at_most_six_passes(N, monkeypatch):
-    # ulam_operator calls its frozen map once for the cell edges, once per
+    # ulam_operator calls the lift once for the cell edges, once per
     # inversion pass and once for the residual check
     cpl = fixture("CPL")
     calls = []
-    frozen = cpl.frozen_map
-    monkeypatch.setattr(cpl, "frozen_map", lambda theta: _counted(frozen(theta), calls))
+    monkeypatch.setattr(cpl, "f_lift", _counted(cpl.f_lift, calls))
     for theta in (0.03, 0.3, 0.5, 0.77):
         calls.clear()
         ulam_operator(cpl, [theta], N)
@@ -350,7 +353,7 @@ def test_vector_theta_equals_broadcast_theta_bitwise(make, d):
     x = np.random.default_rng(13).random(1000)
     for theta in np.random.default_rng(14).random((3, d)):
         wide = np.broadcast_to(theta, x.shape + (d,))
-        assert np.array_equal(system.frozen_map(theta)(x), system.f_lift(x, wide))
+        assert np.array_equal(system.f_lift(x, theta), system.f_lift(x, wide))
         assert np.array_equal(system.df_dx(x, theta), system.df_dx(x, wide))
 
 
@@ -393,19 +396,28 @@ def _reference_accessors(system, x, theta):
     comps = system.omega_terms
     lift = system.degree * x + _reference_sum(system.f_terms, x, theta, 0)
     omega = np.stack([_reference_sum(c, x, theta, 0) for c in comps], axis=-1)
+    dfx = system.degree + _reference_sum(system.f_terms, x, theta, 1)
     return {
         "f_lift": lift,
-        "f": np.mod(lift, 1.0),
         "omega": omega,
         "f_omega": (np.mod(lift, 1.0), omega),
-        "df_dx": system.degree + _reference_sum(system.f_terms, x, theta, 1),
-        "df_dtheta": np.stack([_reference_sum(system.f_terms, x, theta, 0, j)
-                               for j in range(system.d)], axis=-1),
-        "domega_dx": np.stack([_reference_sum(c, x, theta, 1) for c in comps], axis=-1),
-        "domega_dtheta": np.stack([np.stack([_reference_sum(c, x, theta, 0, j)
-                                             for j in range(system.d)], axis=-1)
-                                   for c in comps], axis=-2),
+        "df_dx": dfx,
+        "tangent": (dfx,
+                    np.stack([_reference_sum(system.f_terms, x, theta, 0, j)
+                              for j in range(system.d)], axis=-1),
+                    np.stack([_reference_sum(c, x, theta, 1) for c in comps], axis=-1),
+                    np.stack([np.stack([_reference_sum(c, x, theta, 0, j)
+                                        for j in range(system.d)], axis=-1)
+                              for c in comps], axis=-2)),
     }
+
+
+def _parts(got, expected):
+    """(part, expected part) pairs of an evaluator's result: f_omega and tangent return tuples."""
+    if isinstance(expected, tuple):
+        assert isinstance(got, tuple) and len(got) == len(expected)
+        return zip(got, expected)
+    return [(got, expected)]
 
 
 def _assert_bitwise(got, expected):
@@ -422,12 +434,8 @@ def _check_evaluators(system):
     # equal shapes, one theta for every x, and one x for every theta
     for xs, ths in ((x, theta), (x, theta[5]), (np.asarray(-0.0), theta)):
         for name, expected in _reference_accessors(system, xs, ths).items():
-            got = getattr(system, name)(xs, ths)
-            if name == "f_omega":
-                for g, e in zip(got, expected):
-                    _assert_bitwise(g, e)
-            else:
-                _assert_bitwise(got, expected)
+            for g, e in _parts(getattr(system, name)(xs, ths), expected):
+                _assert_bitwise(g, e)
 
 
 TP = 2.0 * np.pi
@@ -480,3 +488,15 @@ def test_evaluators_equal_per_term_loop_on_fixtures(make):
 @given(admissible_systems())
 def test_evaluators_equal_per_term_loop_on_random_systems(system):
     _check_evaluators(system)
+
+
+@pytest.mark.parametrize("name, n_args, n_trigs", [("LIN", 1, 1), ("CBD", 2, 2), ("CPL", 2, 4)])
+def test_tangent_program_lists_each_argument_and_trig_array_once(name, n_args, n_trigs):
+    # CPL's four partials read sin and cos of 2 pi x and of 2 pi theta: one
+    # argument each and four arrays, not six of each across four programs
+    system = fixture(name)
+    evaluators = {a for a in dir(system) if not a.startswith("_") and callable(getattr(system, a))
+                  and list(inspect.signature(getattr(system, a)).parameters)[:2] == ["x", "theta"]}
+    assert evaluators == set(system._plan.programs) == set(ACCESSORS)
+    _, args, trigs, _ = system._plan.programs["tangent"]
+    assert (len(args), len(trigs)) == (n_args, n_trigs)

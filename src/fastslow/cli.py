@@ -19,7 +19,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .acceptance import FIXTURE_CRITERIA, Workspace, results_to_json, run_all
+from .acceptance import CRITERIA, FIXTURE_CRITERIA, Workspace, results_to_json, run_all
 from .config import ExperimentConfig, check_config, config_from_dict, configured_system, \
     load_config
 from .diffusion import ULAM_N, diffusion_matrix
@@ -361,10 +361,19 @@ def verify_all(ctx, cfg, run):
     """Run the acceptance suite; nonzero exit on any failure."""
     ids = None
     if ctx.params["criteria"]:
-        ids = [int(tok) for tok in ctx.params["criteria"].split(",")]
+        known = [fn.__name__.split("_")[1] for fn in CRITERIA]
+        tokens = [tok.strip() for tok in ctx.params["criteria"].split(",")]
+        unknown = [tok for tok in tokens if tok not in known]
+        if unknown:
+            raise ConfigError(f"--criteria takes ids among {','.join(known)}, got {unknown}")
+        ids = [int(tok) for tok in tokens]
     elif ctx.obj.get("fixture"):
         ids = FIXTURE_CRITERIA[ctx.obj["fixture"].upper()]
     ws = Workspace(config=cfg)
     results = run_all(ws, ids=ids, echo=click.echo)
     (run.dir / "acceptance.json").write_text(results_to_json(results))
     return 0 if all(r.passed for r in results) else EXIT_ACCEPTANCE
+
+
+if __name__ == "__main__":
+    main()

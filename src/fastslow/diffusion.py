@@ -9,7 +9,8 @@ truncated at M lags: M starts at default_truncation(lam) and doubles, up to
 MAX_TRUNCATION, until max ||Gamma_k|| over [M/2, M] is at most TAIL_TOL.
 The symmetric PSD square root comes from a dense eigendecomposition; the
 slow dimension is small (1-3) so dense d x d work is free while the N x N
-transfer matrix stays sparse.
+transfer matrix stays sparse. Its format is ulam's: this module only
+multiplies by the matrices that ulam builds, and imports no scipy.
 
 These sizes of the frozen solve and its ULAM_N cells are constants of this
 module; no config sets them.
@@ -21,11 +22,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .exceptions import NegativeEigenvalueError, TruncationTailError
 from .systems import FastSlowSystem
-from .ulam import SRBDensity, UlamOperator, srb_density, ulam_operator
+from .ulam import SRBDensity, UlamOperator, block_diagonal, srb_density, ulam_operator
 
 ULAM_N = 4096           # transfer-operator grid cells of the frozen solve
 TAIL_TOL = 1e-9         # bound on ||Gamma_k|| over the tail window [M/2, M]
@@ -89,17 +89,12 @@ def autocovariances(system: FastSlowSystem, ops: Sequence[UlamOperator],
     Gamma_k[i, j] = int (omega_hat_i o f^k) * omega_hat_j dm, computed by k
     pushforwards of the signed measures omega_hat_j * m under the discretized
     transfer operator, then quadrature against omega_hat_i. The B operators
-    act as one block-diagonal CSR matrix, so each lag is one sparse product
-    for all of them; the blocks keep each operator's entry order, so every
-    Gamma_k equals the one of its operator alone to the bit.
+    act as one ulam.block_diagonal matrix, so each lag is one sparse product
+    for all of them, and every Gamma_k equals the one of its operator alone
+    to the bit.
     """
     B, N, d = len(ops), densities[0].N, system.d
-    # by hand, not sp.block_diag: its COO round trip may reorder a row's entries
-    nnz = np.cumsum([0] + [op.P.nnz for op in ops])
-    P = sp.csr_matrix((np.concatenate([op.P.data for op in ops]),
-                       np.concatenate([op.P.indices + i * N for i, op in enumerate(ops)]),
-                       np.concatenate([op.P.indptr[:-1] + nnz[i] for i, op in enumerate(ops)]
-                                      + [nnz[-1:]])), shape=(B * N, B * N))
+    P = block_diagonal(ops)
     what = np.stack([centered_drift_values(system, density) for density in densities])
     # density values of hat-omega_j dm, the B blocks stacked
     push = (what * np.stack([density.rho for density in densities])[..., None]).reshape(B * N, d)

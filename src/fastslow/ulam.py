@@ -10,13 +10,18 @@ assembled in CSC form in one pass and each column is divided by its sum.
 Columns are stochastic, so grid density values (quadrature weight 1/N) are
 mapped to grid density values. The invariant density is the power-iteration
 fixed point.
+
+This module is the only one that knows the sparse matrix format, and the only
+one that imports scipy for it: ulam_operator and block_diagonal import
+scipy.sparse on entry, so a process that never builds a transfer matrix (an
+ensemble driven by given providers, shadow, decompose) never loads it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .exceptions import BranchInversionError, SRBConvergenceError
 from .systems import FastSlowSystem, invert_monotone, torus
@@ -30,7 +35,7 @@ class UlamOperator:
 
     theta: np.ndarray          # (d,)
     N: int
-    P: sp.csr_matrix           # (N, N), acts on grid density values
+    P: "scipy.sparse.csr_matrix"  # (N, N), acts on grid density values
     column_defect: float       # max |column sum - 1| before normalization
 
 
@@ -55,6 +60,8 @@ def ulam_operator(system: FastSlowSystem, theta, N: int) -> UlamOperator:
     Requires N >= 16 and a monotone lift (guaranteed when df/dx >= lam > 2;
     a residual check still guards against inconsistent inputs).
     """
+    import scipy.sparse as sp
+
     if N < 16:
         raise ValueError("N must be >= 16")
     theta = torus(np.atleast_1d(np.asarray(theta, dtype=float)))
@@ -97,6 +104,21 @@ def ulam_operator(system: FastSlowSystem, theta, N: int) -> UlamOperator:
         raise BranchInversionError(f"column mass defect {defect:.2e} above 1e-12")
     P = sp.csc_matrix((weight / np.repeat(colsum, counts + 1), cell, indptr), shape=(N, N))
     return UlamOperator(theta=theta, N=N, P=P.tocsr(), column_defect=defect)
+
+
+def block_diagonal(ops: Sequence[UlamOperator]) -> "scipy.sparse.csr_matrix":
+    """The operators' matrices as one block-diagonal CSR matrix, block i the
+    P of ops[i]; the blocks keep each operator's entry order, so a product with
+    it equals the products with each operator alone to the bit."""
+    import scipy.sparse as sp
+
+    B, N = len(ops), ops[0].N
+    # by hand, not sp.block_diag: its COO round trip may reorder a row's entries
+    nnz = np.cumsum([0] + [op.P.nnz for op in ops])
+    return sp.csr_matrix((np.concatenate([op.P.data for op in ops]),
+                          np.concatenate([op.P.indices + i * N for i, op in enumerate(ops)]),
+                          np.concatenate([op.P.indptr[:-1] + nnz[i] for i, op in enumerate(ops)]
+                                         + [nnz[-1:]])), shape=(B * N, B * N))
 
 
 def srb_density(op: UlamOperator, max_iter: int = 5000) -> SRBDensity:

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -140,6 +143,27 @@ def test_verify_subset(runner, tmp_path):
     report = json.loads((tmp_path / "verify-all" / "acceptance.json").read_text())
     assert [c["id"] for c in report["criteria"]] == [1, 3]
     assert report["all_passed"]
+
+
+@pytest.mark.parametrize("criteria", ["99", "0", "1,x", ",", "1,13"])
+def test_verify_unknown_criterion_exits_2(runner, tmp_path, criteria):
+    res = runner.invoke(main, ["--out", str(tmp_path), "verify-all", "--criteria", criteria])
+    assert res.exit_code == 2, res.output
+    manifest = json.loads((tmp_path / "verify-all" / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert not (tmp_path / "verify-all" / "acceptance.json").exists()
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1])]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    res = subprocess.run([sys.executable, "-m", "fastslow.cli", "--out", str(tmp_path),
+                          "verify-all", "--criteria", "99"], env=env, capture_output=True,
+                         text=True)
+    assert res.returncode == 2, res.stderr
+    manifest = json.loads((tmp_path / "verify-all" / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
 
 
 def test_verify_fixture_cbd(runner, tmp_path):

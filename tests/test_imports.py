@@ -207,16 +207,55 @@ HEAVY_SCIPY = ("scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.
                "scipy.linalg")
 
 
-def test_no_module_loads_a_heavy_scipy_subpackage():
-    """Importing every fastslow module, cli included, leaves these scipy
-    subpackages unloaded: each costs process start-up and none is used."""
-    code = ("import importlib, pkgutil, sys, fastslow\n"
-            "for m in pkgutil.iter_modules(fastslow.__path__):\n"
-            "    importlib.import_module('fastslow.' + m.name)\n"
-            "print('\\n'.join(sys.modules))")
+def loaded_modules(code: str) -> list[str]:
+    """Names in sys.modules after running code in a fresh interpreter that
+    imports fastslow from this checkout."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC.parent)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True).stdout.split()
+    res = subprocess.run([sys.executable, "-c",
+                          "import sys\n" + code + "\nprint('\\n'.join(sys.modules))"],
+                         env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return res.stdout.split()
+
+
+IMPORT_ALL = ("import importlib, pkgutil, fastslow\n"
+              "for m in pkgutil.iter_modules(fastslow.__path__):\n"
+              "    importlib.import_module('fastslow.' + m.name)\n")
+
+
+def test_no_module_loads_a_heavy_scipy_subpackage():
+    """Importing every fastslow module, cli included, leaves these scipy
+    subpackages unloaded: each costs process start-up and none is used.
+    Nor does it load scipy.sparse, which ulam imports on its first matrix build."""
+    loaded = loaded_modules(IMPORT_ALL)
     assert "fastslow.cli" in loaded
-    assert [m for m in loaded if m.startswith(HEAVY_SCIPY)] == []
+    assert [m for m in loaded if m.startswith(HEAVY_SCIPY + ("scipy.sparse",))] == []
+
+
+def test_matrix_free_ensemble_leaves_scipy_sparse_unloaded():
+    """An ensemble and its reports on closed-form providers build no transfer
+    matrix, so they never load scipy.sparse, whatever else the process imports."""
+    loaded = loaded_modules(IMPORT_ALL + """import numpy as np
+from fastslow.experiments import clt_test, default_out_times, martingale_residual, \\
+    observable_library, run_ensemble
+from fastslow.limits import covariance_evolve, solve_averaged
+from fastslow.standard_pairs import constant_pair
+from fastslow.systems import fixture
+ot = default_out_times(1.0, 9)
+avg = solve_averaged(lambda th: np.zeros(1), [0.25], 1.0)
+cov = covariance_evolve(avg, lambda th: np.array([[0.5]]), lambda th: np.array([[0.0]]), 1.0,
+                        out_times=ot)
+ens = run_ensemble(fixture("LIN"), constant_pair([0.25], 0.2, 0.3, 1e-3), 1e-3, 64, 1.0, ot,
+                   7, avg)
+clt_test(ens, cov)
+martingale_residual(ens, observable_library(1)[0], [], 0.5, 1.0, cov)""")
+    assert [m for m in loaded if m.startswith("scipy.sparse")] == []
+
+
+def test_first_matrix_build_loads_scipy_sparse():
+    loaded = loaded_modules("""from fastslow.ulam import ulam_operator
+from fastslow.systems import fixture
+assert 'scipy.sparse' not in sys.modules
+ulam_operator(fixture("LIN"), [0.0], 64)""")
+    assert "scipy.sparse" in loaded

@@ -40,7 +40,6 @@ from .standard_pairs import (
     integrate,
     pushforward_decompose,
     random_admissible_pair,
-    validate_pair,
 )
 from .systems import FastSlowSystem, fixture
 from .ulam import srb_density, ulam_operator
@@ -251,8 +250,9 @@ def criterion_8(ws: Workspace) -> CriterionResult:
         system = ws.system(name)
         consts = default_constants(system)
         pair = random_admissible_pair(system, eps, consts, rng)
-        validate_pair(pair, consts)
-        out = pushforward_decompose(as_family(pair, consts), system)
+        family = as_family(pair, consts)
+        family.validate()
+        out = pushforward_decompose(family, system)
         out.validate()
         for g in gs:
             pulled = integrate(pair, lambda x, th: g(*step(system, eps, x, th)[:2]), refine=8)

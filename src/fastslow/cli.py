@@ -209,7 +209,9 @@ def sigma(ctx, cfg, run):
         "decay_rate": c.decay_rate,
     }
     (run.dir / "sigma.json").write_text(json.dumps(out, sort_keys=True, indent=1))
-    click.echo(f"sigma2 = {c.sigma2[0, 0]:.6f}  (coboundary: {c.coboundary})")
+    rows = ", ".join("[" + ", ".join(f"{v:.6f}" for v in row) + "]" for row in c.sigma2)
+    shown = f"{c.sigma2[0, 0]:.6f}" if system.d == 1 else f"[{rows}]"
+    click.echo(f"sigma2 = {shown}  (coboundary: {c.coboundary})")
 
 
 @main.command()
@@ -358,7 +360,10 @@ def fluctuate(ctx, cfg, run):
 @click.pass_context
 @_guard
 def verify_all(ctx, cfg, run):
-    """Run the acceptance suite; nonzero exit on any failure."""
+    """Run the acceptance suite on the fixtures; nonzero exit on any failure."""
+    if cfg.system is not None:
+        raise ConfigError("verify-all checks the fixtures LIN, CBD and CPL; "
+                          "it cannot check an inline system")
     ids = None
     if ctx.params["criteria"]:
         known = [fn.__name__.split("_")[1] for fn in CRITERIA]

@@ -44,7 +44,10 @@ class ExperimentConfig:
         return dataclasses.asdict(self)
 
     def sha256(self) -> str:
-        blob = json.dumps(self.resolved(), sort_keys=True).encode()
+        """Hash of the inputs that can reach a number: every field but
+        out_dir and threads (the outputs are identical across thread counts)."""
+        inputs = {k: v for k, v in self.resolved().items() if k not in ("out_dir", "threads")}
+        blob = json.dumps(inputs, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
 

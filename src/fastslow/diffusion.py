@@ -49,30 +49,20 @@ def average_drift(system: FastSlowSystem, density: SRBDensity) -> np.ndarray:
     return (om * density.rho[:, None]).mean(axis=0)
 
 
-def omega_bar(system: FastSlowSystem, theta, N: int) -> np.ndarray:
-    """Convenience: fresh transfer-operator solve, then average_drift."""
-    op = ulam_operator(system, theta, N)
-    return average_drift(system, srb_density(op))
+def drift_jacobian(system: FastSlowSystem, theta, N: int) -> np.ndarray:
+    """Jacobian of the averaged drift by central differences of step FD_STEP.
 
-
-def drift_jacobian(system: FastSlowSystem, theta, h: float, N: int) -> np.ndarray:
-    """Jacobian of the averaged drift by central differences.
-
-    Each column requires two fresh invariant-density solves at theta +- h e_j.
-    h must lie in [1e-6, 1e-2]: below that the solve noise dominates, above
-    the O(h^2) truncation does.
+    Each column requires two fresh invariant-density solves at theta +- FD_STEP e_j.
     """
-    if not (1e-6 <= h <= 1e-2):
-        raise ValueError("finite-difference step h must lie in [1e-6, 1e-2]")
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     d = system.d
     jac = np.empty((d, d))
     for j in range(d):
         e = np.zeros(d)
-        e[j] = h
-        wp = omega_bar(system, theta + e, N)
-        wm = omega_bar(system, theta - e, N)
-        jac[:, j] = (wp - wm) / (2 * h)
+        e[j] = FD_STEP
+        wp = average_drift(system, srb_density(ulam_operator(system, theta + e, N)))
+        wm = average_drift(system, srb_density(ulam_operator(system, theta - e, N)))
+        jac[:, j] = (wp - wm) / (2 * FD_STEP)
     return jac
 
 
@@ -186,7 +176,7 @@ def diffusion_matrix(system: FastSlowSystem, theta, N: int,
     decay = _fit_decay(np.linalg.norm(gam, axis=(1, 2)))
 
     dbar = (
-        drift_jacobian(system, theta, FD_STEP, N)
+        drift_jacobian(system, theta, N)
         if with_jacobian
         else np.full((system.d, system.d), np.nan)
     )

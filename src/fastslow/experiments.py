@@ -440,7 +440,7 @@ def clt_test(ensemble: Ensemble, cov: CovarianceTrajectory) -> Report:
         lam[0] = lv
         phase = zT @ lam
         re, im = np.cos(phase), np.sin(phase)
-        logmag, _ = gaussian_charfn(cov, lam, 0.0, float(T))
+        logmag, _ = gaussian_charfn(cov, lam, 0.0, float(T), np.zeros(d))
         char_rows.append({
             "lambda": _f(lv),
             "emp_re": _f(re.mean()), "emp_re_se": _f(re.std(ddof=1) / np.sqrt(N)),

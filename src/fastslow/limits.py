@@ -32,7 +32,9 @@ from .ode import DenseOutput, dop853
 
 Provider = Callable[[np.ndarray], np.ndarray]
 
+AVERAGED_TOL = 1e-10     # local tolerance of the averaged solve
 COVARIANCE_TOL = 1e-11   # local tolerance of the joint covariance solve
+ROUTE_TOL = 1e-8         # largest admitted disagreement of the two covariance routes
 
 
 @dataclass
@@ -51,8 +53,7 @@ class AveragedTrajectory:
         return out.T if t.ndim else out
 
 
-def solve_averaged(drift: Provider, theta0, T: float,
-                   tol: float = 1e-10) -> AveragedTrajectory:
+def solve_averaged(drift: Provider, theta0, T: float) -> AveragedTrajectory:
     """Adaptive Dormand-Prince 8(5,3) solve (`ode.dop853`) with dense output.
 
     The drift provider must accept any real theta (it reduces to the torus
@@ -65,7 +66,7 @@ def solve_averaged(drift: Provider, theta0, T: float,
     def rhs(t, y):
         return np.asarray(drift(y), dtype=float).ravel()
 
-    sol = dop853(rhs, T, theta0, tol, 0.01 * tol)
+    sol = dop853(rhs, T, theta0, AVERAGED_TOL, 0.01 * AVERAGED_TOL)
     if sol.message is not None:
         raise FastSlowError(f"averaged solve failed: {sol.message}")
 
@@ -134,12 +135,11 @@ class CovarianceTrajectory:
 
 def covariance_evolve(avg: AveragedTrajectory, sigma2_provider: Provider,
                       jac_provider: Provider, T: float,
-                      out_times: Optional[np.ndarray] = None,
-                      agree_tol: float = 1e-8) -> CovarianceTrajectory:
+                      out_times: Optional[np.ndarray] = None) -> CovarianceTrajectory:
     """Joint `ode.dop853` solve of the conjugation flow, covariance and conjugated integral.
 
     Returns only if the direct covariance and the conjugated reconstruction
-    agree to agree_tol at every output time, and the Liouville determinant
+    agree to ROUTE_TOL at every output time, and the Liouville determinant
     stays positive (so S is invertible along the way).
     """
     d = avg.theta0.shape[0]
@@ -179,9 +179,9 @@ def covariance_evolve(avg: AveragedTrajectory, sigma2_provider: Provider,
     for i in range(out_times.shape[0]):
         scale = 1.0 + float(np.abs(Sig[i]).max())
         worst = max(worst, float(np.abs(_conjugated(S[i], Ii[i]) - Sig[i]).max()) / scale)
-    if worst > agree_tol:
+    if worst > ROUTE_TOL:
         raise CovarianceCrossCheckError(
-            f"covariance routes disagree by {worst:.3e} (tolerance {agree_tol:.1e})"
+            f"covariance routes disagree by {worst:.3e} (tolerance {ROUTE_TOL:.1e})"
         )
 
     Sig = 0.5 * (Sig + np.transpose(Sig, (0, 2, 1)))
@@ -193,7 +193,7 @@ def covariance_evolve(avg: AveragedTrajectory, sigma2_provider: Provider,
 
 
 def gaussian_charfn(cov: CovarianceTrajectory, lam, s: float, t: float,
-                    zeta_s=None) -> tuple[float, float]:
+                    zeta_s) -> tuple[float, float]:
     """Conditional characteristic function E(e^{i<lam, zeta(t)>} | zeta(s)).
 
     Returns (log magnitude, phase): the conditional law is Gaussian with mean
@@ -204,8 +204,7 @@ def gaussian_charfn(cov: CovarianceTrajectory, lam, s: float, t: float,
     if s > t:
         raise ValueError("needs s <= t")
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    d = cov.d
-    zeta_s = np.zeros(d) if zeta_s is None else np.atleast_1d(np.asarray(zeta_s, dtype=float))
+    zeta_s = np.atleast_1d(np.asarray(zeta_s, dtype=float))
     if s == t:
         return 0.0, float(lam @ zeta_s)
     C = cov.conditional_covariance(s, t)

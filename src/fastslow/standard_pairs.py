@@ -204,25 +204,8 @@ class StandardFamily:
             ],
         }
 
-    @staticmethod
-    def from_dict(data: dict) -> "StandardFamily":
-        if data.get("format") != FAMILY_FORMAT:
-            raise PairInvariantError(f"unsupported family format {data.get('format')!r}")
-        recs = data["pairs"]
-
-        def column(key):
-            return np.array([rec[key] for rec in recs], dtype=float)
-
-        return StandardFamily(a=column("a"), b=column("b"), G=column("G"), rho=column("rho"),
-                              weights=column("nu"), constants=PairConstants(**data["constants"]),
-                              eps=data["eps"])
-
     def dumps(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
-
-    @staticmethod
-    def loads(text: str) -> "StandardFamily":
-        return StandardFamily.from_dict(json.loads(text))
 
 
 def _stacked(obj) -> tuple:
@@ -245,11 +228,6 @@ def constant_pair(theta0, a: float, b: float, eps: float) -> StandardPair:
 
 
 # -- validation ------------------------------------------------------------------
-
-def validate_pair(pair: StandardPair, constants: PairConstants) -> None:
-    """Check all defining bounds; raises PairInvariantError with the culprit."""
-    _check_pairs(as_family(pair, constants))
-
 
 def _check_pairs(family: StandardFamily) -> None:
     """The defining bounds of every pair of a family."""

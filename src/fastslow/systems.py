@@ -9,8 +9,10 @@ restricted here to trigonometric polynomials, so that every derivative is
 available in closed form and the expansion bound lam and the derivative
 bound K are certified by coefficient sums. A system is checked once, by its
 constructor, which computes both; they cannot be supplied, and nothing
-re-checks a built system. ``to_dict``/``from_dict`` carry exactly the keys
-SYSTEM_KEYS. All evaluators broadcast: ``x`` has shape ``(...)`` and
+re-checks a built system. ``from_dict`` builds a system from an inline
+description with exactly the keys SYSTEM_KEYS, each term a list
+``[amp, kx, px, fx, lt, pt, ft]``; a system is not written back to a
+description. All evaluators broadcast: ``x`` has shape ``(...)`` and
 ``theta`` shape ``(..., d)``.
 
 Each system compiles its terms once into an evaluation plan (``_Plan``): per
@@ -32,7 +34,7 @@ import numpy as np
 from .exceptions import SystemValidationError
 
 _TWO_PI = 2.0 * math.pi
-SYSTEM_KEYS = ("name", "d", "degree", "f_terms", "omega_terms")   # of to_dict / from_dict
+SYSTEM_KEYS = ("name", "d", "degree", "f_terms", "omega_terms")   # read by from_dict
 
 
 @dataclass(frozen=True)
@@ -303,20 +305,9 @@ class FastSlowSystem:
         return (self.degree + fx, _stack(sums[:d], -1), _stack(sums[d:2 * d], -1),
                 _stack([_stack(ot[i * d:(i + 1) * d], -1) for i in range(d)], -2))
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "d": self.d,
-            "degree": self.degree,
-            "f_terms": [list(dataclass_tuple(t)) for t in self.f_terms],
-            "omega_terms": [
-                [list(dataclass_tuple(t)) for t in comp] for comp in self.omega_terms
-            ],
-        }
-
     @staticmethod
     def from_dict(data: dict) -> "FastSlowSystem":
-        """Inverse of ``to_dict``; a key other than SYSTEM_KEYS is a ValueError."""
+        """The system of an inline description; a key other than SYSTEM_KEYS is a ValueError."""
         unknown = sorted(set(data) - set(SYSTEM_KEYS))
         if unknown:
             raise ValueError(f"unknown system keys {unknown}; known: {', '.join(SYSTEM_KEYS)}")
@@ -330,10 +321,6 @@ class FastSlowSystem:
             ],
             name=data.get("name", "custom"),
         )
-
-
-def dataclass_tuple(t: TrigTerm):
-    return (t.amp, t.kx, t.px, t.fx, list(t.lt), t.pt, t.ft)
 
 
 def invert_monotone(F, dF, lo, hi, target, x) -> np.ndarray:

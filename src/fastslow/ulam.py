@@ -26,7 +26,8 @@ import numpy as np
 from .exceptions import BranchInversionError, SRBConvergenceError
 from .systems import FastSlowSystem, invert_monotone, torus
 
-DENSITY_TOL = 1e-12     # L1 fixed-point residual of the power iteration
+DENSITY_TOL = 1e-12       # L1 fixed-point residual of the power iteration
+DENSITY_MAX_ITER = 5000   # power-iteration steps before SRBConvergenceError
 
 
 @dataclass(frozen=True)
@@ -121,16 +122,17 @@ def block_diagonal(ops: Sequence[UlamOperator]) -> "scipy.sparse.csr_matrix":
                                          + [nnz[-1:]])), shape=(B * N, B * N))
 
 
-def srb_density(op: UlamOperator, max_iter: int = 5000) -> SRBDensity:
+def srb_density(op: UlamOperator) -> SRBDensity:
     """Power iteration from the uniform density to the invariant density.
 
-    Convergence is to L1 residual <= DENSITY_TOL (weight 1/N). Non-convergence raises
-    with an estimate of the second eigenvalue from the residual decay.
+    Convergence is to L1 residual <= DENSITY_TOL (weight 1/N) within
+    DENSITY_MAX_ITER steps. Non-convergence raises with an estimate of the
+    second eigenvalue from the residual decay.
     """
     rho = np.ones(op.N)
     res_prev = np.inf
     ratio = np.nan
-    for it in range(1, max_iter + 1):
+    for it in range(1, DENSITY_MAX_ITER + 1):
         rho1 = op.P @ rho
         rho1 /= rho1.mean()
         res = float(np.abs(rho1 - rho).mean())
@@ -140,4 +142,4 @@ def srb_density(op: UlamOperator, max_iter: int = 5000) -> SRBDensity:
         if res <= DENSITY_TOL:
             return SRBDensity(theta=op.theta, N=op.N, rho=rho, residual=res, iterations=it)
         res_prev = res
-    raise SRBConvergenceError(res, max_iter, float(ratio))
+    raise SRBConvergenceError(res, DENSITY_MAX_ITER, float(ratio))

@@ -29,6 +29,15 @@ def workspace():
     return Workspace()
 
 
+def system_dict(system) -> dict:
+    """The inline description of a system, as a config's "system" key holds it."""
+    def terms(ts):
+        return [[t.amp, t.kx, t.px, t.fx, list(t.lt), t.pt, t.ft] for t in ts]
+    return {"name": system.name, "d": system.d, "degree": system.degree,
+            "f_terms": terms(system.f_terms),
+            "omega_terms": [terms(comp) for comp in system.omega_terms]}
+
+
 def birkhoff_fast_orbit(system, theta, x0, n_steps):
     """Frozen-map orbit of a batch of points; oracle helper (no package reuse)."""
     th = np.broadcast_to(np.atleast_1d(theta), (x0.shape[0], system.d))

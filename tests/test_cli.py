@@ -7,10 +7,12 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from conftest import system_dict
 from fastslow import cli
 from fastslow.acceptance import Workspace, criterion_9
 from fastslow.cli import main
 from fastslow.systems import fixture
+from test_srb_cache import planar_system
 
 
 @pytest.fixture()
@@ -166,6 +168,41 @@ def test_module_entry_point_runs_the_cli(tmp_path):
     assert manifest["status"] == "config-error"
 
 
+@pytest.mark.parametrize("args", [["--criteria", "1"], []], ids=["criterion-1", "all"])
+def test_verify_all_rejects_an_inline_system(runner, tmp_path, args):
+    # the criteria check the fixtures; an inline system must not pass unchecked
+    cfg = tmp_path / "inline.json"
+    cfg.write_text(json.dumps({"system": system_dict(fixture("CPL"))}))
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path), "verify-all", *args])
+    assert res.exit_code == 2, res.output
+    manifest = json.loads((tmp_path / "verify-all" / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert not (tmp_path / "verify-all" / "acceptance.json").exists()
+
+
+def test_config_hash_covers_inputs_not_out_dir_or_threads(runner, tmp_path):
+    def run(out, *args):
+        res = runner.invoke(main, ["--out", str(tmp_path / out), "--fixture", "LIN", *args,
+                                   "sigma"])
+        assert res.exit_code == 0, res.output
+        manifest = json.loads((tmp_path / out / "sigma" / "manifest.json").read_text())
+        return manifest["config_sha256"], (tmp_path / out / "sigma" / "sigma.json").read_bytes()
+
+    plain, moved, reseeded = run("a"), run("b", "--threads", "2"), run("c", "--seed", "7")
+    assert plain == moved
+    assert reseeded[0] != plain[0]
+
+
+def test_sigma_prints_every_entry_of_a_planar_sigma2(runner, tmp_path):
+    cfg = tmp_path / "planar.json"
+    cfg.write_text(json.dumps({"system": system_dict(planar_system())}))
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path), "sigma"])
+    assert res.exit_code == 0, res.output
+    s2 = json.loads((tmp_path / "sigma" / "sigma.json").read_text())["sigma2"]
+    shown = ", ".join("[" + ", ".join(f"{v:.6f}" for v in row) + "]" for row in s2)
+    assert f"sigma2 = [{shown}]  (coboundary: " in res.output
+
+
 def test_verify_fixture_cbd(runner, tmp_path):
     res = runner.invoke(main, ["--out", str(tmp_path), "--fixture", "CBD", "verify-all"])
     assert res.exit_code == 0, res.output
@@ -289,7 +326,7 @@ def test_decompose_outputs(runner, tmp_path):
 
 def test_fluctuate_inline_system(runner, tmp_path):
     cfg = tmp_path / "inline.json"
-    cfg.write_text(json.dumps({"system": fixture("CPL").to_dict(), "n_trajectories": 200}))
+    cfg.write_text(json.dumps({"system": system_dict(fixture("CPL")), "n_trajectories": 200}))
     res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path), "fluctuate"])
     assert res.exit_code == 0, res.output
     manifest = json.loads((tmp_path / "fluctuate" / "manifest.json").read_text())

@@ -20,13 +20,14 @@ def test_lin_drift_vanishes(lin):
     assert abs(average_drift(lin, dens)[0]) <= 1e-14
 
 
-def test_pure_theta_drift_and_jacobian():
+def test_pure_theta_drift_and_jacobian(monkeypatch):
+    monkeypatch.setattr(diffusion, "FD_STEP", 1e-4)
     system = theta_only_drift()
     theta = 0.3
     dens = srb_density(ulam_operator(system, [theta], 256))
     wbar = average_drift(system, dens)
     assert wbar[0] == pytest.approx(np.sin(2 * np.pi * theta), abs=1e-12)
-    jac = drift_jacobian(system, [theta], 1e-4, 256)
+    jac = drift_jacobian(system, [theta], 256)
     assert jac[0, 0] == pytest.approx(2 * np.pi * np.cos(2 * np.pi * theta), abs=1e-5)
 
 
@@ -38,18 +39,15 @@ def test_cpl_drift_splits_into_parts(cpl):
     assert wbar[0] == pytest.approx(1.0 + part, abs=1e-12)
 
 
-def test_jacobian_richardson_ratio():
+def test_jacobian_richardson_ratio(monkeypatch):
     # error(h)/error(h/2) ~ 4 for a second-order difference
     system = theta_only_drift()
     theta, exact = 0.3, 2 * np.pi * np.cos(2 * np.pi * 0.3)
-    e1 = abs(drift_jacobian(system, [theta], 1e-2, 256)[0, 0] - exact)
-    e2 = abs(drift_jacobian(system, [theta], 5e-3, 256)[0, 0] - exact)
-    assert 3.5 <= e1 / e2 <= 4.5
-
-
-def test_jacobian_step_bounds():
-    with pytest.raises(ValueError):
-        drift_jacobian(theta_only_drift(), [0.3], 1e-7, 64)
+    errors = []
+    for h in (1e-2, 5e-3):
+        monkeypatch.setattr(diffusion, "FD_STEP", h)
+        errors.append(abs(drift_jacobian(system, [theta], 256)[0, 0] - exact))
+    assert 3.5 <= errors[0] / errors[1] <= 4.5
 
 
 def test_lin_autocovariances(lin):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fastslow import limits
 from fastslow.diffusion import sym_sqrt
 from fastslow.exceptions import CovarianceCrossCheckError
 from fastslow.limits import covariance_evolve, gaussian_charfn, solve_averaged
@@ -49,14 +50,15 @@ def test_constant_drift_is_linear():
     assert avg.at(2.0)[0] == pytest.approx(0.7, abs=1e-10)
 
 
-def test_sine_drift_against_fixed_step_rk4():
+def test_sine_drift_against_fixed_step_rk4(monkeypatch):
     # oracle: classical fixed-step fourth-order integrator at h = 1e-6
+    monkeypatch.setattr(limits, "AVERAGED_TOL", 1e-12)
     kappa = 0.03
 
     def drift(th):
         return np.array([math.sin(2 * math.pi * float(np.atleast_1d(th)[0])) + kappa])
 
-    avg = solve_averaged(drift, [0.2], 1.0, tol=1e-12)
+    avg = solve_averaged(drift, [0.2], 1.0)
 
     def rhs(y):
         return math.sin(2 * math.pi * y) + kappa
@@ -71,13 +73,14 @@ def test_sine_drift_against_fixed_step_rk4():
     assert avg.at(1.0)[0] == pytest.approx(y, abs=1e-8)
 
 
-def test_averaged_residual_at_dyadic_probes():
+def test_averaged_residual_at_dyadic_probes(monkeypatch):
     # dense output satisfies the integral equation to integrator accuracy
     def drift(th):
         return np.array([np.sin(2 * np.pi * float(np.atleast_1d(th)[0])) + 0.1])
 
     tol = 1e-10
-    avg = solve_averaged(drift, [0.2], 1.0, tol=tol)
+    monkeypatch.setattr(limits, "AVERAGED_TOL", tol)
+    avg = solve_averaged(drift, [0.2], 1.0)
     for j in range(1, 6):
         h = 2.0 ** -j
         for t in np.arange(0.0, 1.0 - h + 1e-12, h):
@@ -90,12 +93,14 @@ def test_averaged_residual_at_dyadic_probes():
             assert resid <= 100 * tol
 
 
-def test_gronwall_stability_of_averaged_solve():
+def test_gronwall_stability_of_averaged_solve(monkeypatch):
+    monkeypatch.setattr(limits, "AVERAGED_TOL", 1e-12)
+
     def drift(th):
         return np.array([np.sin(2 * np.pi * float(np.atleast_1d(th)[0]))])
 
-    a1 = solve_averaged(drift, [0.2], 1.0, tol=1e-12)
-    a2 = solve_averaged(drift, [0.2 + 1e-8], 1.0, tol=1e-12)
+    a1 = solve_averaged(drift, [0.2], 1.0)
+    a2 = solve_averaged(drift, [0.2 + 1e-8], 1.0)
     lip = a1.lipschitz_estimate
     ts = np.linspace(0, 1, 33)
     gap = np.abs(a1.at(ts) - a2.at(ts))[:, 0]
@@ -184,23 +189,24 @@ def test_covariance_routes_agree_random_profiles(d, seed):
     assert np.abs(cov.S_at(1.0) @ Phi - np.eye(d)).max() <= 1e-8
 
 
-def test_route_disagreement_raises():
+def test_route_disagreement_raises(monkeypatch):
     # the two routes follow different arithmetic, so an absurd tolerance trips
+    monkeypatch.setattr(limits, "ROUTE_TOL", 1e-16)
     jac, sig2 = _random_profile(2, 1)
     avg = _avg_const(2)
     with pytest.raises(CovarianceCrossCheckError):
-        covariance_evolve(avg, sig2, jac, 1.0, agree_tol=1e-16)
+        covariance_evolve(avg, sig2, jac, 1.0)
 
 
 def test_charfn_degenerate_cases():
     avg = _avg_const(1)
     cov = covariance_evolve(avg, lambda th: np.array([[0.5]]),
                             lambda th: np.array([[0.0]]), 1.0)
-    logmag, phase = gaussian_charfn(cov, [0.0], 0.0, 1.0)
+    logmag, phase = gaussian_charfn(cov, [0.0], 0.0, 1.0, [0.0])
     assert (logmag, phase) == (0.0, 0.0)
-    logmag, phase = gaussian_charfn(cov, [2.0], 0.5, 0.5, zeta_s=[0.3])
+    logmag, phase = gaussian_charfn(cov, [2.0], 0.5, 0.5, [0.3])
     assert logmag == 0.0 and phase == pytest.approx(0.6)
-    logmag, _ = gaussian_charfn(cov, [1.0], 0.0, 1.0)
+    logmag, _ = gaussian_charfn(cov, [1.0], 0.0, 1.0, [0.0])
     assert logmag == pytest.approx(-0.25, abs=1e-10)   # Sigma(1) = 1/2
 
 
@@ -240,7 +246,7 @@ def test_charfn_consistency_with_sampler():
     _, paths = sde_sample(cov, np.random.default_rng(9), 1e-3, 1.0, n_paths=100_000)
     z = paths[:, -1, 0]
     for lv in (0.5, 1.0, 1.5, 2.0, 3.0):
-        logmag, _ = gaussian_charfn(cov, [lv], 0.0, 1.0)
+        logmag, _ = gaussian_charfn(cov, [lv], 0.0, 1.0, [0.0])
         re, im = np.cos(lv * z), np.sin(lv * z)
         # EM has O(dt) weak bias on top of Monte Carlo noise
         assert re.mean() == pytest.approx(np.exp(logmag),

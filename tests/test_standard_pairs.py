@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
@@ -7,7 +9,7 @@ from fastslow.exceptions import PairInvariantError
 from fastslow.standard_pairs import (
     PairConstants, StandardFamily, StandardPair, _not_a_knot, _Splines,
     as_family, class_margins, constant_pair, default_constants, integrate,
-    pushforward_decompose, random_admissible_pair, sample_from_uniform, validate_pair,
+    pushforward_decompose, random_admissible_pair, sample_from_uniform,
 )
 from fastslow.systems import torus
 
@@ -64,8 +66,9 @@ def test_pushforward_identity(name, lin, cpl):
         return np.cos(2 * np.pi * x) * (1.0 + np.sin(2 * np.pi * th[..., 0]))
     for _ in range(6):
         pair = random_admissible_pair(system, eps, consts, rng)
-        validate_pair(pair, consts)
-        out = pushforward_decompose(as_family(pair, consts), system)
+        family = as_family(pair, consts)
+        family.validate()
+        out = pushforward_decompose(family, system)
         out.validate()
 
         def g_pull(x, th):
@@ -118,14 +121,17 @@ def test_serialization_roundtrip(cpl):
     rng = np.random.default_rng(17)
     fam = pushforward_decompose(
         as_family(random_admissible_pair(cpl, 1e-3, consts, rng), consts), cpl)
-    clone = StandardFamily.loads(fam.dumps())
+    data = json.loads(fam.dumps())
+    assert data["format"] == "fastslow-family/1"
+    recs = data["pairs"]
+    clone = StandardFamily(*(np.array([rec[key] for rec in recs], dtype=float)
+                             for key in ("a", "b", "G", "rho", "nu")),
+                           constants=PairConstants(**data["constants"]), eps=data["eps"])
     assert clone.dumps() == fam.dumps()
     assert len(clone.pairs) == len(fam.pairs)
     assert np.allclose(clone.weights, fam.weights)
     g = lambda x, th: np.sin(2 * np.pi * x) + th[..., 0] * 0
     assert integrate(clone, g) == pytest.approx(integrate(fam, g), abs=1e-14)
-    with pytest.raises(PairInvariantError):
-        StandardFamily.from_dict({"format": "other/9"})
 
 
 def test_validation_rejects_bad_pairs():
@@ -133,16 +139,16 @@ def test_validation_rejects_bad_pairs():
     # wrong interval length
     pair = constant_pair([0.1], 0.0, 0.5, 1e-3)
     with pytest.raises(PairInvariantError):
-        validate_pair(pair, consts)
+        as_family(pair, consts).validate()
     # mass not normalized
     pair = StandardPair(0.0, 0.1, np.full((65, 1), 0.2), np.full(65, 1.0), 1e-3)   # integrates to 0.1
     with pytest.raises(PairInvariantError):
-        validate_pair(pair, consts)
+        as_family(pair, consts).validate()
     # curve slope beyond eps * c1
     xg = np.linspace(0.0, 0.1, 65)
     steep = StandardPair(0.0, 0.1, (0.5 + 0.05 * xg)[:, None], np.full(65, 10.0), 1e-3)
     with pytest.raises(PairInvariantError):
-        validate_pair(steep, consts)
+        as_family(steep, consts).validate()
 
 
 def test_decompose_rejects_oversized_eps(cpl):

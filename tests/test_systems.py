@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import system_dict
 from fastslow.exceptions import SystemValidationError
 from fastslow.systems import FastSlowSystem, TrigTerm, fixture, invert_monotone, torus
 from fastslow.ulam import ulam_operator
@@ -93,8 +94,9 @@ ACCESSORS = ("f_lift", "f_omega", "omega", "df_dx", "tangent")
 
 
 def _assert_roundtrip(system):
-    """from_dict(to_dict()), through JSON as an inline config arrives, is the same system."""
-    clone = FastSlowSystem.from_dict(json.loads(json.dumps(system.to_dict())))
+    """from_dict of the system's inline description, through JSON as an inline
+    config arrives, is the same system."""
+    clone = FastSlowSystem.from_dict(json.loads(json.dumps(system_dict(system))))
     assert (clone.name, clone.d, clone.degree, clone.lam, clone.K) == \
         (system.name, system.d, system.degree, system.lam, system.K)
     rng = np.random.default_rng(3)

@@ -166,11 +166,12 @@ def test_grid_floor(lin):
         ulam_operator(lin, [0.0], 8)
 
 
-def test_nonconvergence_reports_second_eigenvalue(cpl):
+def test_nonconvergence_reports_second_eigenvalue(cpl, monkeypatch):
     from fastslow.exceptions import SRBConvergenceError
+    monkeypatch.setattr(ulam, "DENSITY_MAX_ITER", 2)
     op = ulam_operator(cpl, [0.25], 512)
     with pytest.raises(SRBConvergenceError) as err:
-        srb_density(op, max_iter=2)
+        srb_density(op)
     assert 0.0 < err.value.second_eig < 1.0
 
 

@@ -332,12 +332,10 @@ def fluctuate(ctx, cfg, run):
     (run.dir / "moments.json").write_text(mom.to_json())
     (run.dir / "report.txt").write_text(clt.to_text() + "\n" + mom.to_text())
     if ctx.params["dump_paths"]:
-        rows = []
-        for k in range(ens.n_traj):
-            for i, t in enumerate(ens.out_times):
-                rows.append([k, float(t),
-                             *[float(v) for v in ens.theta_lift[k, i]],
-                             *[float(v) for v in ens.zeta[k, i]]])
+        ts = ens.out_times.tolist()
+        rows = ([k, t, *lift, *zeta]    # a generator: one trajectory's rows at a time
+                for k in range(ens.n_traj)
+                for t, lift, zeta in zip(ts, ens.theta_lift[k].tolist(), ens.zeta[k].tolist()))
         write_csv(run.dir / "paths.csv",
                   ["trajectory_id", "t",
                    *[f"theta_lift_{i}" for i in range(ens.d)],
@@ -372,8 +370,10 @@ def verify_all(ctx, cfg, run):
         if unknown:
             raise ConfigError(f"--criteria takes ids among {','.join(known)}, got {unknown}")
         ids = [int(tok) for tok in tokens]
-    elif ctx.obj.get("fixture"):
-        ids = FIXTURE_CRITERIA[ctx.obj["fixture"].upper()]
+    elif ctx.obj.get("fixture") or ctx.obj.get("config"):
+        # a fixture named by the flag or the config file; the built-in LIN
+        # default names none, and then every criterion runs
+        ids = FIXTURE_CRITERIA[cfg.fixture.upper()]
     ws = Workspace(config=cfg)
     results = run_all(ws, ids=ids, echo=click.echo)
     (run.dir / "acceptance.json").write_text(results_to_json(results))

@@ -45,8 +45,11 @@ class ExperimentConfig:
 
     def sha256(self) -> str:
         """Hash of the inputs that can reach a number: every field but
-        out_dir and threads (the outputs are identical across thread counts)."""
+        out_dir and threads (the outputs are identical across thread counts),
+        with the fixture name upper-cased as `configured_system` reads it."""
         inputs = {k: v for k, v in self.resolved().items() if k not in ("out_dir", "threads")}
+        if isinstance(self.fixture, str):
+            inputs["fixture"] = self.fixture.upper()
         blob = json.dumps(inputs, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 

@@ -199,26 +199,36 @@ def run_ensemble(system: FastSlowSystem, pair: StandardPair, eps: float,
     deterministic iteration is vectorized over fixed-size chunks, which a
     thread pool may process concurrently. Chunk boundaries and all reductions
     are independent of the thread count, so output is bit-reproducible.
+
+    The (n_traj, m, d) lift array is allocated once and each chunk writes
+    its rows into its own slice of it; zeta is one more array of that size,
+    scaled in place. So the ensemble holds about 2 * n_traj * m * d * 8
+    bytes plus per-chunk step buffers.
     """
     out_times = np.asarray(out_times, dtype=float)
     us = stream_uniforms(root_seed, n_traj)
     x0, theta0 = sample_from_uniform(pair, us)
+    lifts = np.empty((n_traj, out_times.shape[0], theta0.shape[1]))
 
     starts = list(range(0, n_traj, CHUNK))
 
-    def work(c0: int) -> np.ndarray:
+    def work(c0: int) -> None:
         sl = slice(c0, min(c0 + CHUNK, n_traj))
-        return sample_paths_batch(system, eps, x0[sl], theta0[sl], out_times, T)
+        sample_paths_batch(system, eps, x0[sl], theta0[sl], out_times, T, out=lifts[sl])
 
     if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, starts))
+            list(pool.map(work, starts))    # re-raises a chunk's exception
     else:
-        parts = [work(c0) for c0 in starts]
-    lifts = np.concatenate(parts, axis=0)
+        for c0 in starts:
+            work(c0)
 
     theta_bar = avg.at(out_times)
-    zeta = (lifts - theta_bar[None]) / np.sqrt(eps) if eps > 0 else np.zeros_like(lifts)
+    if eps > 0:
+        zeta = np.subtract(lifts, theta_bar[None])
+        zeta /= np.sqrt(eps)
+    else:
+        zeta = np.zeros_like(lifts)
     return Ensemble(
         system=system, eps=eps, n_traj=n_traj, root_seed=root_seed, T=T,
         out_times=out_times, theta_lift=lifts, zeta=zeta, theta_bar=theta_bar, avg=avg,
@@ -277,8 +287,11 @@ def averaging_error(ensembles: Sequence[Ensemble]) -> Report:
         raise ValueError("need at least 3 eps values for a scaling fit")
     rows = []
     for ens in sorted(ensembles, key=lambda e: -e.eps):
-        dev = np.linalg.norm(ens.theta_lift - ens.theta_bar[None], axis=2)
-        sup = dev.max(axis=1)
+        # running maximum over output times: no (n, m, d) temporary
+        sup = np.linalg.norm(ens.theta_lift[:, 0] - ens.theta_bar[0], axis=1)
+        for i in range(1, ens.out_times.shape[0]):
+            np.maximum(sup, np.linalg.norm(ens.theta_lift[:, i] - ens.theta_bar[i], axis=1),
+                       out=sup)
         rows.append({
             "eps": _f(ens.eps),
             "mean_sup_error": _f(sup.mean()),
@@ -310,16 +323,22 @@ def moment_scaling(ensemble: Ensemble) -> Report:
     if 2 ** levels != m:
         raise GridMismatchError("moment scaling needs 2^j + 1 output times")
     T = ensemble.T
+    n = ensemble.n_traj
     rows = []
     for j in range(levels + 1):
-        stride = m // 2 ** j
-        idx = np.arange(0, m + 1, stride)
-        dz = np.diff(ensemble.zeta[:, idx, :], axis=1)
-        sq = np.sum(dz * dz, axis=2)
-        q2 = sq.mean(axis=1)
-        q4 = (sq * sq).mean(axis=1)
+        z = ensemble.zeta[:, ::m // 2 ** j]     # a view of the 2^j + 1 points
+        # per-trajectory means over the increments, summed one increment at a
+        # time in time order; 0.0 + sq is sq exactly, as sq >= +0
+        q2 = np.zeros(n)
+        q4 = np.zeros(n)
+        for k in range(2 ** j):
+            dz = z[:, k + 1] - z[:, k]
+            sq = np.sum(dz * dz, axis=1)
+            q2 += sq
+            q4 += sq * sq
+        q2 /= 2 ** j
+        q4 /= 2 ** j
         gap = T / 2 ** j
-        n = ensemble.n_traj
         rows.append({
             "gap": _f(gap),
             "m2": _f(q2.mean()), "m2_se": _f(q2.std(ddof=1) / np.sqrt(n)),
@@ -363,14 +382,20 @@ def martingale_residual(ensemble: Ensemble, A: Observable,
         w = w * np.asarray(Bi(torus(ensemble.theta_lift[:, ensemble.time_index(ti)])))
     if i_t > i_s:
         ts = ensemble.out_times[i_s:i_t + 1]
-        integrand = np.zeros((ensemble.n_traj, ts.shape[0]))
+        dts = np.diff(ts)
+        # np.trapezoid's panels dt_k * (g_k + g_{k-1}) / 2.0 and its row sums,
+        # built as the integrand comes so no (n, K) integrand is kept
+        panels = np.empty((ensemble.n_traj, dts.shape[0]))
         for k, tt in enumerate(ts):
             B = cov.B_at(float(tt))
             s2 = np.asarray(cov.sigma2_provider(ensemble.avg.at(float(tt))), dtype=float)
             zi = z[:, i_s + k]
-            integrand[:, k] = np.einsum("nj,nj->n", A.grad(zi), zi @ B.T) \
+            g = np.einsum("nj,nj->n", A.grad(zi), zi @ B.T) \
                 + 0.5 * np.einsum("ij,nij->n", s2, A.hess(zi))
-        integral = np.trapezoid(integrand, ts, axis=1)
+            if k:
+                panels[:, k - 1] = dts[k - 1] * (g + g_prev) / 2.0
+            g_prev = g
+        integral = panels.sum(axis=1)
     else:
         integral = np.zeros(ensemble.n_traj)
     resid = w * (A.value(z[:, i_t]) - A.value(z[:, i_s]) - integral)

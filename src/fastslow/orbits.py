@@ -30,7 +30,8 @@ def step(system: FastSlowSystem, eps: float, x, theta):
 
 
 def sample_paths_batch(system: FastSlowSystem, eps: float, x0: np.ndarray,
-                       theta0: np.ndarray, out_times: np.ndarray, T: float) -> np.ndarray:
+                       theta0: np.ndarray, out_times: np.ndarray, T: float,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """Lifted polygonal paths for a batch of initial points.
 
     The polygonal path puts node k at time eps*k with the lifted value after
@@ -42,16 +43,19 @@ def sample_paths_batch(system: FastSlowSystem, eps: float, x0: np.ndarray,
     x0 : (N,) fast initial points
     theta0 : (N, d) slow initial points
     out_times : sorted times in [0, T] at which the polygonal path is read off
+    out : optional (N, len(out_times), d) array, for instance a row slice of
+        a larger array, that receives the rows; a new one when None
 
     Returns
     -------
-    (N, len(out_times), d) array of lifted slow values. Memory stays at
+    (N, len(out_times), d) array of lifted slow values, which is `out` when
+    given. Row i is the path of initial point i. Memory stays at
     O(N * len(out_times) * d); the full orbit is never stored.
     """
     out_times = np.asarray(out_times, dtype=float)
     N, d = theta0.shape
     m = out_times.shape[0]
-    rec = np.empty((N, m, d))
+    rec = np.empty((N, m, d)) if out is None else out
     if eps == 0.0:
         rec[:] = theta0[:, None, :]
         return rec

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -11,6 +12,7 @@ from conftest import system_dict
 from fastslow import cli
 from fastslow.acceptance import Workspace, criterion_9
 from fastslow.cli import main
+from fastslow.config import config_from_dict
 from fastslow.systems import fixture
 from test_srb_cache import planar_system
 
@@ -208,6 +210,36 @@ def test_verify_fixture_cbd(runner, tmp_path):
     assert res.exit_code == 0, res.output
     report = json.loads((tmp_path / "verify-all" / "acceptance.json").read_text())
     assert [c["id"] for c in report["criteria"]] == [3, 12]
+
+
+def test_verify_fixture_from_a_config_file(runner, tmp_path):
+    # the fixture named by a config file picks the suite, as the flag does
+    cfg = tmp_path / "cbd.json"
+    cfg.write_text(json.dumps({"fixture": "cbd"}))
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path), "verify-all"])
+    assert res.exit_code == 0, res.output
+    report = json.loads((tmp_path / "verify-all" / "acceptance.json").read_text())
+    assert [c["id"] for c in report["criteria"]] == [3, 12]
+
+
+def test_fluctuate_dump_paths_round_trips(runner, tmp_path):
+    n = 40
+    res = runner.invoke(main, ["--out", str(tmp_path), "--fixture", "LIN", "--theta0", "0.3",
+                               "--eps", "1e-3", "--n", str(n), "fluctuate", "--dump-paths"])
+    assert res.exit_code == 0, res.output
+    run_dir = tmp_path / "fluctuate"
+    cfg = config_from_dict(json.loads((run_dir / "resolved_config.json").read_text()))
+    ens = Workspace(config=cfg).ensemble(None, 1e-3, n, theta0=[0.3], T=cfg.horizon)
+    lines = (run_dir / "paths.csv").read_text().splitlines()
+    m = ens.out_times.shape[0]
+    assert len(lines) == n * m + 1
+    assert lines[0] == "trajectory_id,t,theta_lift_0,zeta_0"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(r[0]) for r in rows] == [k for k in range(n) for _ in range(m)]
+    values = np.array([[float(v) for v in r[1:]] for r in rows])
+    assert np.array_equal(values[:, 0], np.tile(ens.out_times, n))
+    assert np.array_equal(values[:, 1], ens.theta_lift.ravel())
+    assert np.array_equal(values[:, 2], ens.zeta.ravel())
 
 
 def test_fluctuate_reports_are_reproducible(runner, tmp_path):

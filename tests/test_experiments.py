@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -9,14 +10,15 @@ from scipy.linalg import expm
 from fastslow.diffusion import diffusion_matrix
 from fastslow.exceptions import GridMismatchError
 from fastslow.experiments import (
-    Ensemble, Observable, averaging_error, clt_test, cylinder_weight, default_out_times,
+    CHUNK, Ensemble, Observable, averaging_error, clt_test, cylinder_weight, default_out_times,
     martingale_residual, moment_scaling, run_ensemble,
 )
 from fastslow.experiments import observable_library as function_library
 from fastslow.limits import covariance_evolve, solve_averaged
+from fastslow.orbits import sample_paths_batch
 from fastslow.rng import stream_uniforms
 from fastslow.standard_pairs import constant_pair, sample_from_uniform
-from fastslow.systems import FastSlowSystem, TrigTerm, fixture
+from fastslow.systems import FastSlowSystem, TrigTerm, fixture, torus
 from test_srb_cache import planar_system
 
 
@@ -321,3 +323,142 @@ def test_cylinder_weights():
     assert cosw(np.array([[0.0]]))[0] == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(KeyError):
         cylinder_weight("nope", [0.0])
+
+
+# -- one array per ensemble, against the concatenating formulation ---------------
+
+def concatenated_paths(system, pair, eps, n, T, ot, seed, avg):
+    """theta_lift and zeta as first formulated: one fresh array per chunk, joined
+    by np.concatenate, and zeta = (lifts - theta_bar) / sqrt(eps); oracle."""
+    x0, theta0 = sample_from_uniform(pair, stream_uniforms(seed, n))
+    parts = [sample_paths_batch(system, eps, x0[c:c + CHUNK], theta0[c:c + CHUNK], ot, T)
+             for c in range(0, n, CHUNK)]
+    lifts = np.concatenate(parts, axis=0)
+    return lifts, (lifts - avg.at(ot)[None]) / np.sqrt(eps)
+
+
+def trapezoid_residual(ens, A, conditioning, s, t, cov):
+    """Mean and stderr of the martingale residual with the whole (n, K)
+    integrand kept and integrated by np.trapezoid; oracle."""
+    i_s, i_t = ens.time_index(s), ens.time_index(t)
+    z = ens.zeta
+    w = np.ones(ens.n_traj)
+    for ti, Bi in conditioning:
+        w = w * np.asarray(Bi(torus(ens.theta_lift[:, ens.time_index(ti)])))
+    ts = ens.out_times[i_s:i_t + 1]
+    integrand = np.zeros((ens.n_traj, ts.shape[0]))
+    for k, tt in enumerate(ts):
+        B = cov.B_at(float(tt))
+        s2 = np.asarray(cov.sigma2_provider(ens.avg.at(float(tt))), dtype=float)
+        zi = z[:, i_s + k]
+        integrand[:, k] = np.einsum("nj,nj->n", A.grad(zi), zi @ B.T) \
+            + 0.5 * np.einsum("ij,nij->n", s2, A.hess(zi))
+    resid = w * (A.value(z[:, i_t]) - A.value(z[:, i_s]) - np.trapezoid(integrand, ts, axis=1))
+    return float(resid.mean()), float(resid.std(ddof=1) / np.sqrt(ens.n_traj))
+
+
+def fancy_index_moments(ens):
+    """(m2, m2_se, m4, m4_se) per dyadic gap, read through a fancy-index copy; oracle."""
+    m = ens.out_times.shape[0] - 1
+    out = []
+    for j in range(int(np.log2(m)) + 1):
+        dz = np.diff(ens.zeta[:, np.arange(0, m + 1, m // 2 ** j), :], axis=1)
+        sq = np.sum(dz * dz, axis=2)
+        q2, q4 = sq.mean(axis=1), (sq * sq).mean(axis=1)
+        se = np.sqrt(ens.n_traj)
+        out.append((float(q2.mean()), float(q2.std(ddof=1) / se),
+                    float(q4.mean()), float(q4.std(ddof=1) / se)))
+    return out
+
+
+def full_sup_error(ens):
+    """Mean and stderr of sup_t |Theta - Theta_bar| from the whole (n, m, d) difference; oracle."""
+    sup = np.linalg.norm(ens.theta_lift - ens.theta_bar[None], axis=2).max(axis=1)
+    return float(sup.mean()), float(sup.std(ddof=1) / np.sqrt(ens.n_traj))
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("name, threads", [("CPL", 1), ("CPL", 2), ("planar", 2)])
+def test_one_array_ensemble_and_reports_equal_the_concatenating_oracle(name, threads):
+    # 5000 = CHUNK + 904 trajectories: a short last chunk
+    system = planar_system() if name == "planar" else fixture(name)
+    d = system.d
+    theta0 = [0.3, 0.6][:d]
+    T, n = 1.0, 5000
+    ot = default_out_times(T)
+    avg = solve_averaged(lambda th: 0.3 * np.sin(2 * np.pi * th), theta0, T)
+    cov = covariance_evolve(avg, lambda th: SIGMA2_PLANAR[:d, :d], lambda th: B_PLANAR[:d, :d],
+                            T, out_times=ot)
+    enss = []
+    for eps in (4e-3, 2e-3, 1e-3):
+        pair = constant_pair(theta0, 0.2, 0.3, eps)
+        ens = run_ensemble(system, pair, eps, n, T, ot, 77, avg, threads=threads)
+        lifts, zeta = concatenated_paths(system, pair, eps, n, T, ot, 77, avg)
+        assert np.array_equal(bits(ens.theta_lift), bits(lifts))
+        assert np.array_equal(bits(ens.zeta), bits(zeta))
+        enss.append(ens)
+
+    rows = averaging_error(enss).data["rows"]
+    assert [(r["mean_sup_error"], r["stderr"]) for r in rows] == [full_sup_error(e) for e in enss]
+    ens = enss[-1]
+    rows = moment_scaling(ens).data["rows"]
+    assert [(r["m2"], r["m2_se"], r["m4"], r["m4_se"]) for r in rows] == fancy_index_moments(ens)
+    bump = cylinder_weight("bump", avg.at(0.25), 0.3)
+    for A in function_library(d):
+        for conditioning in ([], [(0.25, bump)]):
+            for t in (0.75, 1.0):
+                data = martingale_residual(ens, A, conditioning, 0.5, t, cov).data
+                assert (data["mean"], data["stderr"]) == \
+                    trapezoid_residual(ens, A, conditioning, 0.5, t, cov), (A.name, t)
+
+
+def test_chunks_fill_their_own_rows_of_the_shared_array_under_thread_switching(cpl):
+    # five chunks, the last one short, on five threads (more than cores) that
+    # switch as often as the interpreter allows, all writing into one lift array
+    n = 5 * CHUNK - 3
+    pair = constant_pair([0.3], 0.2, 0.3, 1e-2)
+    avg = solve_averaged(lambda th: np.zeros(1), [0.3], 1.0)
+    ot = default_out_times(1.0)
+    serial = run_ensemble(cpl, pair, 1e-2, n, 1.0, ot, 9, avg)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=1) as runner:
+            threaded = runner.submit(run_ensemble, cpl, pair, 1e-2, n, 1.0, ot, 9, avg,
+                                     threads=5).result(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(bits(threaded.theta_lift), bits(serial.theta_lift))
+    assert np.array_equal(bits(threaded.zeta), bits(serial.zeta))
+
+
+def test_ensemble_and_residual_hold_each_array_once(cpl):
+    # tracemalloc peaks at n = 8192 on CPL, relative to the bytes of theta_lift + zeta:
+    # the concatenating ensemble peaked at 1.56 and the (n, K) trapezoid residual added 0.77
+    T, n = 1.0, 8192
+    ot = default_out_times(T)
+    avg = solve_averaged(lambda th: 0.3 * np.sin(2 * np.pi * th), [0.25], T)
+    cov = covariance_evolve(avg, lambda th: np.array([[0.5]]), lambda th: np.array([[-0.2]]),
+                            T, out_times=ot)
+    pair = constant_pair([0.25], 0.2, 0.3, 1e-3)
+    A = {f.name: f for f in function_library(1)}["bump2"]
+    bump = cylinder_weight("bump", avg.at(0.25), 0.3)
+    cpl.f_omega(np.full(4, 0.5), np.full((4, 1), 0.5))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ens = run_ensemble(cpl, pair, 1e-3, n, T, ot, 5, avg, threads=2)
+        ensemble_peak = tracemalloc.get_traced_memory()[1] - base
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        martingale_residual(ens, A, [(0.25, bump)], 0.5, 1.0, cov)
+        residual_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    stored = ens.theta_lift.nbytes + ens.zeta.nbytes
+    assert ensemble_peak <= 1.2 * stored
+    assert residual_peak <= 0.5 * stored

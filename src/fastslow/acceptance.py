@@ -5,7 +5,8 @@ later calibration. Of the config only the seed reaches a verdict: the frozen
 solves run at diffusion.ULAM_N cells and every ensemble and covariance on
 the OUT_TIMES grid, whatever the config says. Expensive artifacts (drift
 caches, averaged solves, ensembles) are shared through the Workspace so the
-whole suite stays within its runtime budget on a desktop machine.
+whole suite stays within its runtime budget on a desktop machine; the last
+criterion to read an ensemble releases it.
 """
 from __future__ import annotations
 
@@ -74,7 +75,9 @@ class Workspace:
 
     theta0 is a sequence of length d; the averaged, covariance and ensemble
     caches key on its tuple. Ensembles run on config.threads threads unless
-    a call names another count.
+    a call names another count. A call with release=True comes from the
+    ensemble's last reader in CRITERIA order: the workspace hands the
+    ensemble over and keeps no reference to it.
     """
 
     config: ExperimentConfig = field(default_factory=lambda: ExperimentConfig(fixture="CPL"))
@@ -120,7 +123,7 @@ class Workspace:
 
     def ensemble(self, name: Optional[str], eps: float, n: int,
                  theta0: Sequence[float] = (0.25,), T: float = 1.0,
-                 threads: Optional[int] = None) -> Ensemble:
+                 threads: Optional[int] = None, release: bool = False) -> Ensemble:
         threads = threads or self.config.threads
         key = (name, eps, n, tuple(theta0), T, threads)
         if key not in self._ens:
@@ -131,7 +134,7 @@ class Workspace:
                 self.averaged(name, theta0, T),
                 threads=threads,
             )
-        return self._ens[key]
+        return self._ens.pop(key) if release else self._ens[key]
 
 
 def _result(cid, title, cap, t0, passed, details) -> CriterionResult:
@@ -177,7 +180,7 @@ def criterion_4(ws: Workspace) -> CriterionResult:
     """Slow paths concentrate on the averaged trajectory at rate ~ sqrt(eps)."""
     t0 = time.time()
     eps_list = [4e-3, 1e-3, 2.5e-4]
-    ensembles = [ws.ensemble("CPL", e, 2000) for e in eps_list]
+    ensembles = [ws.ensemble("CPL", e, 2000, release=True) for e in eps_list]
     rep = averaging_error(ensembles)
     slope = rep.data["fitted_exponent"]
     ok = rep.data["monotone_decreasing"] and 0.35 <= slope <= 0.65
@@ -283,7 +286,7 @@ def criterion_9(ws: Workspace) -> CriterionResult:
 def criterion_10(ws: Workspace) -> CriterionResult:
     """Conditioned martingale residuals vanish within noise plus slack."""
     t0 = time.time()
-    ens = ws.ensemble("CPL", 1e-3, 10_000)
+    ens = ws.ensemble("CPL", 1e-3, 10_000, release=True)    # criterion 6 read it first
     cov = ws.covariance("CPL")
     avg = ens.avg
     funcs = [f for f in observable_library(1) if f.name in ("z0", "z0z0", "bump2", "cos<l,z>|l|=1")]
@@ -310,9 +313,10 @@ def criterion_11(ws: Workspace) -> CriterionResult:
     """Thread count does not change report bytes."""
     t0 = time.time()
     reports = {}
-    # trajectory count spans several chunks so the pool actually engages
+    # 10 000 trajectories make one slice per thread, so every pool thread works;
+    # criteria 5 and 7 read the ensemble at config.threads first
     for threads in (1, 2, 4):
-        ens = ws.ensemble("LIN", 1e-3, 10_000, theta0=[0.3], threads=threads)
+        ens = ws.ensemble("LIN", 1e-3, 10_000, theta0=[0.3], threads=threads, release=True)
         cov = ws.covariance("LIN", theta0=[0.3])
         blob = clt_test(ens, cov).to_json() + moment_scaling(ens).to_json()
         reports[threads] = blob
@@ -324,7 +328,7 @@ def criterion_11(ws: Workspace) -> CriterionResult:
 def criterion_12(ws: Workspace) -> CriterionResult:
     """Supplementary: coboundary drift yields degenerate path fluctuations."""
     t0 = time.time()
-    ens = ws.ensemble("CBD", 1e-3, 2000, theta0=[0.3])
+    ens = ws.ensemble("CBD", 1e-3, 2000, theta0=[0.3], release=True)
     var = float(ens.zeta[:, -1, 0].var(ddof=1))
     ctx = diffusion_matrix(ws.system("CBD"), [0.3], ULAM_N, with_jacobian=False)
     ok = var <= 1e-2 and ctx.coboundary

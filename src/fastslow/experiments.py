@@ -3,9 +3,11 @@
 Ensembles iterate the skew product from standard-pair initial conditions,
 with one counter-based stream per trajectory, and store the lifted slow path
 and the rescaled deviation from the averaged trajectory on a fixed output
-grid. Reports are pure functions of stored arrays, reduced in a fixed order,
-so identical configurations give byte-identical JSON no matter how many
-threads ran the simulation.
+grid. The arrays are stored time-major, so the values of one output time
+are contiguous, and every report reads them one time slice at a time.
+Reports are pure functions of stored arrays, reduced in a fixed order, so
+identical configurations give byte-identical JSON no matter how many threads
+ran the simulation.
 
 Statistical pass/fail bands are always 3 standard errors plus an explicit
 slack RESIDUAL_SLACK * sqrt(eps); the slack absorbs the finite-eps bias of
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -27,7 +29,7 @@ from .rng import stream_uniforms
 from .standard_pairs import StandardPair, sample_from_uniform
 from .systems import FastSlowSystem, torus
 
-CHUNK = 4096   # fixed slice size; results must not depend on thread count
+CHUNK = 16_384   # most trajectories in one slice; results do not depend on the slicing
 # Slack of the statistical passes: the band is 3*stderr + RESIDUAL_SLACK*sqrt(eps).
 # Calibrated once on the LIN fixture (observed finite-eps bias ~0.3*sqrt(eps)
 # on the worst test function) and frozen here; it is an engineering constant,
@@ -162,7 +164,16 @@ def cylinder_weight(name: str, center=None, width: float = 0.2) -> Callable:
 
 @dataclass
 class Ensemble:
-    """Stored slow paths and fluctuations of a seeded trajectory collection."""
+    """Stored slow paths and fluctuations of a seeded trajectory collection.
+
+    From run_ensemble, theta_lift and zeta are read-only (n_traj, m, d)
+    views of time-major (m, n_traj, d) arrays, so ens.zeta[:, i] is
+    contiguous. The reports give the same bits for either layout.
+
+    residuals keeps each unweighted martingale residual computed on the
+    ensemble (see martingale_residual). That memory is sound because the
+    arrays do not change; an Ensemble built by hand must keep them unchanged.
+    """
 
     system: FastSlowSystem
     eps: float
@@ -174,6 +185,7 @@ class Ensemble:
     zeta: np.ndarray             # (n_traj, m, d)
     theta_bar: np.ndarray        # (m, d) averaged trajectory on the grid
     avg: AveragedTrajectory
+    residuals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def d(self) -> int:
@@ -195,43 +207,51 @@ def run_ensemble(system: FastSlowSystem, pair: StandardPair, eps: float,
                  avg: AveragedTrajectory, threads: int = 1) -> Ensemble:
     """Simulate n_traj trajectories from the pair and record path data.
 
-    Trajectory k draws its initial point with stream root_seed XOR k; the
-    deterministic iteration is vectorized over fixed-size chunks, which a
-    thread pool may process concurrently. Chunk boundaries and all reductions
-    are independent of the thread count, so output is bit-reproducible.
+    Trajectory k draws its initial point with stream root_seed XOR k. The
+    deterministic iteration is vectorized over threads * ceil(n_traj /
+    (threads * CHUNK)) near-equal contiguous slices of trajectories: one per
+    thread up to threads * CHUNK trajectories, and never more than CHUNK in
+    one slice. A trajectory's arithmetic is elementwise, so the output is
+    bit-identical for every slicing and thread count.
 
-    The (n_traj, m, d) lift array is allocated once and each chunk writes
-    its rows into its own slice of it; zeta is one more array of that size,
-    scaled in place. So the ensemble holds about 2 * n_traj * m * d * 8
-    bytes plus per-chunk step buffers.
+    The lift array is allocated once, time-major as (m, n_traj, d); each
+    slice writes its trajectories into a strided view of it, and zeta is one
+    more array of that layout, scaled in place. The ensemble exposes both as
+    read-only (n_traj, m, d) views and holds about 2 * n_traj * m * d * 8
+    bytes, plus the step buffers of the slices in flight.
     """
     out_times = np.asarray(out_times, dtype=float)
     us = stream_uniforms(root_seed, n_traj)
     x0, theta0 = sample_from_uniform(pair, us)
-    lifts = np.empty((n_traj, out_times.shape[0], theta0.shape[1]))
+    lifts = np.empty((out_times.shape[0], n_traj, theta0.shape[1]))
+    workers = max(threads, 1)
+    k = workers * -(-n_traj // (workers * CHUNK))
+    cuts = [n_traj * i // k for i in range(k + 1)]
+    slices = [slice(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
 
-    starts = list(range(0, n_traj, CHUNK))
+    def work(sl: slice) -> None:
+        sample_paths_batch(system, eps, x0[sl], theta0[sl], out_times, T,
+                           out=lifts[:, sl].transpose(1, 0, 2))
 
-    def work(c0: int) -> None:
-        sl = slice(c0, min(c0 + CHUNK, n_traj))
-        sample_paths_batch(system, eps, x0[sl], theta0[sl], out_times, T, out=lifts[sl])
-
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, starts))    # re-raises a chunk's exception
+    if workers > 1 and len(slices) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(work, slices))    # re-raises a slice's exception
     else:
-        for c0 in starts:
-            work(c0)
+        for sl in slices:
+            work(sl)
 
     theta_bar = avg.at(out_times)
     if eps > 0:
-        zeta = np.subtract(lifts, theta_bar[None])
+        zeta = np.subtract(lifts, theta_bar[:, None])
         zeta /= np.sqrt(eps)
     else:
         zeta = np.zeros_like(lifts)
+    lifts.flags.writeable = False
+    zeta.flags.writeable = False
     return Ensemble(
         system=system, eps=eps, n_traj=n_traj, root_seed=root_seed, T=T,
-        out_times=out_times, theta_lift=lifts, zeta=zeta, theta_bar=theta_bar, avg=avg,
+        out_times=out_times, theta_lift=lifts.transpose(1, 0, 2),
+        zeta=zeta.transpose(1, 0, 2), theta_bar=theta_bar, avg=avg,
     )
 
 
@@ -361,25 +381,11 @@ def moment_scaling(ensemble: Ensemble) -> Report:
     )
 
 
-def martingale_residual(ensemble: Ensemble, A: Observable,
-                        conditioning: Sequence[tuple], s: float, t: float,
-                        cov: CovarianceTrajectory) -> Report:
-    """Conditioned residual E[ prod B_i(Theta(t_i)) * (A(zeta(t)) - A(zeta(s))
-    - int_s^t L_tau A d tau) ]; the martingale property makes this vanish in
-    the limit, so the pass band is 3 stderr + RESIDUAL_SLACK * sqrt(eps).
-
-    conditioning is a sequence of (t_i, B_i) with t_i < s and B_i a callable
-    weight on the slow torus.
-    """
-    if not (0.0 <= s <= t <= ensemble.T):
-        raise ValueError("need 0 <= s <= t <= T")
-    i_s, i_t = ensemble.time_index(s), ensemble.time_index(t)
+def _unweighted_residual(ensemble: Ensemble, A: Observable, i_s: int, i_t: int,
+                         cov: CovarianceTrajectory) -> np.ndarray:
+    """A(zeta(t)) - A(zeta(s)) - int_s^t L_tau A d tau per trajectory."""
     z = ensemble.zeta
-    w = np.ones(ensemble.n_traj)
-    for (ti, Bi) in conditioning:
-        if ti >= s:
-            raise ValueError("conditioning times must precede s")
-        w = w * np.asarray(Bi(torus(ensemble.theta_lift[:, ensemble.time_index(ti)])))
+    integral = np.zeros(ensemble.n_traj)
     if i_t > i_s:
         ts = ensemble.out_times[i_s:i_t + 1]
         dts = np.diff(ts)
@@ -396,9 +402,35 @@ def martingale_residual(ensemble: Ensemble, A: Observable,
                 panels[:, k - 1] = dts[k - 1] * (g + g_prev) / 2.0
             g_prev = g
         integral = panels.sum(axis=1)
-    else:
-        integral = np.zeros(ensemble.n_traj)
-    resid = w * (A.value(z[:, i_t]) - A.value(z[:, i_s]) - integral)
+    return A.value(z[:, i_t]) - A.value(z[:, i_s]) - integral
+
+
+def martingale_residual(ensemble: Ensemble, A: Observable,
+                        conditioning: Sequence[tuple], s: float, t: float,
+                        cov: CovarianceTrajectory) -> Report:
+    """Conditioned residual E[ prod B_i(Theta(t_i)) * (A(zeta(t)) - A(zeta(s))
+    - int_s^t L_tau A d tau) ]; the martingale property makes this vanish in
+    the limit, so the pass band is 3 stderr + RESIDUAL_SLACK * sqrt(eps).
+
+    conditioning is a sequence of (t_i, B_i) with t_i < s and B_i a callable
+    weight on the slow torus. The unweighted residual, compensator included,
+    is computed once per (A, s, t, cov), keyed on the identity of A and cov,
+    and kept on the ensemble; each conditioning then only multiplies it by
+    its weight.
+    """
+    if not (0.0 <= s <= t <= ensemble.T):
+        raise ValueError("need 0 <= s <= t <= T")
+    i_s, i_t = ensemble.time_index(s), ensemble.time_index(t)
+    w = np.ones(ensemble.n_traj)
+    for (ti, Bi) in conditioning:
+        if ti >= s:
+            raise ValueError("conditioning times must precede s")
+        w = w * np.asarray(Bi(torus(ensemble.theta_lift[:, ensemble.time_index(ti)])))
+    key = (id(A), i_s, i_t, id(cov))
+    if key not in ensemble.residuals:
+        # the entry holds A and cov, so their ids cannot be reused while it lives
+        ensemble.residuals[key] = (A, cov, _unweighted_residual(ensemble, A, i_s, i_t, cov))
+    resid = w * ensemble.residuals[key][2]
     mean = _f(resid.mean())
     se = _f(resid.std(ddof=1) / np.sqrt(ensemble.n_traj)) if ensemble.n_traj > 1 else 0.0
     thr = 3.0 * se + RESIDUAL_SLACK * np.sqrt(ensemble.eps)

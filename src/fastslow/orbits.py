@@ -43,8 +43,9 @@ def sample_paths_batch(system: FastSlowSystem, eps: float, x0: np.ndarray,
     x0 : (N,) fast initial points
     theta0 : (N, d) slow initial points
     out_times : sorted times in [0, T] at which the polygonal path is read off
-    out : optional (N, len(out_times), d) array, for instance a row slice of
-        a larger array, that receives the rows; a new one when None
+    out : optional (N, len(out_times), d) array that receives the rows, a
+        new one when None. It may be a strided view, for instance the
+        transpose of a slice of a time-major (len(out_times), N', d) array
 
     Returns
     -------

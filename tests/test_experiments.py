@@ -1,6 +1,8 @@
+import dataclasses
 import sys
 import threading
 import tracemalloc
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -92,7 +94,7 @@ def test_same_seed_bit_identical():
 
 
 def test_thread_count_does_not_change_results():
-    # 5000 trajectories are two chunks of CHUNK; CPL's f depends on theta
+    # 5000 trajectories: one slice on one thread, three on three; CPL's f depends on theta
     pair = constant_pair([0.3], 0.2, 0.3, 1e-3)
     avg = solve_averaged(lambda th: np.zeros(1), [0.3], 1.0)
     ot = default_out_times(1.0)
@@ -328,8 +330,9 @@ def test_cylinder_weights():
 # -- one array per ensemble, against the concatenating formulation ---------------
 
 def concatenated_paths(system, pair, eps, n, T, ot, seed, avg):
-    """theta_lift and zeta as first formulated: one fresh array per chunk, joined
-    by np.concatenate, and zeta = (lifts - theta_bar) / sqrt(eps); oracle."""
+    """theta_lift and zeta as first formulated: one fresh path-major array per
+    CHUNK trajectories, joined by np.concatenate, and
+    zeta = (lifts - theta_bar) / sqrt(eps); oracle."""
     x0, theta0 = sample_from_uniform(pair, stream_uniforms(seed, n))
     parts = [sample_paths_batch(system, eps, x0[c:c + CHUNK], theta0[c:c + CHUNK], ot, T)
              for c in range(0, n, CHUNK)]
@@ -383,7 +386,7 @@ def bits(a):
 
 @pytest.mark.parametrize("name, threads", [("CPL", 1), ("CPL", 2), ("planar", 2)])
 def test_one_array_ensemble_and_reports_equal_the_concatenating_oracle(name, threads):
-    # 5000 = CHUNK + 904 trajectories: a short last chunk
+    # 5000 trajectories: one slice at threads 1, two of 2500 at threads 2
     system = planar_system() if name == "planar" else fixture(name)
     d = system.d
     theta0 = [0.3, 0.6][:d]
@@ -416,9 +419,11 @@ def test_one_array_ensemble_and_reports_equal_the_concatenating_oracle(name, thr
 
 
 def test_chunks_fill_their_own_rows_of_the_shared_array_under_thread_switching(cpl):
-    # five chunks, the last one short, on five threads (more than cores) that
-    # switch as often as the interpreter allows, all writing into one lift array
-    n = 5 * CHUNK - 3
+    # 20 477 trajectories: two slices serially, and five slices of 4095 or 4096
+    # (threads * ceil(n / (threads * CHUNK)) = 5) on five threads (more than
+    # cores) that switch as often as the interpreter allows, all writing into
+    # one lift array
+    n = 20_477
     pair = constant_pair([0.3], 0.2, 0.3, 1e-2)
     avg = solve_averaged(lambda th: np.zeros(1), [0.3], 1.0)
     ot = default_out_times(1.0)
@@ -436,9 +441,10 @@ def test_chunks_fill_their_own_rows_of_the_shared_array_under_thread_switching(c
 
 
 def test_ensemble_and_residual_hold_each_array_once(cpl):
-    # tracemalloc peaks at n = 8192 on CPL, relative to the bytes of theta_lift + zeta:
-    # the concatenating ensemble peaked at 1.56 and the (n, K) trapezoid residual added 0.77
-    T, n = 1.0, 8192
+    # tracemalloc peaks on CPL at two threads, relative to the bytes of theta_lift + zeta:
+    # the concatenating ensemble peaked at 1.56 and the (n, K) trapezoid residual added
+    # 0.77 at n = 8192; n = 16 384 makes two slices of 8192, each with its step buffers
+    T = 1.0
     ot = default_out_times(T)
     avg = solve_averaged(lambda th: 0.3 * np.sin(2 * np.pi * th), [0.25], T)
     cov = covariance_evolve(avg, lambda th: np.array([[0.5]]), lambda th: np.array([[-0.2]]),
@@ -447,18 +453,157 @@ def test_ensemble_and_residual_hold_each_array_once(cpl):
     A = {f.name: f for f in function_library(1)}["bump2"]
     bump = cylinder_weight("bump", avg.at(0.25), 0.3)
     cpl.f_omega(np.full(4, 0.5), np.full((4, 1), 0.5))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        ens = run_ensemble(cpl, pair, 1e-3, n, T, ot, 5, avg, threads=2)
-        ensemble_peak = tracemalloc.get_traced_memory()[1] - base
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        martingale_residual(ens, A, [(0.25, bump)], 0.5, 1.0, cov)
-        residual_peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
-    stored = ens.theta_lift.nbytes + ens.zeta.nbytes
-    assert ensemble_peak <= 1.2 * stored
-    assert residual_peak <= 0.5 * stored
+    for n in (8192, 16_384):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ens = run_ensemble(cpl, pair, 1e-3, n, T, ot, 5, avg, threads=2)
+            ensemble_peak = tracemalloc.get_traced_memory()[1] - base
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            martingale_residual(ens, A, [(0.25, bump)], 0.5, 1.0, cov)
+            residual_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        stored = ens.theta_lift.nbytes + ens.zeta.nbytes
+        assert ensemble_peak <= 1.2 * stored, n
+        assert residual_peak <= 0.5 * stored, n
+        del ens
+
+
+# -- time-major storage, one slice per worker, one compensator per observable -----
+
+def recorded_batch_sizes(monkeypatch, n, threads):
+    """Sizes of the f_omega batches of a CPL run_ensemble at eps = 0.25 and T = 1."""
+    system = fixture("CPL")
+    sizes = []
+    f_omega = system.f_omega
+
+    def recording(x, theta):
+        sizes.append(x.shape[0])
+        return f_omega(x, theta)
+
+    monkeypatch.setattr(system, "f_omega", recording)
+    pair = constant_pair([0.3], 0.2, 0.3, 0.25)
+    avg = solve_averaged(lambda th: np.zeros(1), [0.3], 1.0)
+    run_ensemble(system, pair, 0.25, n, 1.0, default_out_times(1.0, 5), 3, avg, threads=threads)
+    return sizes
+
+
+@pytest.mark.parametrize("n, threads, slices", [
+    (1237, 1, [1237]),
+    (1237, 3, [412, 412, 413]),
+    (CHUNK, 2, [8192, 8192]),                      # the benchmark's ensemble
+    (2 * CHUNK + 5, 1, [10924, 10924, 10925]),
+    (2 * CHUNK + 5, 2, [8193, 8193, 8193, 8194]),
+])
+def test_run_ensemble_makes_one_slice_per_worker_of_at_most_chunk(monkeypatch, n, threads,
+                                                                   slices):
+    # threads * ceil(n / (threads * CHUNK)) near-equal slices, each stepped
+    # floor(T / eps) + 2 = 6 times with one f_omega call per step
+    assert len(slices) == threads * -(-n // (threads * CHUNK))
+    assert sum(slices) == n and max(slices) <= CHUNK
+    assert Counter(recorded_batch_sizes(monkeypatch, n, threads)) == \
+        Counter(size for size in slices for _ in range(6))
+
+
+@pytest.mark.parametrize("name", ["CPL", "planar"])
+def test_slicing_and_thread_count_leave_every_bit_unchanged(name):
+    # against one sample_paths_batch call over all trajectories: n below CHUNK
+    # (1 to 5 slices at threads 1 to 5) and a prime n above 2 * CHUNK (3, 4, 3,
+    # 4 and 5 slices)
+    system = planar_system() if name == "planar" else fixture(name)
+    theta0 = [0.3, 0.6][:system.d]
+    eps, T = 2e-2, 1.0
+    ot = default_out_times(T)
+    pair = constant_pair(theta0, 0.2, 0.3, eps)
+    avg = solve_averaged(lambda th: 0.3 * np.sin(2 * np.pi * th), theta0, T)
+    for n in (1237, 32_771):
+        x0, th0 = sample_from_uniform(pair, stream_uniforms(31, n))
+        lifts = sample_paths_batch(system, eps, x0, th0, ot, T)
+        zeta = (lifts - avg.at(ot)[None]) / np.sqrt(eps)
+        for threads in range(1, 6):
+            ens = run_ensemble(system, pair, eps, n, T, ot, 31, avg, threads=threads)
+            assert np.array_equal(bits(ens.theta_lift), bits(lifts)), (n, threads)
+            assert np.array_equal(bits(ens.zeta), bits(zeta)), (n, threads)
+
+
+def test_ensemble_arrays_are_time_major_and_read_only(cpl):
+    pair = constant_pair([0.3], 0.2, 0.3, 1e-2)
+    avg = solve_averaged(lambda th: np.zeros(1), [0.3], 1.0)
+    ens = run_ensemble(cpl, pair, 1e-2, 300, 1.0, default_out_times(1.0), 4, avg, threads=2)
+    assert ens.theta_lift.shape == ens.zeta.shape == (300, 33, 1)
+    for i in range(33):
+        assert ens.theta_lift[:, i].flags.c_contiguous and ens.zeta[:, i].flags.c_contiguous
+    for arr in (ens.theta_lift, ens.zeta):
+        with pytest.raises(ValueError):
+            arr[0, -1, 0] = 1.0
+
+
+def path_major(ens):
+    """The ensemble with C-contiguous (n, m, d) copies of its arrays and no residuals kept."""
+    return dataclasses.replace(ens, theta_lift=np.ascontiguousarray(ens.theta_lift),
+                               zeta=np.ascontiguousarray(ens.zeta))
+
+
+@pytest.mark.parametrize("name", ["CPL", "planar"])
+def test_reports_read_time_major_and_path_major_ensembles_to_the_same_bits(name):
+    system = planar_system() if name == "planar" else fixture(name)
+    d = system.d
+    theta0 = [0.3, 0.6][:d]
+    T = 1.0
+    ot = default_out_times(T)
+    avg = solve_averaged(lambda th: 0.3 * np.sin(2 * np.pi * th), theta0, T)
+    cov = covariance_evolve(avg, lambda th: SIGMA2_PLANAR[:d, :d], lambda th: B_PLANAR[:d, :d],
+                            T, out_times=ot)
+    enss = [run_ensemble(system, constant_pair(theta0, 0.2, 0.3, eps), eps, 3001, T, ot, 8,
+                         avg, threads=2) for eps in (4e-3, 2e-3, 1e-3)]
+    copies = [path_major(e) for e in enss]
+    assert copies[0].zeta.flags.c_contiguous and not enss[0].zeta.flags.c_contiguous
+    assert averaging_error(enss).to_json() == averaging_error(copies).to_json()
+    ens, copy = enss[-1], copies[-1]
+    assert clt_test(ens, cov).to_json() == clt_test(copy, cov).to_json()
+    assert moment_scaling(ens).to_json() == moment_scaling(copy).to_json()
+    bump = cylinder_weight("bump", avg.at(0.25), 0.3)
+    wave = cylinder_weight("coswave", avg.at(0.375))
+    for A in function_library(d):
+        for conditioning in ([], [(0.25, bump)], [(0.25, bump), (0.375, wave)]):
+            for t in (0.75, 1.0):
+                assert martingale_residual(ens, A, conditioning, 0.5, t, cov).to_json() == \
+                    martingale_residual(copy, A, conditioning, 0.5, t, cov).to_json(), A.name
+
+
+def counted(A, calls):
+    """A with its gradient and Hessian counting their calls into calls."""
+    def wrap(fn, key):
+        def inner(z):
+            calls[key] += 1
+            return fn(z)
+        return inner
+    return Observable(A.name, A.value, wrap(A.grad, "grad"), wrap(A.hess, "hess"))
+
+
+def test_martingale_residual_computes_each_compensator_once():
+    _, ens, cov = lin_setup(1e-3, 500)
+    calls = Counter()
+    plain = {f.name: f for f in function_library(1)}["bump2"]
+    A = counted(plain, calls)
+    bump = cylinder_weight("bump", [0.3], 0.3)
+    first = martingale_residual(ens, A, [], 0.5, 1.0, cov)
+    assert calls == {"grad": 17, "hess": 17}                # 17 grid times in [0.5, 1]
+    for conditioning in ([(0.25, bump)], [(0.25, bump), (0.375, bump)], []):
+        rep = martingale_residual(ens, A, conditioning, 0.5, 1.0, cov)
+        assert calls == {"grad": 17, "hess": 17}            # no observable evaluated
+        assert rep.to_json() == martingale_residual(path_major(ens), plain, conditioning,
+                                                    0.5, 1.0, cov).to_json()
+    calls.clear()
+    # an equal covariance object is another key, and a different law another result
+    assert martingale_residual(ens, A, [], 0.5, 1.0, dataclasses.replace(cov)).data == first.data
+    wrong = dataclasses.replace(cov, sigma2_provider=lambda th: np.array([[0.8]]))
+    assert martingale_residual(ens, A, [], 0.5, 1.0, wrong).data["mean"] != first.data["mean"]
+    assert calls == {"grad": 34, "hess": 34}
+    calls.clear()
+    martingale_residual(ens, A, [], 0.5, 0.75, cov)
+    martingale_residual(ens, A, [], 0.25, 1.0, cov)
+    assert calls == {"grad": 9 + 25, "hess": 9 + 25}

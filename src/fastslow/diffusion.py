@@ -25,7 +25,7 @@ import numpy as np
 
 from .exceptions import NegativeEigenvalueError, TruncationTailError
 from .systems import FastSlowSystem
-from .ulam import SRBDensity, UlamOperator, block_diagonal, srb_density, ulam_operator
+from .ulam import SRBDensity, block_diagonal, srb_density, ulam_operator
 
 ULAM_N = 4096           # transfer-operator grid cells of the frozen solve
 TAIL_TOL = 1e-9         # bound on ||Gamma_k|| over the tail window [M/2, M]
@@ -72,19 +72,18 @@ def centered_drift_values(system: FastSlowSystem, density: SRBDensity) -> np.nda
     return om - (om * density.rho[:, None]).mean(axis=0)
 
 
-def autocovariances(system: FastSlowSystem, ops: Sequence[UlamOperator],
-                    densities: Sequence[SRBDensity], kmax: int) -> np.ndarray:
+def autocovariances(system: FastSlowSystem, P, densities: Sequence[SRBDensity],
+                    kmax: int) -> np.ndarray:
     """Gamma_k for k = 0..kmax at each of B equal-N solves: (B, kmax+1, d, d).
 
     Gamma_k[i, j] = int (omega_hat_i o f^k) * omega_hat_j dm, computed by k
     pushforwards of the signed measures omega_hat_j * m under the discretized
-    transfer operator, then quadrature against omega_hat_i. The B operators
-    act as one ulam.block_diagonal matrix, so each lag is one sparse product
-    for all of them, and every Gamma_k equals the one of its operator alone
-    to the bit.
+    transfer operator, then quadrature against omega_hat_i. P is the
+    ulam.block_diagonal matrix of the B operators, so each lag is one sparse
+    product for all of them, and every Gamma_k equals the one of its operator
+    alone to the bit.
     """
-    B, N, d = len(ops), densities[0].N, system.d
-    P = block_diagonal(ops)
+    B, N, d = len(densities), densities[0].N, system.d
     what = np.stack([centered_drift_values(system, density) for density in densities])
     # density values of hat-omega_j dm, the B blocks stacked
     push = (what * np.stack([density.rho for density in densities])[..., None]).reshape(B * N, d)
@@ -96,16 +95,17 @@ def autocovariances(system: FastSlowSystem, ops: Sequence[UlamOperator],
     return gam
 
 
-def push_autocovariances(system: FastSlowSystem, ops: Sequence[UlamOperator],
+def push_autocovariances(system: FastSlowSystem, P,
                          densities: Sequence[SRBDensity]) -> np.ndarray:
     """autocovariances to an M sized by the tail check: (B, M+1, d, d).
 
-    M starts at default_truncation(lam) and doubles, up to MAX_TRUNCATION,
-    while some solve's max ||Gamma_k|| over [M/2, M] exceeds TAIL_TOL.
+    P is the block of the B operators, built once for every M tried: M starts
+    at default_truncation(lam) and doubles, up to MAX_TRUNCATION, while some
+    solve's max ||Gamma_k|| over [M/2, M] exceeds TAIL_TOL.
     """
     M = default_truncation(system.lam)
     while True:
-        gam = autocovariances(system, ops, densities, M)
+        gam = autocovariances(system, P, densities, M)
         if M >= MAX_TRUNCATION or np.linalg.norm(gam[:, M // 2:], axis=(2, 3)).max() <= TAIL_TOL:
             return gam
         M = min(2 * M, MAX_TRUNCATION)
@@ -167,7 +167,7 @@ def diffusion_matrix(system: FastSlowSystem, theta, N: int,
     op = ulam_operator(system, theta, N)
     density = srb_density(op)
     wbar = average_drift(system, density)
-    gam = push_autocovariances(system, [op], [density])[0]
+    gam = push_autocovariances(system, block_diagonal([op]), [density])[0]
 
     sigma2, evals, tail = green_kubo(gam)
     sigma = sym_sqrt(sigma2)

@@ -110,12 +110,12 @@ def shadow_solve_batch(system: FastSlowSystem, eps: float, x0: np.ndarray,
         delta = f_guess - target
         lo = guess - np.maximum(delta / system.lam, delta / system.dfx_sup) - 1e-12
         hi = guess - np.minimum(delta / system.lam, delta / system.dfx_sup) + 1e-12
-        w = invert_monotone(F, dF, lo, hi, target, 0.5 * (lo + hi))
+        w, r = invert_monotone(F, dF, lo, hi, target, 0.5 * (lo + hi))
         if np.any(np.abs(w - guess) > 0.5 / system.degree + 0.05):
             raise ShadowSolveError(
                 f"branch ambiguity at step {k}: shadow point too far from orbit"
             )
-        defect = np.maximum(defect, np.abs(F(w) - target))
+        defect = np.maximum(defect, np.abs(r))
         shadow[k] = torus(w)
     if np.any(defect > DEFECT_TOL):
         raise ShadowSolveError(

@@ -4,7 +4,8 @@ omega_bar and sigma2 are tabulated once, at construction, on a uniform grid
 of n^d nodes. Each node has its own Ulam matrix and invariant density; the
 autocovariances of all the nodes a level adds come from one block-diagonal
 push, sized by its tail check (M is the largest truncation of any level),
-then each node gets its averaged drift and checked Green-Kubo sum.
+then each node gets its averaged drift and checked Green-Kubo sum. The block
+is built once per level and is the only copy of its matrices during the push.
 Queries evaluate the interpolant of the immutable table and d_omega_bar is
 its exact derivative, so the providers are smooth, thread-safe and cost no
 solve.
@@ -26,7 +27,7 @@ import numpy as np
 from .diffusion import ULAM_N, average_drift, green_kubo, push_autocovariances
 from .exceptions import TableResolutionError
 from .systems import FastSlowSystem, torus
-from .ulam import srb_density, ulam_operator
+from .ulam import block_diagonal, srb_density, ulam_operator
 
 START_NODES = 8        # nodes per dimension of the first table
 MAX_NODES = 4096       # ceiling on the total node count
@@ -96,7 +97,9 @@ class SRBCache:
         """Frozen solve at each row of thetas: (P, d + d*d) of omega_bar, sigma2."""
         ops = [ulam_operator(self.system, theta, self.N) for theta in thetas]
         densities = [srb_density(op) for op in ops]
-        gams = push_autocovariances(self.system, ops, densities)
+        P = block_diagonal(ops)
+        del ops
+        gams = push_autocovariances(self.system, P, densities)
         self.M = max(self.M, gams.shape[1] - 1)
         return np.array([np.concatenate([average_drift(self.system, density),
                                          green_kubo(gam)[0].ravel()])

@@ -349,9 +349,10 @@ def pushforward_decompose(family: StandardFamily, system: FastSlowSystem) -> Sta
     j = np.arange(src.size) - np.repeat(np.cumsum(count) - count, count)
     targets = A0[src, None] + piece[src, None] * (j[:, None] + np.linspace(0, 1, grid + 1))
     at = np.broadcast_to(src[:, None], targets.shape)
-    phi = invert_monotone(lambda x: fG(x, at), lambda x: dfG(x, at), a[at], b[at], targets,
-                          0.5 * (a[at] + b[at]))
-    resid = np.abs(fG(phi, at) - targets).max(axis=1)
+    phi, r = invert_monotone(lambda x: fG(x, at), lambda x: dfG(x, at), a[at], b[at], targets,
+                             0.5 * (a[at] + b[at]))
+    resid = np.abs(r).max(axis=1)
+    del r       # as large as phi, and not needed through the peak below
     if np.any(resid > 1e-12 * np.maximum(1.0, np.abs(B0[src]))):
         raise PairInvariantError(f"branch inversion residual {resid.max():.2e}")
     first = j == 0

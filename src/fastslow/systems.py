@@ -323,34 +323,45 @@ class FastSlowSystem:
         )
 
 
-def invert_monotone(F, dF, lo, hi, target, x) -> np.ndarray:
+def invert_monotone(F, dF, lo, hi, target, x) -> tuple[np.ndarray, np.ndarray]:
     """Solve F(x) = target elementwise for an increasing F with F(lo) <= target <= F(hi).
 
     Safeguarded Newton from the caller's start x in [lo, hi]: each pass moves
     one end of every bracket to the iterate by the sign of F - target, then
     steps. A step leaving the bracket is clipped to the end it overshoots
     (landing on a root there, as at pair ends); a second overshoot in a row
-    bisects. Passes stop once every step is within 4 ulp of the larger end of
-    its first bracket (not of the iterate, whose ulp vanishes at a root at 0),
-    or after 64 passes. Callers check the residual at their own tolerance.
+    bisects. The tolerance is 4 ulp of the larger end of each first bracket
+    (not of the iterate, whose ulp vanishes at a root at 0). F is evaluated
+    at each new iterate, and the passes stop once every step was within the
+    tolerance, or once every fresh residual r implies a next step
+    |r| / F'(x_prev) within it, F' being the slope of the step just taken, so
+    no F' is evaluated for a pass that would only confirm the root; or after
+    64 passes.
+
+    Returns (x, r) with r = F(x) - target at the returned x, from the last
+    evaluation of F; callers check r at their own tolerance.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     tol = 4 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
     x = np.asarray(x, dtype=float)
+    r = F(x) - target
     clipped = np.zeros(x.shape, dtype=bool)
     for _ in range(64):
-        r = F(x) - target
-        lo = np.where(r <= 0, x, lo)
-        hi = np.where(r <= 0, hi, x)
-        xn = x - r / dF(x)
+        below = r <= 0
+        lo = np.where(below, x, lo)
+        hi = np.where(below, hi, x)
+        slope = dF(x)
+        xn = x - r / slope
         out = ~((lo <= xn) & (xn <= hi))
         xn = np.where(out & clipped, 0.5 * (lo + hi), np.clip(xn, lo, hi))
         clipped = out & ~clipped
         x, step = xn, np.abs(xn - x)
-        if np.all(step <= tol):
+        if np.any(step != 0):
+            r = F(x) - target
+        if np.all(step <= tol) or np.all(np.abs(r) <= tol * slope):
             break
-    return x
+    return x, r
 
 
 # -- fixture registry --------------------------------------------------------

@@ -3,13 +3,14 @@
 The frozen fast map f(., theta) is discretized on N uniform cells by exact
 branch inversion: the matrix entry P[i, j] is the fraction of cell j that
 lands in cell i, computed from Newton-solved preimages of cell boundaries
-(systems.invert_monotone from the chord of each cell, 2-3 passes), not from
-sampling. The cell edges and the preimages form one sorted list whose
-consecutive points bound the segments of each column, so the matrix is
-assembled in CSC form in one pass and each column is divided by its sum.
-Columns are stochastic, so grid density values (quadrature weight 1/N) are
-mapped to grid density values. The invariant density is the power-iteration
-fixed point.
+(systems.invert_monotone from the chord of each cell: one or two Newton
+steps, two or three evaluations of f, and the residual it returns is the
+one checked), not from sampling. The cell edges and the preimages form one
+sorted list whose consecutive points bound the segments of each column, so
+the matrix is assembled in CSC form in one pass and each column is divided
+by its sum. Columns are stochastic, so grid density values (quadrature
+weight 1/N) are mapped to grid density values. The invariant density is the
+power-iteration fixed point.
 
 This module is the only one that knows the sparse matrix format, and the only
 one that imports scipy for it: ulam_operator and block_diagonal import
@@ -72,7 +73,8 @@ def ulam_operator(system: FastSlowSystem, theta, N: int) -> UlamOperator:
 
     xb = np.arange(N + 1) / N
     Fb = F(xb)
-    if np.any(np.diff(Fb) <= 0):
+    dFb = np.diff(Fb)
+    if np.any(dFb <= 0):
         raise BranchInversionError("lifted fast map is not increasing across cells")
 
     # inner crossing levels k/N with Fb[j] < k/N < Fb[j+1], column by column;
@@ -83,9 +85,11 @@ def ulam_operator(system: FastSlowSystem, theta, N: int) -> UlamOperator:
     ylev = ((k_lo - np.cumsum(counts) + counts)[col] + np.arange(col.size)) / N
 
     # preimages of the crossing levels, Newton from the chord of their cell
-    chord = xb[col] + (ylev - Fb[col]) / (Fb[col + 1] - Fb[col]) / N
-    x = invert_monotone(F, lambda x: system.df_dx(x, theta), xb[col], xb[col + 1], ylev, chord)
-    resid = float(np.abs(F(x) - ylev).max())
+    chord = xb[col] + (ylev - Fb[col]) / dFb[col] / N
+    x, r = invert_monotone(F, lambda x: system.df_dx(x, theta), xb[col], xb[col + 1], ylev,
+                           chord)
+    resid = float(np.abs(r).max())
+    del r       # one float per crossing, not needed through the assembly's peak
     if resid > 1e-10:
         raise BranchInversionError(f"crossing inversion residual {resid:.2e}; grid too "
                                    "coarse or map not monotone on a cell")
@@ -110,16 +114,25 @@ def ulam_operator(system: FastSlowSystem, theta, N: int) -> UlamOperator:
 def block_diagonal(ops: Sequence[UlamOperator]) -> "scipy.sparse.csr_matrix":
     """The operators' matrices as one block-diagonal CSR matrix, block i the
     P of ops[i]; the blocks keep each operator's entry order, so a product with
-    it equals the products with each operator alone to the bit."""
+    it equals the products with each operator alone to the bit. The block of
+    one operator is its own P, not a copy."""
+    if len(ops) == 1:
+        return ops[0].P
     import scipy.sparse as sp
 
+    # by hand, not sp.block_diag: its COO round trip may reorder a row's
+    # entries; each operator is copied straight into its slice of the block
     B, N = len(ops), ops[0].N
-    # by hand, not sp.block_diag: its COO round trip may reorder a row's entries
     nnz = np.cumsum([0] + [op.P.nnz for op in ops])
-    return sp.csr_matrix((np.concatenate([op.P.data for op in ops]),
-                          np.concatenate([op.P.indices + i * N for i, op in enumerate(ops)]),
-                          np.concatenate([op.P.indptr[:-1] + nnz[i] for i, op in enumerate(ops)]
-                                         + [nnz[-1:]])), shape=(B * N, B * N))
+    index = np.int32 if nnz[-1] < 2**31 else np.int64
+    data, indices = np.empty(nnz[-1]), np.empty(nnz[-1], dtype=index)
+    indptr = np.empty(B * N + 1, dtype=index)
+    for i, op in enumerate(ops):
+        data[nnz[i]:nnz[i + 1]] = op.P.data
+        indices[nnz[i]:nnz[i + 1]] = op.P.indices + i * N
+        indptr[i * N:(i + 1) * N] = op.P.indptr[:-1] + nnz[i]
+    indptr[-1] = nnz[-1]
+    return sp.csr_matrix((data, indices, indptr), shape=(B * N, B * N))
 
 
 def srb_density(op: UlamOperator) -> SRBDensity:
@@ -134,8 +147,9 @@ def srb_density(op: UlamOperator) -> SRBDensity:
     ratio = np.nan
     for it in range(1, DENSITY_MAX_ITER + 1):
         rho1 = op.P @ rho
-        rho1 /= rho1.mean()
-        res = float(np.abs(rho1 - rho).mean())
+        # the float operations of .mean(), without its Python wrapper
+        rho1 /= np.add.reduce(rho1) / op.N
+        res = float(np.add.reduce(np.abs(rho1 - rho)) / op.N)
         if res_prev < np.inf and res > 0:
             ratio = res / res_prev
         rho = rho1

@@ -53,7 +53,7 @@ def test_jacobian_richardson_ratio(monkeypatch):
 def test_lin_autocovariances(lin):
     op = ulam_operator(lin, [0.0], 300)
     dens = srb_density(op)
-    gam = autocovariances(lin, [op], [dens], 6)[0]
+    gam = autocovariances(lin, op.P, [dens], 6)[0]
     assert gam[0, 0, 0] == pytest.approx(0.5, abs=1e-13)
     assert np.abs(gam[1:]).max() <= 1e-10
 
@@ -83,7 +83,7 @@ def test_cpl_autocovariances_against_time_series(cpl):
     theta = 0.25
     op = ulam_operator(cpl, [theta], 4096)
     dens = srb_density(op)
-    gam = autocovariances(cpl, [op], [dens], 5)[0]
+    gam = autocovariances(cpl, op.P, [dens], 5)[0]
     rng = np.random.default_rng(555)
     R = 1_000_000
     x = rng.random(R)
@@ -146,7 +146,7 @@ def test_tail_check_raises_for_short_truncation(cpl):
     op = ulam_operator(cpl, [0.25], 512)
     dens = srb_density(op)
     with pytest.raises(TruncationTailError):
-        green_kubo(autocovariances(cpl, [op], [dens], 4)[0])
+        green_kubo(autocovariances(cpl, op.P, [dens], 4)[0])
 
 
 @pytest.mark.parametrize("name", ["LIN", "CBD", "CPL"])
@@ -156,8 +156,8 @@ def test_diffusion_matrix_equals_per_node_push_bitwise(name, monkeypatch):
         batched = diffusion_matrix(system, [theta], 4096)
         with monkeypatch.context() as m:
             m.setattr(diffusion, "autocovariances",
-                      lambda system, ops, densities, kmax:
-                      per_node_autocovariances(system, ops[0], densities[0], kmax)[None])
+                      lambda system, P, densities, kmax:
+                      per_node_autocovariances(system, P, densities[0], kmax)[None])
             oracle = diffusion_matrix(system, [theta], 4096)
         for field in ("omega_bar", "sigma2", "D_omega_bar"):
             assert getattr(batched, field).tobytes() == getattr(oracle, field).tobytes()
@@ -169,7 +169,7 @@ def test_diffusion_matrix_equals_per_node_push_bitwise(name, monkeypatch):
         density = srb_density(op)
         assert batched.M == diffusion.default_truncation(system.lam)
         assert batched.sigma2.tobytes() == green_kubo(
-            autocovariances(system, [op], [density], 280)[0])[0].tobytes()
+            autocovariances(system, op.P, [density], 280)[0])[0].tobytes()
         assert batched.omega_bar.tobytes() == average_drift(system, density).tobytes()
 
 

@@ -1,5 +1,6 @@
 """The tabulated drift/diffusion provider against point solves and closed forms."""
 import copy
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from fastslow.diffusion import (ULAM_N, autocovariances, average_drift, centered
 from fastslow.exceptions import TableResolutionError, TruncationTailError
 from fastslow.srb_cache import SRBCache
 from fastslow.systems import FastSlowSystem, TrigTerm, fixture
-from fastslow.ulam import srb_density, ulam_operator
+from fastslow.ulam import block_diagonal, srb_density, ulam_operator
 
 GRID = np.linspace(0.0, 1.0, 1001)
 
@@ -29,15 +30,15 @@ def planar_system() -> FastSlowSystem:
     )
 
 
-def per_node_autocovariances(system, op, density, kmax):
-    """Gamma_0..Gamma_kmax of one operator, one sparse product per lag: oracle."""
+def per_node_autocovariances(system, P, density, kmax):
+    """Gamma_0..Gamma_kmax of one operator's matrix P, one sparse product per lag: oracle."""
     what = centered_drift_values(system, density)
     gam = np.empty((kmax + 1, system.d, system.d))
     push = what * density.rho[:, None]
     for k in range(kmax + 1):
         gam[k] = (what.T @ push) / density.N
         if k < kmax:
-            push = op.P @ push
+            push = P @ push
     return gam
 
 
@@ -46,8 +47,8 @@ def tail_tol_between_windows(system, thetas, N):
     passes it at 2 M0, for the block of solves at thetas; and M0."""
     m0 = diffusion.default_truncation(system.lam)
     ops = [ulam_operator(system, theta, N) for theta in thetas]
-    norms = np.linalg.norm(autocovariances(system, ops, [srb_density(op) for op in ops],
-                                           2 * m0), axis=(2, 3))
+    norms = np.linalg.norm(autocovariances(system, block_diagonal(ops),
+                                           [srb_density(op) for op in ops], 2 * m0), axis=(2, 3))
     first, second = norms[:, m0 // 2:m0 + 1].max(), norms[:, m0:].max()
     assert first > 1e3 * second
     return float(np.sqrt(first * second)), m0
@@ -57,9 +58,9 @@ def counted_pushes(monkeypatch):
     """Record the kmax of every diffusion.autocovariances call."""
     pushes = []
 
-    def counted(system, ops, densities, kmax):
+    def counted(system, P, densities, kmax):
         pushes.append(kmax)
-        return autocovariances(system, ops, densities, kmax)
+        return autocovariances(system, P, densities, kmax)
 
     monkeypatch.setattr(diffusion, "autocovariances", counted)
     return pushes
@@ -73,10 +74,10 @@ def per_node_solve(table, thetas):
     """
     ops = [ulam_operator(table.system, theta, table.N) for theta in thetas]
     densities = [srb_density(op) for op in ops]
-    M = push_autocovariances(table.system, ops, densities).shape[1] - 1
+    M = push_autocovariances(table.system, block_diagonal(ops), densities).shape[1] - 1
     rows = []
     for op, density in zip(ops, densities):
-        sigma2 = green_kubo(per_node_autocovariances(table.system, op, density, M))[0]
+        sigma2 = green_kubo(per_node_autocovariances(table.system, op.P, density, M))[0]
         rows.append(np.concatenate([average_drift(table.system, density), sigma2.ravel()]))
     return np.array(rows)
 
@@ -170,9 +171,10 @@ def test_batched_fill_equals_per_node_fill_bitwise(name, N, monkeypatch):
 def test_cpl_fill_pushes_each_level_once(cpl, monkeypatch):
     batches, sums = [], []
 
-    def counted_autocovariances(system, ops, densities, kmax):
-        batches.append(len(ops))
-        return autocovariances(system, ops, densities, kmax)
+    def counted_autocovariances(system, P, densities, kmax):
+        batches.append(len(densities))
+        assert P.shape == (len(densities) * 512,) * 2
+        return autocovariances(system, P, densities, kmax)
 
     def counted_green_kubo(gam):
         sums.append(gam.shape)
@@ -183,6 +185,28 @@ def test_cpl_fill_pushes_each_level_once(cpl, monkeypatch):
     SRBCache(cpl, N=512)
     assert batches == [8, 8, 16]
     assert len(sums) == 32
+
+
+def test_fill_drops_the_operators_before_the_pushes(cpl, monkeypatch):
+    # the level's block holds the matrices; no operator of the level is alive
+    # while its autocovariances are pushed
+    made, pushed = [], []
+
+    def recorded(*args):
+        op = ulam_operator(*args)
+        made.append(weakref.ref(op))
+        return op
+
+    def push(system, P, densities):
+        pushed.append([ref() is None for ref in made])
+        made.clear()
+        return push_autocovariances(system, P, densities)
+
+    monkeypatch.setattr(srb_cache, "ulam_operator", recorded)
+    monkeypatch.setattr(srb_cache, "push_autocovariances", push)
+    SRBCache(cpl, N=512)
+    assert [len(level) for level in pushed] == [8, 8, 16]
+    assert all(all(level) for level in pushed)
 
 
 def test_fill_still_raises_on_a_long_tail(cpl, monkeypatch):
@@ -199,9 +223,12 @@ def test_level_that_fails_the_tail_check_is_pushed_again_at_twice_m(cpl, cpl_tab
     table = copy.copy(cpl_table)
     monkeypatch.setattr(diffusion, "TAIL_TOL", tol)
     monkeypatch.setattr(diffusion, "default_truncation", lambda lam: m0)
-    pushes = counted_pushes(monkeypatch)
+    pushes, blocks = counted_pushes(monkeypatch), []
+    monkeypatch.setattr(srb_cache, "block_diagonal",
+                        lambda ops: blocks.append(len(ops)) or block_diagonal(ops))
     rows = table._solve(thetas)
     assert pushes == [m0, 2 * m0]
+    assert blocks == [len(thetas)]      # one block for both pushes
     assert table.M == table.stats()["M"] == 2 * m0
     assert rows.tobytes() == per_node_solve(table, thetas).tobytes()
 
@@ -214,5 +241,5 @@ def test_fixtures_need_no_restart(N):
     for name in ("LIN", "CBD", "CPL"):
         system = fixture(name)
         ops = [ulam_operator(system, theta, N) for theta in thetas]
-        gam = push_autocovariances(system, ops, [srb_density(op) for op in ops])
+        gam = push_autocovariances(system, block_diagonal(ops), [srb_density(op) for op in ops])
         assert gam.shape[1] - 1 == diffusion.default_truncation(system.lam)

@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import system_dict
+from fastslow import shadowing, standard_pairs, ulam
 from fastslow.exceptions import SystemValidationError
+from fastslow.shadowing import shadow_diagnostic, shadow_solve_batch
+from fastslow.standard_pairs import as_family, constant_pair, default_constants, \
+    pushforward_decompose, random_admissible_pair
 from fastslow.systems import FastSlowSystem, TrigTerm, fixture, invert_monotone, torus
 from fastslow.ulam import ulam_operator
 from test_srb_cache import planar_system
@@ -257,11 +261,12 @@ def test_invert_monotone_on_cpl_lift(width):
     lo = rng.random(200) * (1 - width)
     hi = lo + width
     target = F(lo + rng.random(200) * width)
-    x = invert_monotone(F, dF, lo, hi, target, 0.5 * (lo + hi))
+    x, r = invert_monotone(F, dF, lo, hi, target, 0.5 * (lo + hi))
     assert np.all((lo <= x) & (x <= hi))
-    assert np.abs(F(x) - target).max() <= 1e-12
+    assert np.array_equal(r, F(x) - target)
+    assert np.abs(r).max() <= 1e-12
     empty = np.empty(0)
-    assert invert_monotone(F, dF, empty, empty, empty, empty).shape == (0,)
+    assert all(a.shape == (0,) for a in invert_monotone(F, dF, empty, empty, empty, empty))
 
 
 def _counted(F, calls):
@@ -282,10 +287,11 @@ def test_invert_monotone_stops_on_lifted_values_near_1e3():
     hi = lo + 1 / 4096
     target = F(lo + rng.random(200) / 4096)
     calls.clear()
-    x = invert_monotone(F, lambda x: cpl.df_dx(x, theta), lo, hi, target, 0.5 * (lo + hi))
+    x, r = invert_monotone(F, lambda x: cpl.df_dx(x, theta), lo, hi, target, 0.5 * (lo + hi))
     assert len(calls) <= 6
     assert np.all((lo <= x) & (x <= hi))
-    assert (np.abs(F(x) - target) / np.abs(target)).max() <= 1e-12
+    assert np.array_equal(r, F(x) - target)
+    assert (np.abs(r) / np.abs(target)).max() <= 1e-12
 
 
 def test_invert_monotone_bisects_where_newton_leaves_the_bracket():
@@ -300,10 +306,11 @@ def test_invert_monotone_bisects_where_newton_leaves_the_bracket():
 
     lo, hi = np.array([-4.0, -4.0]), np.array([10.0, 10.0])
     target = np.arctan(np.array([0.0, 0.4]))
-    x = invert_monotone(F, lambda x: 1 / (1 + x * x), lo, hi, target, 0.5 * (lo + hi))
+    x, r = invert_monotone(F, lambda x: 1 / (1 + x * x), lo, hi, target, 0.5 * (lo + hi))
     assert [list(v) for v in seen[:3]] == [[3.0, 3.0], [-4.0, -4.0], [-0.5, -0.5]]
     assert np.abs(x - [0.0, 0.4]).max() <= 1e-15
     assert len(seen) <= 10
+    assert np.array_equal(r, np.arctan(x) - target)
 
 
 @pytest.mark.parametrize("case", ["lift across 1", "convex at 0"])
@@ -330,23 +337,148 @@ def test_invert_monotone_stops_at_a_root_on_a_bracket_end(case):
     calls = []
     hi = lo + 0.1
     target = F(lo)
-    x = invert_monotone(_counted(F, calls), dF, lo, hi, target, 0.5 * (lo + hi))
+    x, r = invert_monotone(_counted(F, calls), dF, lo, hi, target, 0.5 * (lo + hi))
     assert len(calls) <= 5
     assert np.all((lo <= x) & (x <= hi))
-    assert np.abs(F(x) - target).max() <= 1e-15
+    assert np.array_equal(r, F(x) - target)
+    assert np.abs(r).max() <= 1e-15
+
+
+# (F, F') calls of one CPL build: F at the cell edges and at each new iterate,
+# F' once per Newton step. N = 512 takes two steps; N = 4096 one, or two where
+# the residual's rounding tops 4 ulp times the slope; at theta = 0.5 the lift
+# is 3x to rounding, so the chord start is the root
+ULAM_CALLS = {512: {0.03: (4, 2), 0.3: (4, 2), 0.5: (2, 1), 0.77: (4, 2)},
+              4096: {0.03: (3, 1), 0.3: (4, 2), 0.5: (2, 1), 0.77: (4, 2)}}
 
 
 @pytest.mark.parametrize("N", [512, 4096])
 def test_ulam_crossings_take_at_most_six_passes(N, monkeypatch):
-    # ulam_operator calls the lift once for the cell edges, once per
-    # inversion pass and once for the residual check
     cpl = fixture("CPL")
-    calls = []
+    calls, slopes = [], []
     monkeypatch.setattr(cpl, "f_lift", _counted(cpl.f_lift, calls))
-    for theta in (0.03, 0.3, 0.5, 0.77):
+    monkeypatch.setattr(cpl, "df_dx", _counted(cpl.df_dx, slopes))
+    for theta, want in ULAM_CALLS[N].items():
         calls.clear()
+        slopes.clear()
         ulam_operator(cpl, [theta], N)
-        assert 3 <= len(calls) <= 2 + 6
+        assert (len(calls), len(slopes)) == want
+
+
+def _outside_lift_calls(monkeypatch, module, system):
+    """x of each system.f_lift call made outside module.invert_monotone, and its roots."""
+    inside, outside, roots = [], [], []
+    lift, inverse = system.f_lift, module.invert_monotone
+
+    def counted_lift(x, theta):
+        if not inside:
+            outside.append(np.array(x))
+        return lift(x, theta)
+
+    def recorded(*args):
+        inside.append(1)
+        try:
+            x, r = inverse(*args)
+        finally:
+            inside.pop()
+        roots.append(x.copy())
+        return x, r
+
+    monkeypatch.setattr(system, "f_lift", counted_lift)
+    monkeypatch.setattr(module, "invert_monotone", recorded)
+    return outside, roots
+
+
+def test_shadowing_evaluates_no_lift_at_its_roots(monkeypatch):
+    # one lift at each step's guess, the true orbit point; the defect is the
+    # residual the inversion returns
+    cpl = fixture("CPL")
+    outside, roots = _outside_lift_calls(monkeypatch, shadowing, cpl)
+    rng = np.random.default_rng(17)
+    th0 = rng.random((20, 1))
+    batch = shadow_solve_batch(cpl, 1e-3, rng.random(20), th0, th0 + 5e-4, 30)
+    assert len(roots) == len(outside) == 30
+    assert not any(np.array_equal(x, root) for x in outside for root in roots)
+    assert batch.defect.max() <= 1e-12
+
+
+def test_pushforward_evaluates_no_lift_at_its_roots(monkeypatch):
+    # two lifts, at the pair ends a and b; the residual check reads the
+    # residual the inversion returns
+    cpl = fixture("CPL")
+    family = as_family(constant_pair([0.3], 0.2, 0.3, 1e-3), default_constants(cpl))
+    for _ in range(3):
+        outside, roots = _outside_lift_calls(monkeypatch, standard_pairs, cpl)
+        family = pushforward_decompose(family, cpl)
+        assert len(roots) == 1 and len(outside) == 2
+        assert not any(x.shape == roots[0].shape for x in outside)
+        monkeypatch.undo()
+
+
+def _step_rule_inverse(F, dF, lo, hi, target, x):
+    """invert_monotone with the step stop alone: every pass takes F', and the
+    passes end only once every step is within 4 ulp of its bracket end."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    tol = 4 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+    x = np.asarray(x, dtype=float)
+    clipped = np.zeros(x.shape, dtype=bool)
+    for _ in range(64):
+        r = F(x) - target
+        lo = np.where(r <= 0, x, lo)
+        hi = np.where(r <= 0, hi, x)
+        xn = x - r / dF(x)
+        out = ~((lo <= xn) & (xn <= hi))
+        xn = np.where(out & clipped, 0.5 * (lo + hi), np.clip(xn, lo, hi))
+        clipped = out & ~clipped
+        x, step = xn, np.abs(xn - x)
+        if np.all(step <= tol):
+            break
+    return x
+
+
+def _against_step_rule(checked):
+    """invert_monotone that asserts its residual is F(x) - target bitwise and its
+    root within 4 ulp of the bracket end of the step rule's root."""
+    def inverse(F, dF, lo, hi, target, x):
+        root, r = invert_monotone(F, dF, lo, hi, target, x)
+        assert np.array_equal(r, F(root) - target)
+        tol = 4 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+        assert np.all(np.abs(root - _step_rule_inverse(F, dF, lo, hi, target, x)) <= tol)
+        checked.append(root.size)
+        return root, r
+    return inverse
+
+
+@pytest.mark.parametrize("N", [512, 4096])
+@pytest.mark.parametrize("make", [lambda: fixture("CPL"), planar_system], ids=["CPL", "planar"])
+def test_ulam_roots_stay_within_4_ulp_of_the_step_rule(make, N, monkeypatch):
+    system = make()
+    checked = []
+    monkeypatch.setattr(ulam, "invert_monotone", _against_step_rule(checked))
+    for theta in np.random.default_rng(18).random((40, system.d)):
+        ulam_operator(system, theta, N)
+    assert len(checked) == 40
+
+
+def test_shadowing_roots_stay_within_4_ulp_of_the_step_rule(monkeypatch):
+    checked = []
+    monkeypatch.setattr(shadowing, "invert_monotone", _against_step_rule(checked))
+    shadow_diagnostic(fixture("CPL"), 1e-4, np.random.default_rng(19), 50)
+    assert len(checked) == 100
+
+
+def test_pair_roots_stay_within_4_ulp_of_the_step_rule(monkeypatch):
+    cpl = fixture("CPL")
+    consts = default_constants(cpl)
+    checked = []
+    monkeypatch.setattr(standard_pairs, "invert_monotone", _against_step_rule(checked))
+    for family in (as_family(constant_pair([0.3], 0.2, 0.3, 1e-3), consts),
+                   as_family(random_admissible_pair(cpl, 1e-3, consts,
+                                                    np.random.default_rng(20)), consts)):
+        for _ in range(3):
+            family = pushforward_decompose(family, cpl)
+    assert len(checked) == 6
 
 
 @pytest.mark.parametrize("make, d", [(lambda: fixture("CPL"), 1), (planar_system, 2)])

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from conftest import birkhoff_fast_orbit
 from fastslow import systems, ulam
 from fastslow.systems import fixture, invert_monotone, torus
-from fastslow.ulam import srb_density, ulam_operator
+from fastslow.ulam import block_diagonal, srb_density, ulam_operator
 from test_srb_cache import planar_system
 
 
@@ -32,7 +32,7 @@ def coo_ulam_matrix(system, theta, N):
     ylev = (np.repeat(k_lo, counts) + within) / N
     chord = xb[col_of] + (ylev - Fb[col_of]) / (Fb[col_of + 1] - Fb[col_of]) / N
     x = invert_monotone(F, lambda x: system.df_dx(x, theta), xb[col_of], xb[col_of + 1], ylev,
-                        chord)
+                        chord)[0]
 
     seg_counts = counts + 1
     seg_col = np.repeat(np.arange(N), seg_counts)
@@ -70,29 +70,42 @@ def test_one_pass_assembly_matches_the_coo_build(name, N):
 
 def test_chord_start_converges_in_one_newton_step(cpl, monkeypatch):
     # from the chord of its cell a crossing is O(N^-2) from its root, so one
-    # Newton step reaches rounding level and the second evaluation of F only
-    # confirms it; a third pass comes from the 4 ulp stop rule. Against the
-    # midpoint start the chord saves one pass at every theta.
-    calls, seen = [], []
+    # Newton step reaches rounding level, and the second evaluation of F ends
+    # the loop: its residual implies a step within 4 ulp, so no derivative is
+    # taken there. A third evaluation comes where the residual's own rounding
+    # exceeds 4 ulp times the slope. Against the midpoint start the chord
+    # saves one evaluation at every theta.
+    calls, slopes, seen = [], [], []
 
     def passes(theta, midpoint):
         def inverse(F, dF, lo, hi, target, x):
             x = 0.5 * (lo + hi) if midpoint else x
-            root = systems.invert_monotone(lambda y: calls.append(1) or F(y), dF, lo, hi,
-                                           target, x)
+            root, r = systems.invert_monotone(lambda y: calls.append(1) or F(y),
+                                              lambda y: slopes.append(1) or dF(y), lo, hi,
+                                              target, x)
             seen.append((F, dF, target, x, root))
-            return root
+            return root, r
 
         calls.clear()
+        slopes.clear()
         monkeypatch.setattr(ulam, "invert_monotone", inverse)
         ulam_operator(cpl, [theta], 4096)
         return len(calls)
 
     for theta in np.arange(8) / 8 + 0.05:
         chord = passes(theta, midpoint=False)
+        assert len(slopes) == chord - 1
         assert chord == passes(theta, midpoint=True) - 1 and chord <= 3
         F, dF, target, x0, root = seen[-2]
         assert np.abs(x0 - (F(x0) - target) / dF(x0) - root).max() <= 1e-15
+
+
+def test_block_diagonal_products_equal_each_operator_bitwise(cpl):
+    ops = [ulam_operator(cpl, [theta], 64) for theta in (0.1, 0.6, 0.9)]
+    assert block_diagonal(ops[:1]) is ops[0].P
+    v = np.random.default_rng(22).random((3 * 64, 2))
+    got = block_diagonal(ops) @ v
+    assert np.array_equal(got, np.concatenate([op.P @ w for op, w in zip(ops, np.split(v, 3))]))
 
 
 def test_lin_matrix_is_exactly_uniform(lin):
@@ -123,6 +136,20 @@ def test_density_is_fixed_point(cpl):
     again = op.P @ dens.rho
     assert np.abs(again - dens.rho).mean() <= 1e-12
     assert dens.rho.mean() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("N", [512, 4096])
+def test_density_equals_the_mean_power_iteration_bitwise(cpl, N):
+    op = ulam_operator(cpl, [0.37], N)
+    rho, it, res = np.ones(N), 0, np.inf
+    while res > ulam.DENSITY_TOL:
+        rho1 = op.P @ rho
+        rho1 /= rho1.mean()
+        res = float(np.abs(rho1 - rho).mean())
+        rho, it = rho1, it + 1
+    dens = srb_density(op)
+    assert (dens.iterations, dens.residual) == (it, res)
+    assert np.array_equal(dens.rho, rho)
 
 
 def test_cpl_density_against_long_orbit_histogram(cpl):

@@ -19,7 +19,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .acceptance import CRITERIA, FIXTURE_CRITERIA, Workspace, results_to_json, run_all
+from .acceptance import CRITERIA, Workspace, results_to_json, run_all
 from .config import ExperimentConfig, check_config, config_from_dict, configured_system, \
     load_config
 from .diffusion import ULAM_N, diffusion_matrix
@@ -324,6 +324,11 @@ def fluctuate(ctx, cfg, run):
                           f"(5, 9, 17, 33, ...), got out_times = {cfg.out_times}")
     theta0 = cfg.theta0 or [0.25]
     eps = _single_eps(cfg, "fluctuate")
+    if eps == 0:
+        raise ConfigError("fluctuate needs eps > 0 (zeta = (theta - theta_bar) / sqrt(eps))")
+    if cfg.n_trajectories < 2:
+        raise ConfigError(f"fluctuate needs n >= 2 (a standard error needs two "
+                          f"trajectories), got n = {cfg.n_trajectories}")
     ens = ws.ensemble(None, eps, cfg.n_trajectories, theta0=theta0, T=cfg.horizon)
     cov = ws.covariance(None, theta0=theta0, T=cfg.horizon)
     clt = clt_test(ens, cov)
@@ -364,7 +369,7 @@ def verify_all(ctx, cfg, run):
                           "it cannot check an inline system")
     ids = None
     if ctx.params["criteria"]:
-        known = [fn.__name__.split("_")[1] for fn in CRITERIA]
+        known = [str(cid) for cid in CRITERIA]
         tokens = [tok.strip() for tok in ctx.params["criteria"].split(",")]
         unknown = [tok for tok in tokens if tok not in known]
         if unknown:
@@ -373,7 +378,8 @@ def verify_all(ctx, cfg, run):
     elif ctx.obj.get("fixture") or ctx.obj.get("config"):
         # a fixture named by the flag or the config file; the built-in LIN
         # default names none, and then every criterion runs
-        ids = FIXTURE_CRITERIA[cfg.fixture.upper()]
+        ids = [cid for cid, (_, _, subjects, _) in CRITERIA.items()
+               if cfg.fixture.upper() in subjects]
     ws = Workspace(config=cfg)
     results = run_all(ws, ids=ids, echo=click.echo)
     (run.dir / "acceptance.json").write_text(results_to_json(results))

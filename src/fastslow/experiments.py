@@ -383,7 +383,8 @@ def moment_scaling(ensemble: Ensemble) -> Report:
 
 def _unweighted_residual(ensemble: Ensemble, A: Observable, i_s: int, i_t: int,
                          cov: CovarianceTrajectory) -> np.ndarray:
-    """A(zeta(t)) - A(zeta(s)) - int_s^t L_tau A d tau per trajectory."""
+    """A(zeta(t)) - A(zeta(s)) - int_s^t L_tau A d tau per trajectory; L_tau
+    reads B and sigma2 both along the covariance law's averaged path."""
     z = ensemble.zeta
     integral = np.zeros(ensemble.n_traj)
     if i_t > i_s:
@@ -394,7 +395,7 @@ def _unweighted_residual(ensemble: Ensemble, A: Observable, i_s: int, i_t: int,
         panels = np.empty((ensemble.n_traj, dts.shape[0]))
         for k, tt in enumerate(ts):
             B = cov.B_at(float(tt))
-            s2 = np.asarray(cov.sigma2_provider(ensemble.avg.at(float(tt))), dtype=float)
+            s2 = np.asarray(cov.sigma2_provider(cov.avg.at(float(tt))), dtype=float)
             zi = z[:, i_s + k]
             g = np.einsum("nj,nj->n", A.grad(zi), zi @ B.T) \
                 + 0.5 * np.einsum("ij,nij->n", s2, A.hess(zi))

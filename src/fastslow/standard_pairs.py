@@ -43,13 +43,12 @@ CHECK_BLOCK = 256      # pairs per block of validation points
 
 @dataclass(frozen=True)
 class PairConstants:
-    """Class constants (delta, c1, c2, curvature factor, grid intervals)."""
+    """Class constants (delta, c1, c2, curvature factor)."""
 
     delta: float
     c1: float
     c2: float
     curv: float
-    grid: int = GRID
 
 
 def default_constants(system: FastSlowSystem) -> PairConstants:
@@ -195,7 +194,7 @@ class StandardFamily:
             "constants": {
                 "delta": self.constants.delta, "c1": self.constants.c1,
                 "c2": self.constants.c2, "curv": self.constants.curv,
-                "grid": self.constants.grid,
+                "grid": self.rho.shape[1] - 1,
             },
             "pairs": [
                 {"a": a, "b": b, "G": G.tolist(), "rho": rho.tolist(), "nu": nu}
@@ -446,8 +445,7 @@ def random_admissible_pair(system: FastSlowSystem, eps: float,
     """A random pair near the middle of the admissible class, for tests."""
     length = consts.delta * (0.5 + 0.5 * rng.random())
     a = rng.random()
-    grid = consts.grid
-    xg = np.linspace(a, a + length, grid + 1)
+    xg = np.linspace(a, a + length, GRID + 1)
     theta0 = rng.random(system.d)
     # slope and curvature both at most 60% of their allowed bounds
     amp_slope = 0.6 * eps * consts.c1 / (2 * np.pi)
@@ -459,5 +457,5 @@ def random_admissible_pair(system: FastSlowSystem, eps: float,
     # the quadrature error of every h^4 method above the identity tolerances
     beta = min(consts.c2 * length / np.pi, 1.0) * rng.random()
     raw = np.exp(beta * np.sin(np.pi * (xg - a) / length))
-    w = _simpson_weights(a, a + length, grid)
+    w = _simpson_weights(a, a + length, GRID)
     return StandardPair(a, a + length, vals, raw / float(w @ raw), eps)

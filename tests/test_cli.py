@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 from conftest import system_dict
 from fastslow import cli
-from fastslow.acceptance import Workspace, criterion_9
+from fastslow.acceptance import Workspace, run_criterion
 from fastslow.cli import main
 from fastslow.config import config_from_dict
 from fastslow.systems import fixture
@@ -153,6 +153,7 @@ def test_verify_subset(runner, tmp_path):
 def test_verify_unknown_criterion_exits_2(runner, tmp_path, criteria):
     res = runner.invoke(main, ["--out", str(tmp_path), "verify-all", "--criteria", criteria])
     assert res.exit_code == 2, res.output
+    assert "takes ids among 1,2,3,4,5,6,7,8,9,10,11,12, got" in res.output
     manifest = json.loads((tmp_path / "verify-all" / "manifest.json").read_text())
     assert manifest["status"] == "config-error"
     assert not (tmp_path / "verify-all" / "acceptance.json").exists()
@@ -205,11 +206,14 @@ def test_sigma_prints_every_entry_of_a_planar_sigma2(runner, tmp_path):
     assert f"sigma2 = [{shown}]  (coboundary: " in res.output
 
 
-def test_verify_fixture_cbd(runner, tmp_path):
-    res = runner.invoke(main, ["--out", str(tmp_path), "--fixture", "CBD", "verify-all"])
+@pytest.mark.parametrize("name, ids", [("LIN", [1, 2, 5, 7, 8, 11]), ("CBD", [3, 12]),
+                                       ("CPL", [4, 6, 8, 9, 10])], ids=["LIN", "CBD", "CPL"])
+def test_verify_fixture_runs_the_criteria_that_check_it(runner, tmp_path, name, ids):
+    # criterion 8 checks both LIN and CPL
+    res = runner.invoke(main, ["--out", str(tmp_path), "--fixture", name, "verify-all"])
     assert res.exit_code == 0, res.output
     report = json.loads((tmp_path / "verify-all" / "acceptance.json").read_text())
-    assert [c["id"] for c in report["criteria"]] == [3, 12]
+    assert [c["id"] for c in report["criteria"]] == ids
 
 
 def test_verify_fixture_from_a_config_file(runner, tmp_path):
@@ -343,7 +347,7 @@ def test_shadow_summary_matches_criterion_9(runner, tmp_path):
                                "shadow", "--points", "100"])
     assert res.exit_code == 0, res.output
     summary = json.loads((tmp_path / "shadow" / "summary.json").read_text())
-    assert summary["eps=0.0001"] == criterion_9(ws).details["eps=0.0001"]
+    assert summary["eps=0.0001"] == run_criterion(9, ws).details["eps=0.0001"]
 
 
 def test_decompose_outputs(runner, tmp_path):
@@ -467,6 +471,19 @@ def test_fluctuate_rejects_a_grid_its_reports_cannot_read(runner, tmp_path, out_
     cfg.write_text(json.dumps({"fixture": "LIN", "out_times": out_times, "n_trajectories": 50}))
     res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path), "fluctuate"])
     assert res.exit_code == 2, res.output
+    manifest = json.loads((tmp_path / "fluctuate" / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert not (tmp_path / "fluctuate" / "clt.json").exists()
+
+
+@pytest.mark.parametrize("args", [["--n", "1", "--eps", "1e-3"], ["--n", "200", "--eps", "0"]],
+                         ids=["n=1", "eps=0"])
+def test_fluctuate_rejects_inputs_that_leave_its_reports_undefined(runner, tmp_path, args):
+    # one trajectory has no standard error and eps = 0 no zeta; both used to
+    # exit 0 with NaN tokens, which strict JSON parsers reject, in clt.json
+    res = runner.invoke(main, ["--out", str(tmp_path), "--fixture", "LIN", *args, "fluctuate"])
+    assert res.exit_code == 2, res.output
+    assert "fluctuate needs" in res.output
     manifest = json.loads((tmp_path / "fluctuate" / "manifest.json").read_text())
     assert manifest["status"] == "config-error"
     assert not (tmp_path / "fluctuate" / "clt.json").exists()

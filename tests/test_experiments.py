@@ -242,6 +242,22 @@ def test_martingale_residual_rejects_bad_times():
         martingale_residual(ens, A, [], 0.513, 1.0, cov)
 
 
+def test_martingale_compensator_reads_b_and_sigma2_along_the_law_path():
+    # B and sigma2 both come from the covariance law's averaged path; an
+    # ensemble that carries another averaged path gets the same residual
+    _, ens, _ = lin_setup(1e-3, 500)
+    law_path = solve_averaged(lambda th: np.zeros(1), [0.3], 1.0)
+    cov = covariance_evolve(law_path,
+                            lambda th: np.array([[0.5 + 0.4 * np.sin(2 * np.pi * th[0])]]),
+                            lambda th: np.array([[-0.2 * np.cos(2 * np.pi * th[0])]]), 1.0,
+                            out_times=ens.out_times)
+    moved = dataclasses.replace(ens, avg=solve_averaged(lambda th: np.full(1, 0.4), [0.3], 1.0))
+    assert abs(moved.avg.at(1.0)[0] - cov.avg.at(1.0)[0]) >= 0.3
+    for A in function_library(1):
+        assert martingale_residual(moved, A, [], 0.5, 1.0, cov).to_json() == \
+            martingale_residual(ens, A, [], 0.5, 1.0, cov).to_json(), A.name
+
+
 def test_clt_grid_mismatch_raises():
     _, ens, _ = lin_setup(1e-3, 100)
     avg = solve_averaged(lambda th: np.zeros(1), [0.3], 1.0)
@@ -352,7 +368,7 @@ def trapezoid_residual(ens, A, conditioning, s, t, cov):
     integrand = np.zeros((ens.n_traj, ts.shape[0]))
     for k, tt in enumerate(ts):
         B = cov.B_at(float(tt))
-        s2 = np.asarray(cov.sigma2_provider(ens.avg.at(float(tt))), dtype=float)
+        s2 = np.asarray(cov.sigma2_provider(cov.avg.at(float(tt))), dtype=float)
         zi = z[:, i_s + k]
         integrand[:, k] = np.einsum("nj,nj->n", A.grad(zi), zi @ B.T) \
             + 0.5 * np.einsum("ij,nij->n", s2, A.hess(zi))

@@ -7,7 +7,7 @@ from scipy.interpolate import CubicSpline
 from fastslow import standard_pairs
 from fastslow.exceptions import PairInvariantError
 from fastslow.standard_pairs import (
-    PairConstants, StandardFamily, StandardPair, _not_a_knot, _Splines,
+    GRID, PairConstants, StandardFamily, StandardPair, _not_a_knot, _Splines,
     as_family, class_margins, constant_pair, default_constants, integrate,
     pushforward_decompose, random_admissible_pair, sample_from_uniform,
 )
@@ -124,14 +124,25 @@ def test_serialization_roundtrip(cpl):
     data = json.loads(fam.dumps())
     assert data["format"] == "fastslow-family/1"
     recs = data["pairs"]
+    constants = dict(data["constants"])
+    assert constants.pop("grid") == len(recs[0]["rho"]) - 1 == GRID
     clone = StandardFamily(*(np.array([rec[key] for rec in recs], dtype=float)
                              for key in ("a", "b", "G", "rho", "nu")),
-                           constants=PairConstants(**data["constants"]), eps=data["eps"])
+                           constants=PairConstants(**constants), eps=data["eps"])
     assert clone.dumps() == fam.dumps()
     assert len(clone.pairs) == len(fam.pairs)
     assert np.allclose(clone.weights, fam.weights)
     g = lambda x, th: np.sin(2 * np.pi * x) + th[..., 0] * 0
     assert integrate(clone, g) == pytest.approx(integrate(fam, g), abs=1e-14)
+
+
+def test_family_record_declares_the_grid_of_its_arrays(lin):
+    # the record's "grid" is read off the arrays, so it cannot disagree with them
+    consts = default_constants(lin)
+    coarse = StandardPair(0.2, 0.3, np.full((33, 1), 0.3), np.full(33, 10.0), 1e-3)
+    for pair, grid in ((coarse, 32), (constant_pair([0.3], 0.2, 0.3, 1e-3), GRID)):
+        data = json.loads(as_family(pair, consts).dumps())
+        assert data["constants"]["grid"] == grid == len(data["pairs"][0]["rho"]) - 1
 
 
 def test_validation_rejects_bad_pairs():
@@ -167,7 +178,7 @@ def test_batched_spline_matches_per_pair_splines(name, lin, cpl):
     a = np.array([p.a for p in pairs])
     b = np.array([p.b for p in pairs])
     splines = _Splines(a, b, np.stack([p.G for p in pairs]), np.stack([p.rho for p in pairs]))
-    s = np.concatenate([np.linspace(0.0, 1.0, 4 * consts.grid + 1), rng.random(300)])
+    s = np.concatenate([np.linspace(0.0, 1.0, 4 * GRID + 1), rng.random(300)])
     x = a[:, None] + (b - a)[:, None] * s
     got = {nu: splines(x, np.arange(len(pairs))[:, None], nu) for nu in (0, 1, 2)}
 
@@ -176,7 +187,7 @@ def test_batched_spline_matches_per_pair_splines(name, lin, cpl):
 
     for k, p in enumerate(pairs):
         # the per-pair representation: one spline each for G and rho on the pair's own knots
-        xg = np.linspace(p.a, p.b, consts.grid + 1)
+        xg = np.linspace(p.a, p.b, GRID + 1)
         curve, density = CubicSpline(xg, p.G, axis=0), CubicSpline(xg, p.rho)
         for nu in (0, 1):
             close(got[nu][0][k], curve(x[k], nu))
@@ -184,7 +195,7 @@ def test_batched_spline_matches_per_pair_splines(name, lin, cpl):
         # linspace(a, b) is uniform only to ~5e-14 of its step, which moves the
         # second derivative of the spline above by ~1e-10 of its sup; compare
         # G'' with the spline on the exactly uniform knots j/grid instead
-        uniform = CubicSpline(np.linspace(0.0, 1.0, consts.grid + 1), p.G, axis=0)
+        uniform = CubicSpline(np.linspace(0.0, 1.0, GRID + 1), p.G, axis=0)
         close(got[2][0][k], uniform((x[k] - p.a) / (p.b - p.a), 2) / (p.b - p.a) ** 2)
 
 
@@ -246,12 +257,12 @@ def test_blocked_validation_reports_what_one_pass_reports(cpl, monkeypatch, corr
     family = StandardFamily(a=np.array([p.a for p in pairs]), b=np.array([p.b for p in pairs]),
                             G=np.stack([p.G for p in pairs]), rho=np.stack([p.rho for p in pairs]),
                             weights=np.full(10, 0.1), constants=consts, eps=1e-3)
-    s = np.linspace(0.0, 1.0, consts.grid + 1)
+    s = np.linspace(0.0, 1.0, GRID + 1)
     for k, factor in ((1, 2.0), (8, 3.0)):      # the steeper slope sits in a later block
         family.G[k, :, 0] += factor * 1e-3 * consts.c1 * (family.b[k] - family.a[k]) * s
     if corrupt == "positivity":                 # a later block breaks the first bound checked
-        family.rho[6, consts.grid // 2] = -family.rho[6].max()
-        w = standard_pairs._simpson_weights(family.a[6], family.b[6], consts.grid)
+        family.rho[6, GRID // 2] = -family.rho[6].max()
+        w = standard_pairs._simpson_weights(family.a[6], family.b[6], GRID)
         family.rho[6] /= w @ family.rho[6]
     messages = []
     for block in (3, 10):

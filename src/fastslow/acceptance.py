@@ -159,7 +159,7 @@ def criterion_4(ws: Workspace) -> tuple[bool, dict]:
     """Slow paths concentrate on the averaged trajectory at rate ~ sqrt(eps)."""
     eps_list = [4e-3, 1e-3, 2.5e-4]
     ensembles = [ws.ensemble("CPL", e, 2000, release=True) for e in eps_list]
-    rep = averaging_error(ensembles)
+    rep = averaging_error(ensembles, ws.averaged("CPL"))
     slope = rep.data["fitted_exponent"]
     ok = rep.data["monotone_decreasing"] and 0.35 <= slope <= 0.65
     return ok, rep.to_dict()
@@ -254,10 +254,9 @@ def criterion_10(ws: Workspace) -> tuple[bool, dict]:
     """Conditioned martingale residuals vanish within noise plus slack."""
     ens = ws.ensemble("CPL", 1e-3, 10_000, release=True)    # criterion 6 read it first
     cov = ws.covariance("CPL")
-    avg = ens.avg
     funcs = [f for f in observable_library(1) if f.name in ("z0", "z0z0", "bump2", "cos<l,z>|l|=1")]
-    c1 = float(avg.at(0.25)[0])
-    c2 = float(avg.at(0.375)[0])
+    c1 = float(cov.avg.at(0.25)[0])
+    c2 = float(cov.avg.at(0.375)[0])
     conditionings = [
         [],
         [(0.25, cylinder_weight("bump", [c1], 0.3))],
@@ -346,4 +345,4 @@ def run_all(ws: Optional[Workspace] = None, ids: Optional[list[int]] = None,
 def results_to_json(results: list[CriterionResult]) -> str:
     return json.dumps({"criteria": [r.to_dict() for r in results],
                        "all_passed": all(r.passed for r in results)},
-                      sort_keys=True, indent=1)
+                      sort_keys=True, indent=1, allow_nan=False)

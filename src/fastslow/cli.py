@@ -11,6 +11,7 @@ import json
 import sys
 import time
 import traceback
+from contextlib import suppress
 from pathlib import Path
 from typing import Optional
 
@@ -39,6 +40,11 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _json(obj) -> str:
+    """Strict JSON: a NaN or an infinity raises ValueError instead of being written."""
+    return json.dumps(obj, sort_keys=True, indent=1, allow_nan=False)
+
+
 def write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
@@ -59,8 +65,8 @@ class Run:
         self.dir.mkdir(parents=True, exist_ok=True)
         self.t0 = time.time()
         if cfg is not None:
-            resolved = json.dumps(cfg.resolved(), sort_keys=True, indent=1)
-            (self.dir / "resolved_config.json").write_text(resolved)
+            with suppress(ValueError):    # a NaN or inf: not JSON, and check_config rejects it
+                (self.dir / "resolved_config.json").write_text(_json(cfg.resolved()))
 
     def finish(self, status: str) -> None:
         manifest = {
@@ -71,7 +77,7 @@ class Run:
             "wall_time_s": round(time.time() - self.t0, 3),
             "status": status,
         }
-        (self.dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
+        (self.dir / "manifest.json").write_text(_json(manifest))
 
 
 def _resolve(ctx) -> ExperimentConfig:
@@ -208,7 +214,7 @@ def sigma(ctx, cfg, run):
         "coboundary": bool(c.coboundary),
         "decay_rate": c.decay_rate,
     }
-    (run.dir / "sigma.json").write_text(json.dumps(out, sort_keys=True, indent=1))
+    (run.dir / "sigma.json").write_text(_json(out))
     rows = ", ".join("[" + ", ".join(f"{v:.6f}" for v in row) + "]" for row in c.sigma2)
     shown = f"{c.sigma2[0, 0]:.6f}" if system.d == 1 else f"[{rows}]"
     click.echo(f"sigma2 = {shown}  (coboundary: {c.coboundary})")
@@ -236,8 +242,8 @@ def average(ctx, cfg, run):
     if ctx.params["with_cov"]:
         cov = ws.covariance(None, theta0, cfg.horizon)
         rows = [[float(t), *[float(v) for v in vals[i]],
-                 *[float(v) for v in cov.Sigma[i].ravel()],
-                 *[float(v) for v in cov.S[i].ravel()]]
+                 *[float(v) for v in cov.Sigma_at(t).ravel()],
+                 *[float(v) for v in cov.S_at(t).ravel()]]
                 for i, t in enumerate(ts)]
         write_csv(run.dir / "covariance.csv",
                   ["t", *[f"theta_bar_{i}" for i in range(d)],
@@ -246,13 +252,13 @@ def average(ctx, cfg, run):
                   rows)
         if ctx.params["plot"]:
             line_plot(str(run.dir / "covariance.svg"), ts,
-                      {"Sigma_00": cov.Sigma[:, 0, 0]},
+                      {"Sigma_00": [cov.Sigma_at(t)[0, 0] for t in ts]},
                       title="fluctuation covariance along the averaged path")
     if ctx.params["plot"]:
         line_plot(str(run.dir / "averaged.svg"), ts,
                   {f"theta_bar_{i}": vals[:, i] for i in range(d)},
                   title="averaged slow trajectory")
-    click.echo(f"theta_bar({cfg.horizon}) = {vals[-1]}  (Lipschitz ~ {avg.lipschitz_estimate:.3g})")
+    click.echo(f"theta_bar({cfg.horizon}) = {vals[-1]}")
 
 
 @main.command()
@@ -276,7 +282,7 @@ def decompose(ctx, cfg, run):
                      float(family.mass_defect)])
     (run.dir / "family.json").write_text(family.dumps())
     write_csv(run.dir / "growth.csv", ["step", "pairs", "weight_sum", "mass_defect"], rows)
-    (run.dir / "margins.json").write_text(json.dumps(margins, sort_keys=True, indent=1))
+    (run.dir / "margins.json").write_text(_json(margins))
     click.echo(f"{len(family.weights)} pairs after {steps} steps; "
                f"closure margins {margins}")
 
@@ -304,7 +310,7 @@ def shadow(ctx, cfg, run):
     write_csv(run.dir / "shadow.csv",
               ["eps", "point", "n", "y0", "defect", "shadow_constant", "log_y_prime"],
               rows)
-    (run.dir / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=1))
+    (run.dir / "summary.json").write_text(_json(summary))
     click.echo(json.dumps(summary, sort_keys=True))
 
 

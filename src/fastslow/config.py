@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -94,16 +95,18 @@ def configured_system(cfg: ExperimentConfig) -> FastSlowSystem:
 
 
 def check_config(cfg: ExperimentConfig) -> None:
-    """Reject values a run cannot use, among them a config whose system
-    `configured_system` rejects and a theta0 whose length is not its d."""
+    """Reject values a run cannot use, among them a system `configured_system` rejects,
+    a theta0 whose length is not its d, and a theta0, eps or horizon that is not finite."""
     d = configured_system(cfg).d
     if cfg.theta0 is not None and len(cfg.theta0) != d:
         raise ConfigError(f"theta0 has {len(cfg.theta0)} coordinates; the system has d = {d}")
+    if cfg.theta0 is not None and not all(map(math.isfinite, cfg.theta0)):
+        raise ConfigError(f"theta0 must be finite, got {cfg.theta0}")
     for e in cfg.eps:
         if not (0 <= e <= EPS_MAX):
             raise ConfigError(f"eps={e} outside [0, {EPS_MAX}]")
-    if cfg.horizon <= 0:
-        raise ConfigError("horizon must be positive")
+    if not 0 < cfg.horizon < math.inf:
+        raise ConfigError(f"horizon must be positive and finite, got {cfg.horizon}")
     for key, low in (("n_trajectories", 1), ("out_times", 2), ("threads", 1)):
         value = getattr(cfg, key)
         if not isinstance(value, int) or isinstance(value, bool) or value < low:

@@ -59,7 +59,7 @@ class CovarianceCrossCheckError(FastSlowError):
 
 
 class GridMismatchError(FastSlowError):
-    """Ensemble and covariance data do not share a time grid."""
+    """A time, or a grid, that the ensemble's output grid does not have."""
 
 
 class ConfigError(Exception):

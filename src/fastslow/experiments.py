@@ -3,7 +3,8 @@
 Ensembles iterate the skew product from standard-pair initial conditions,
 with one counter-based stream per trajectory, and store the lifted slow path
 and the rescaled deviation from the averaged trajectory on a fixed output
-grid. The arrays are stored time-major, so the values of one output time
+grid; the reports read the limit law, a dense function on [0, T], at those
+times. The arrays are stored time-major, so the values of one output time
 are contiguous, and every report reads them one time slice at a time.
 Reports are pure functions of stored arrays, reduced in a fixed order, so
 identical configurations give byte-identical JSON no matter how many threads
@@ -175,7 +176,6 @@ class Ensemble:
     arrays do not change; an Ensemble built by hand must keep them unchanged.
     """
 
-    system: FastSlowSystem
     eps: float
     n_traj: int
     root_seed: int
@@ -183,8 +183,6 @@ class Ensemble:
     out_times: np.ndarray        # (m,)
     theta_lift: np.ndarray       # (n_traj, m, d)
     zeta: np.ndarray             # (n_traj, m, d)
-    theta_bar: np.ndarray        # (m, d) averaged trajectory on the grid
-    avg: AveragedTrajectory
     residuals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -205,7 +203,8 @@ def default_out_times(T: float, m: int = 33) -> np.ndarray:
 def run_ensemble(system: FastSlowSystem, pair: StandardPair, eps: float,
                  n_traj: int, T: float, out_times, root_seed: int,
                  avg: AveragedTrajectory, threads: int = 1) -> Ensemble:
-    """Simulate n_traj trajectories from the pair and record path data.
+    """Simulate n_traj trajectories from the pair and record path data; avg
+    only forms zeta = (theta_lift - theta_bar) / sqrt(eps).
 
     Trajectory k draws its initial point with stream root_seed XOR k. The
     deterministic iteration is vectorized over threads * ceil(n_traj /
@@ -240,19 +239,15 @@ def run_ensemble(system: FastSlowSystem, pair: StandardPair, eps: float,
         for sl in slices:
             work(sl)
 
-    theta_bar = avg.at(out_times)
     if eps > 0:
-        zeta = np.subtract(lifts, theta_bar[:, None])
+        zeta = np.subtract(lifts, avg.at(out_times)[:, None])
         zeta /= np.sqrt(eps)
     else:
         zeta = np.zeros_like(lifts)
     lifts.flags.writeable = False
     zeta.flags.writeable = False
-    return Ensemble(
-        system=system, eps=eps, n_traj=n_traj, root_seed=root_seed, T=T,
-        out_times=out_times, theta_lift=lifts.transpose(1, 0, 2),
-        zeta=zeta.transpose(1, 0, 2), theta_bar=theta_bar, avg=avg,
-    )
+    return Ensemble(eps=eps, n_traj=n_traj, root_seed=root_seed, T=T, out_times=out_times,
+                    theta_lift=lifts.transpose(1, 0, 2), zeta=zeta.transpose(1, 0, 2))
 
 
 # -- reports ---------------------------------------------------------------------
@@ -276,7 +271,7 @@ class Report:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1)
+        return json.dumps(self.to_dict(), sort_keys=True, indent=1, allow_nan=False)
 
     def to_text(self) -> str:
         """Aligned-column rendering for humans; JSON stays the machine format."""
@@ -301,16 +296,17 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def averaging_error(ensembles: Sequence[Ensemble]) -> Report:
-    """E sup_t ||Theta_eps - Theta_bar|| per eps, with a log-log slope fit."""
+def averaging_error(ensembles: Sequence[Ensemble], avg: AveragedTrajectory) -> Report:
+    """E sup_t ||Theta_eps - Theta_bar|| per eps, Theta_bar from avg, with a log-log slope fit."""
     if len(ensembles) < 3:
         raise ValueError("need at least 3 eps values for a scaling fit")
     rows = []
     for ens in sorted(ensembles, key=lambda e: -e.eps):
+        theta_bar = avg.at(ens.out_times)
         # running maximum over output times: no (n, m, d) temporary
-        sup = np.linalg.norm(ens.theta_lift[:, 0] - ens.theta_bar[0], axis=1)
+        sup = np.linalg.norm(ens.theta_lift[:, 0] - theta_bar[0], axis=1)
         for i in range(1, ens.out_times.shape[0]):
-            np.maximum(sup, np.linalg.norm(ens.theta_lift[:, i] - ens.theta_bar[i], axis=1),
+            np.maximum(sup, np.linalg.norm(ens.theta_lift[:, i] - theta_bar[i], axis=1),
                        out=sup)
         rows.append({
             "eps": _f(ens.eps),
@@ -414,10 +410,10 @@ def martingale_residual(ensemble: Ensemble, A: Observable,
     the limit, so the pass band is 3 stderr + RESIDUAL_SLACK * sqrt(eps).
 
     conditioning is a sequence of (t_i, B_i) with t_i < s and B_i a callable
-    weight on the slow torus. The unweighted residual, compensator included,
-    is computed once per (A, s, t, cov), keyed on the identity of A and cov,
-    and kept on the ensemble; each conditioning then only multiplies it by
-    its weight.
+    weight on the slow torus; t beyond the law's horizon raises ValueError.
+    The unweighted residual, compensator included, is computed once per
+    (A, s, t, cov), keyed on the identity of A and cov, and kept on the
+    ensemble; each conditioning then only multiplies it by its weight.
     """
     if not (0.0 <= s <= t <= ensemble.T):
         raise ValueError("need 0 <= s <= t <= T")
@@ -453,11 +449,9 @@ def clt_test(ensemble: Ensemble, cov: CovarianceTrajectory) -> Report:
     excess kurtosis. At the final time: characteristic function at the
     CHARFN_LAMBDAS frequencies. Across the time pairs (T/4, T/2) and (T/2, T):
     cross-covariance against the flow prediction
-    Cov(zeta(s), zeta(t)^T) = Sigma(s) Phi(s, t)^T.
+    Cov(zeta(s), zeta(t)^T) = Sigma(s) Phi(s, t)^T. The law is read at the
+    ensemble's times; one beyond the law's horizon raises ValueError.
     """
-    if ensemble.out_times.shape != cov.times.shape or \
-            not np.allclose(ensemble.out_times, cov.times, atol=1e-12):
-        raise GridMismatchError("ensemble and covariance use different time grids")
     z = ensemble.zeta
     N, m, d = z.shape
     slack = RESIDUAL_SLACK * np.sqrt(ensemble.eps)

@@ -39,12 +39,11 @@ ROUTE_TOL = 1e-8         # largest admitted disagreement of the two covariance r
 
 @dataclass
 class AveragedTrajectory:
-    """Dense-output solution of the averaged slow dynamics (in the lift)."""
+    """Dense-output solution of the averaged slow dynamics (in the lift) on [0, T]."""
 
     theta0: np.ndarray
     T: float
     sol: DenseOutput           # piecewise DOP853 interpolant of theta
-    lipschitz_estimate: float
 
     def at(self, t):
         """Averaged position; (d,) for scalar t, else (len(t), d)."""
@@ -57,11 +56,9 @@ def solve_averaged(drift: Provider, theta0, T: float) -> AveragedTrajectory:
     """Adaptive Dormand-Prince 8(5,3) solve (`ode.dop853`) with dense output.
 
     The drift provider must accept any real theta (it reduces to the torus
-    internally); an estimated Lipschitz constant over the unit cell is
-    recorded since uniqueness and the Gronwall stability bound rely on it.
+    internally). A start or a T that is not finite raises FastSlowError.
     """
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
-    d = theta0.shape[0]
 
     def rhs(t, y):
         return np.asarray(drift(y), dtype=float).ravel()
@@ -69,16 +66,7 @@ def solve_averaged(drift: Provider, theta0, T: float) -> AveragedTrajectory:
     sol = dop853(rhs, T, theta0, AVERAGED_TOL, 0.01 * AVERAGED_TOL)
     if sol.message is not None:
         raise FastSlowError(f"averaged solve failed: {sol.message}")
-
-    probe = 64
-    lip = 0.0
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = 1.0
-        vals = np.array([np.asarray(drift(theta0 + (i / probe) * e)).ravel()
-                         for i in range(probe + 1)])
-        lip = max(lip, float(np.abs(np.diff(vals, axis=0)).max() * probe))
-    return AveragedTrajectory(theta0=theta0, T=T, sol=sol, lipschitz_estimate=lip)
+    return AveragedTrajectory(theta0=theta0, T=T, sol=sol)
 
 
 def _conjugated(S: np.ndarray, I: np.ndarray) -> np.ndarray:
@@ -89,21 +77,18 @@ def _conjugated(S: np.ndarray, I: np.ndarray) -> np.ndarray:
 
 @dataclass
 class CovarianceTrajectory:
-    """Covariance of the limiting fluctuation process along the averaged path."""
+    """The Gaussian limit law along the averaged path: Sigma(t) and the flow S(t),
+    S' = -S B, read from one dense solve on [0, avg.T], and the providers."""
 
     avg: AveragedTrajectory
-    times: np.ndarray          # (m,)
-    Sigma: np.ndarray          # (m, d, d) symmetric PSD
-    S: np.ndarray              # (m, d, d) conjugation flow, S' = -S B
-    det_flow: np.ndarray       # (m,) determinant of S via the trace equation
     jac_provider: Provider
     sigma2_provider: Provider
     sol: DenseOutput           # piecewise DOP853 interpolant of (S, Sigma, I, det S)
-    cross_check: float         # worst disagreement of the two covariance routes
+    cross_check: float         # worst disagreement of the two covariance routes at out_times
 
     @property
     def d(self) -> int:
-        return self.Sigma.shape[1]
+        return self.avg.theta0.shape[0]
 
     def _blocks(self, t):
         y = self.sol(np.asarray(t, dtype=float))
@@ -140,7 +125,7 @@ def covariance_evolve(avg: AveragedTrajectory, sigma2_provider: Provider,
 
     Returns only if the direct covariance and the conjugated reconstruction
     agree to ROUTE_TOL at every output time, and the Liouville determinant
-    stays positive (so S is invertible along the way).
+    stays positive (so S is invertible along the way). T > avg.T raises ValueError.
     """
     d = avg.theta0.shape[0]
     if out_times is None:
@@ -165,14 +150,11 @@ def covariance_evolve(avg: AveragedTrajectory, sigma2_provider: Provider,
         raise FastSlowError(f"covariance solve failed: {sol.message}")
 
     ys = sol(out_times)
-    S = ys[: d * d].T.reshape(-1, d, d)
-    Sig = ys[d * d: 2 * d * d].T.reshape(-1, d, d)
-    Ii = ys[2 * d * d: 3 * d * d].T.reshape(-1, d, d)
+    S, Sig, Ii = (ys[k * d * d: (k + 1) * d * d].T.reshape(-1, d, d) for k in range(3))
     vs = ys[-1]
     if np.any(vs <= 0.0):
         raise CovarianceCrossCheckError("conjugation flow determinant hit zero")
-    dets = np.linalg.det(S)
-    if np.any(np.abs(dets - vs) > 1e-6 * np.abs(vs)):
+    if np.any(np.abs(np.linalg.det(S) - vs) > 1e-6 * np.abs(vs)):
         raise CovarianceCrossCheckError("det(S) disagrees with the trace equation")
 
     worst = 0.0
@@ -184,12 +166,8 @@ def covariance_evolve(avg: AveragedTrajectory, sigma2_provider: Provider,
             f"covariance routes disagree by {worst:.3e} (tolerance {ROUTE_TOL:.1e})"
         )
 
-    Sig = 0.5 * (Sig + np.transpose(Sig, (0, 2, 1)))
-    return CovarianceTrajectory(
-        avg=avg, times=out_times, Sigma=Sig, S=S, det_flow=vs,
-        jac_provider=jac_provider, sigma2_provider=sigma2_provider,
-        sol=sol, cross_check=worst,
-    )
+    return CovarianceTrajectory(avg=avg, jac_provider=jac_provider,
+                                sigma2_provider=sigma2_provider, sol=sol, cross_check=worst)
 
 
 def gaussian_charfn(cov: CovarianceTrajectory, lam, s: float, t: float,

@@ -72,8 +72,9 @@ class DenseOutput:
     """The solution on [0, T]: a degree-7 polynomial on each accepted step.
 
     Called like scipy's OdeSolution: (n,) at a scalar time, (n, len(t)) at an
-    array. `message` is None if the solve reached T; `nfev` counts the calls of
-    the right-hand side. Evaluation runs on Python floats, whose operations are
+    array, and only on [0, T], T the last step end: elsewhere it raises ValueError.
+    `message` is None if the solve reached T; `nfev` counts the calls of the
+    right-hand side. Evaluation runs on Python floats, whose operations are
     numpy's elementwise IEEE ones at a fraction of the cost on a few entries.
     """
 
@@ -85,6 +86,8 @@ class DenseOutput:
         self.message = message
 
     def _at(self, t: float) -> list[float]:
+        if not 0.0 <= t <= self.ts[-1]:
+            raise ValueError(f"t = {t} outside the solution's interval [0, {self.ts[-1]}]")
         k = min(max(bisect_left(self.ts, t) - 1, 0), len(self.ts) - 2)
         x = (t - self.ts[k]) / (self.ts[k + 1] - self.ts[k])
         F = self.F[k]
@@ -109,11 +112,13 @@ def _rms(x: np.ndarray):
 
 
 def dop853(fun, T: float, y0, rtol: float, atol: float) -> DenseOutput:
-    """Solve y' = fun(t, y), y(0) = y0 on [0, T], T > 0, where fun returns a float
-    array shaped like y. Each step's local error stays below atol + rtol * |y|;
-    a step below ten ulp of t ends the solve with a message."""
+    """Solve y' = fun(t, y), y(0) = y0 on [0, T], fun returning a float array like y,
+    each step's local error below atol + rtol * |y|. A step below ten ulp of t, a T
+    not in (0, inf) and a start or initial step that is not finite end it with a message."""
     T = float(T)
     t, y = 0.0, np.asarray(y0, dtype=float)
+    if not (0.0 < T < np.inf and np.all(np.isfinite(y))):
+        return DenseOutput([t], [], [], 0, f"needs a finite T > 0 and a finite start, got T = {T}")
     f = fun(t, y)
     scale = atol + np.abs(y) * rtol
     d0, d1 = _rms(y / scale), _rms(f / scale)
@@ -121,6 +126,8 @@ def dop853(fun, T: float, y0, rtol: float, atol: float) -> DenseOutput:
     d2 = _rms((fun(h0, y + h0 * f) - f) / scale) / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
     h_abs = min(100 * h0, h1, T)
+    if not np.isfinite(h_abs):    # the right-hand side is not finite
+        return DenseOutput([t], [], [], 2, "The initial step size is not finite.")
 
     K = np.empty((16, y.size))
     ts, y_old, F, attempts = [t], [], [], 0

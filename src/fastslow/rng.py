@@ -7,7 +7,7 @@ bit-exactly without touching the others. Across root seeds they are not
 independent: for n = 2^b, two seeds that agree above their low b bits share
 the key set of streams 0..n-1, so they draw the same points in another
 order (2024 and 2025 from n = 2, 7 and 2024 from n = 2048). Keying on the
-pair (root_seed, k) is open item 6 of ROADMAP.md.
+pair (root_seed, k) is open item 9 of ROADMAP.md.
 
 Because a Philox output is a pure function of (key, counter), the first
 draw of every stream is computed in one uint64 array pass over all keys

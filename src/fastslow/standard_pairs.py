@@ -204,7 +204,7 @@ class StandardFamily:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
 
 
 def _stacked(obj) -> tuple:

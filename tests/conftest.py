@@ -1,3 +1,5 @@
+import signal
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +29,27 @@ def cpl():
 def workspace():
     """Shared acceptance workspace; caches drift/diffusion solves."""
     return Workspace()
+
+
+class WallBoundExceeded(BaseException):
+    """Raised by wall_bound; a BaseException, so no `except Exception` in the
+    code under test can swallow it."""
+
+
+@contextmanager
+def wall_bound(seconds: float):
+    """Fail the enclosed block, run on the main thread, once it has taken
+    `seconds` of wall time, so a hang fails its test instead of stalling the suite."""
+    def expire(signum, frame):
+        raise WallBoundExceeded(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def system_dict(system) -> dict:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import system_dict
+from conftest import system_dict, wall_bound
 from fastslow import cli
 from fastslow.acceptance import Workspace, run_criterion
 from fastslow.cli import main
@@ -530,3 +530,27 @@ def test_average_prints_provider_stats(runner, tmp_path):
     line = next(ln for ln in res.output.splitlines() if ln.startswith("provider: "))
     stats = json.loads(line[len("provider: "):])
     assert stats["nodes"] == 64 and stats["N"] == 4096
+
+
+def strict_json(text: str):
+    """json.loads that rejects the NaN, Infinity and -Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"non-finite token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("option", ["--theta0", "--t-final", "--eps"])
+@pytest.mark.parametrize("command", ["sigma", "average", "fluctuate"])
+def test_non_finite_input_exits_2_and_writes_strict_json(runner, tmp_path, command, option,
+                                                          value):
+    # these once exited 3 or ran for ever; each run is wall-bounded so a hang fails here
+    with wall_bound(10.0):
+        res = runner.invoke(main, ["--out", str(tmp_path), "--fixture", "LIN", "--n", "10",
+                                   f"{option}={value}", command])
+    assert res.exit_code == 2, res.output
+    assert "config error" in res.output
+    written = sorted((tmp_path / command).glob("*.json"))
+    assert "manifest.json" in [p.name for p in written]
+    docs = {p.name: strict_json(p.read_text()) for p in written}
+    assert docs["manifest.json"]["status"] == "config-error"

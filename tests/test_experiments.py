@@ -51,10 +51,8 @@ def planar_setup(zeta):
     avg = solve_averaged(lambda th: np.zeros(2), [0.3, 0.6], T)
     cov = covariance_evolve(avg, lambda th: SIGMA2_PLANAR, lambda th: B_PLANAR, T,
                             out_times=ot)
-    theta_bar = avg.at(ot)
-    ens = Ensemble(system=planar_system(), eps=1e-3, n_traj=zeta.shape[0], root_seed=0,
-                   T=T, out_times=ot, theta_lift=np.broadcast_to(theta_bar, zeta.shape).copy(),
-                   zeta=zeta, theta_bar=theta_bar, avg=avg)
+    ens = Ensemble(eps=1e-3, n_traj=zeta.shape[0], root_seed=0, T=T, out_times=ot,
+                   theta_lift=np.broadcast_to(avg.at(ot), zeta.shape).copy(), zeta=zeta)
     return ens, cov
 
 
@@ -139,8 +137,8 @@ def test_fluctuation_mean_is_centered():
 
 
 def test_averaging_error_scaling_lin():
-    ensembles = [lin_setup(e, 2000)[1] for e in (4e-3, 1e-3, 2.5e-4)]
-    rep = averaging_error(ensembles)
+    setups = [lin_setup(e, 2000) for e in (4e-3, 1e-3, 2.5e-4)]
+    rep = averaging_error([ens for _, ens, _ in setups], setups[0][2].avg)
     assert rep.data["monotone_decreasing"]
     assert 0.4 <= rep.data["fitted_exponent"] <= 0.6
 
@@ -148,13 +146,13 @@ def test_averaging_error_scaling_lin():
 def test_averaging_error_stderr_halves_with_4x_samples():
     import numpy as _np
 
-    def sup_stderr(ens):
-        sup = _np.linalg.norm(ens.theta_lift - ens.theta_bar[None], axis=2).max(axis=1)
+    def sup_stderr(ens, avg):
+        sup = _np.linalg.norm(ens.theta_lift - avg.at(ens.out_times)[None], axis=2).max(axis=1)
         return sup.std(ddof=1) / _np.sqrt(ens.n_traj)
 
-    e1 = lin_setup(1e-3, 1000)[1]
-    e2 = lin_setup(1e-3, 4000)[1]
-    ratio = sup_stderr(e1) / sup_stderr(e2)
+    _, e1, c1 = lin_setup(1e-3, 1000)
+    _, e2, c2 = lin_setup(1e-3, 4000)
+    ratio = sup_stderr(e1, c1.avg) / sup_stderr(e2, c2.avg)
     assert 1.4 <= ratio <= 2.6
 
 
@@ -165,7 +163,7 @@ def test_deterministic_unit_drift_has_no_averaging_error():
     pair = constant_pair([0.1], 0.2, 0.3, eps)
     avg = solve_averaged(lambda th: np.ones(1), [0.1], 1.0)
     ens = run_ensemble(system, pair, eps, 50, 1.0, default_out_times(1.0), 3, avg)
-    sup = np.abs(ens.theta_lift - ens.theta_bar[None]).max()
+    sup = np.abs(ens.theta_lift - avg.at(ens.out_times)[None]).max()
     assert sup <= eps
 
 
@@ -213,9 +211,8 @@ def test_generator_residual_shrinks_with_eps():
 
 def test_generator_residual_detects_wrong_covariance():
     # the slack band must not be so wide that a wrong diffusion slips through
-    _, ens, _ = lin_setup(1e-3, 10_000)
-    avg = ens.avg
-    bad = covariance_evolve(avg, lambda th: np.array([[0.8]]),
+    _, ens, cov = lin_setup(1e-3, 10_000)
+    bad = covariance_evolve(cov.avg, lambda th: np.array([[0.8]]),
                             lambda th: np.array([[0.0]]), 1.0,
                             out_times=ens.out_times)
     funcs = {f.name: f for f in function_library(1)}
@@ -242,30 +239,31 @@ def test_martingale_residual_rejects_bad_times():
         martingale_residual(ens, A, [], 0.513, 1.0, cov)
 
 
-def test_martingale_compensator_reads_b_and_sigma2_along_the_law_path():
-    # B and sigma2 both come from the covariance law's averaged path; an
-    # ensemble that carries another averaged path gets the same residual
-    _, ens, _ = lin_setup(1e-3, 500)
-    law_path = solve_averaged(lambda th: np.zeros(1), [0.3], 1.0)
-    cov = covariance_evolve(law_path,
-                            lambda th: np.array([[0.5 + 0.4 * np.sin(2 * np.pi * th[0])]]),
-                            lambda th: np.array([[-0.2 * np.cos(2 * np.pi * th[0])]]), 1.0,
-                            out_times=ens.out_times)
-    moved = dataclasses.replace(ens, avg=solve_averaged(lambda th: np.full(1, 0.4), [0.3], 1.0))
-    assert abs(moved.avg.at(1.0)[0] - cov.avg.at(1.0)[0]) >= 0.3
-    for A in function_library(1):
-        assert martingale_residual(moved, A, [], 0.5, 1.0, cov).to_json() == \
-            martingale_residual(ens, A, [], 0.5, 1.0, cov).to_json(), A.name
-
-
-def test_clt_grid_mismatch_raises():
-    _, ens, _ = lin_setup(1e-3, 100)
-    avg = solve_averaged(lambda th: np.zeros(1), [0.3], 1.0)
-    cov = covariance_evolve(avg, lambda th: np.array([[0.5]]),
-                            lambda th: np.array([[0.0]]), 1.0,
-                            out_times=np.linspace(0, 1, 17))
-    with pytest.raises(GridMismatchError):
+def test_martingale_residual_beyond_the_law_horizon_raises():
+    # an ensemble over [0, 2] against a law over [0, 1]: the compensator at
+    # (s, t) = (1.5, 2) would read the law past its horizon
+    lin = fixture("LIN")
+    avg = solve_averaged(lambda th: np.zeros(1), [0.3], 2.0)
+    ens = run_ensemble(lin, constant_pair([0.3], 0.2, 0.3, 1e-3), 1e-3, 50, 2.0,
+                       default_out_times(2.0), 42, avg)
+    _, _, cov = lin_setup(1e-3, 10)
+    with pytest.raises(ValueError, match="outside"):
+        martingale_residual(ens, function_library(1)[0], [], 1.5, 2.0, cov)
+    with pytest.raises(ValueError, match="outside"):
         clt_test(ens, cov)
+
+
+def test_clt_reads_the_law_at_the_ensemble_times_whatever_its_grid():
+    # a 17-point ensemble against laws checked on 33 and on 17 points: one dense
+    # solve, so the same report bits; varying sigma2 and B make Sigma(t) nonlinear
+    lin = fixture("LIN")
+    avg = solve_averaged(lambda th: 0.3 * np.sin(2 * np.pi * th), [0.3], 1.0)
+    ot = default_out_times(1.0, 17)
+    ens = run_ensemble(lin, constant_pair([0.3], 0.2, 0.3, 1e-3), 1e-3, 300, 1.0, ot, 7, avg)
+    laws = [covariance_evolve(avg, lambda th: np.array([[0.5 + 0.4 * np.sin(2 * np.pi * th[0])]]),
+                              lambda th: np.array([[-0.2 * np.cos(2 * np.pi * th[0])]]), 1.0,
+                              out_times=default_out_times(1.0, m)) for m in (33, 17)]
+    assert clt_test(ens, laws[0]).to_json() == clt_test(ens, laws[1]).to_json()
 
 
 def test_clt_two_time_prediction_transposes_the_flow_in_2d():
@@ -390,9 +388,9 @@ def fancy_index_moments(ens):
     return out
 
 
-def full_sup_error(ens):
+def full_sup_error(ens, avg):
     """Mean and stderr of sup_t |Theta - Theta_bar| from the whole (n, m, d) difference; oracle."""
-    sup = np.linalg.norm(ens.theta_lift - ens.theta_bar[None], axis=2).max(axis=1)
+    sup = np.linalg.norm(ens.theta_lift - avg.at(ens.out_times)[None], axis=2).max(axis=1)
     return float(sup.mean()), float(sup.std(ddof=1) / np.sqrt(ens.n_traj))
 
 
@@ -420,8 +418,9 @@ def test_one_array_ensemble_and_reports_equal_the_concatenating_oracle(name, thr
         assert np.array_equal(bits(ens.zeta), bits(zeta))
         enss.append(ens)
 
-    rows = averaging_error(enss).data["rows"]
-    assert [(r["mean_sup_error"], r["stderr"]) for r in rows] == [full_sup_error(e) for e in enss]
+    rows = averaging_error(enss, avg).data["rows"]
+    assert [(r["mean_sup_error"], r["stderr"]) for r in rows] == \
+        [full_sup_error(e, avg) for e in enss]
     ens = enss[-1]
     rows = moment_scaling(ens).data["rows"]
     assert [(r["m2"], r["m2_se"], r["m4"], r["m4_se"]) for r in rows] == fancy_index_moments(ens)
@@ -577,7 +576,7 @@ def test_reports_read_time_major_and_path_major_ensembles_to_the_same_bits(name)
                          avg, threads=2) for eps in (4e-3, 2e-3, 1e-3)]
     copies = [path_major(e) for e in enss]
     assert copies[0].zeta.flags.c_contiguous and not enss[0].zeta.flags.c_contiguous
-    assert averaging_error(enss).to_json() == averaging_error(copies).to_json()
+    assert averaging_error(enss, avg).to_json() == averaging_error(copies, avg).to_json()
     ens, copy = enss[-1], copies[-1]
     assert clt_test(ens, cov).to_json() == clt_test(copy, cov).to_json()
     assert moment_scaling(ens).to_json() == moment_scaling(copy).to_json()

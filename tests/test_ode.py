@@ -9,6 +9,7 @@ from fastslow import limits, ode
 from fastslow.exceptions import FastSlowError
 from fastslow.srb_cache import SRBCache
 from fastslow.systems import fixture
+from conftest import wall_bound
 from test_experiments import B_PLANAR, SIGMA2_PLANAR
 
 
@@ -100,8 +101,9 @@ def test_limits_solves_match_solve_ivp(name, caches, monkeypatch):
     avg_ref, cov_ref = solve()
     times = np.array([0.7, 0.0, 0.31, 1.0, 0.5])
     assert np.array_equal(avg.at(times), avg_ref.at(times))
-    for field in ("times", "Sigma", "S", "det_flow"):
-        assert np.array_equal(getattr(cov, field), getattr(cov_ref, field)), field
+    for t in np.linspace(0.0, 1.0, 33):
+        for field in ("Sigma_at", "S_at"):
+            assert np.array_equal(getattr(cov, field)(t), getattr(cov_ref, field)(t)), (field, t)
     assert cov.cross_check == cov_ref.cross_check
     for s, t in [(0.0, 1.0), (0.25, 0.6), (0.5, 0.5)]:
         assert np.array_equal(cov.Sigma_at(t), cov_ref.Sigma_at(t))
@@ -121,3 +123,32 @@ def test_blow_up_stops_like_solve_ivp():
         assert (ours.message, ours.nfev) == (ref.message, ref.nfev)
         with pytest.raises(FastSlowError, match="averaged solve failed: Required step size"):
             limits.solve_averaged(lambda th: th * th, [1.0], 2.0)
+
+
+@pytest.mark.parametrize("y0, T", [([np.nan], 1.0), ([0.2, np.inf], 1.0), ([-np.inf], 1.0),
+                                   ([0.2], np.inf), ([0.2], np.nan), ([0.2], 0.0)])
+def test_non_finite_start_or_horizon_returns_with_a_message(y0, T):
+    # each once looped for ever: a NaN step size survives max() and never
+    # falls below the minimum step, and t < inf always holds
+    calls = []
+    with wall_bound(10.0):
+        out = ode.dop853(lambda t, y: calls.append(t) or -y, T, y0, 1e-10, 1e-12)
+        with pytest.raises(FastSlowError, match="averaged solve failed"):
+            limits.solve_averaged(lambda th: -th, y0, T)
+    assert out.message is not None and calls == [] and out.nfev == 0
+
+
+def test_non_finite_right_hand_side_returns_with_a_message():
+    with np.errstate(invalid="ignore"), wall_bound(10.0):
+        out = ode.dop853(lambda t, y: np.full_like(y, np.nan), 1.0, [1.0], 1e-10, 1e-12)
+    assert out.message == "The initial step size is not finite." and out.nfev == 2
+
+
+def test_dense_output_answers_only_on_its_interval():
+    sol = ode.dop853(lambda t, y: -y, 2.0, [1.0], 1e-10, 1e-12)
+    assert sol(2.0)[0] == pytest.approx(np.exp(-2.0), rel=1e-9)
+    for t in (-1e-300, np.nextafter(2.0, 3.0), np.inf, np.nan):
+        with pytest.raises(ValueError, match="outside"):
+            sol(t)
+    with pytest.raises(ValueError, match="outside"):
+        sol(np.array([0.0, 1.0, 2.5]))

@@ -55,8 +55,13 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build a config, rejecting unknown keys; check_config checks the values."""
+    """Build a config, rejecting unknown keys and values of the wrong type;
+    check_config checks the values."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     names = {f.name for f in dataclasses.fields(ExperimentConfig)}
@@ -68,6 +73,17 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         cfg.eps = [cfg.eps]
     if cfg.theta0 is not None and not isinstance(cfg.theta0, list):
         cfg.theta0 = [cfg.theta0]
+    for key, ok, expected in (
+            ("eps", cfg.eps and all(map(_is_number, cfg.eps)),
+             "a number or a non-empty list of numbers"),
+            ("theta0", cfg.theta0 is None or all(map(_is_number, cfg.theta0)),
+             "a number or a list of numbers"),
+            ("horizon", _is_number(cfg.horizon), "a number"),
+            ("fixture", cfg.fixture is None or isinstance(cfg.fixture, str), "a string"),
+            ("system", cfg.system is None or isinstance(cfg.system, dict), "an object"),
+            ("out_dir", isinstance(cfg.out_dir, str), "a string")):
+        if not ok:
+            raise ConfigError(f"{key} must be {expected}, got {getattr(cfg, key)!r}")
     return cfg
 
 
@@ -96,7 +112,8 @@ def configured_system(cfg: ExperimentConfig) -> FastSlowSystem:
 
 def check_config(cfg: ExperimentConfig) -> None:
     """Reject values a run cannot use, among them a system `configured_system` rejects,
-    a theta0 whose length is not its d, and a theta0, eps or horizon that is not finite."""
+    a theta0 whose length is not its d, a theta0, eps or horizon that is not finite,
+    and a seed that is not a non-negative integer."""
     d = configured_system(cfg).d
     if cfg.theta0 is not None and len(cfg.theta0) != d:
         raise ConfigError(f"theta0 has {len(cfg.theta0)} coordinates; the system has d = {d}")
@@ -107,7 +124,7 @@ def check_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"eps={e} outside [0, {EPS_MAX}]")
     if not 0 < cfg.horizon < math.inf:
         raise ConfigError(f"horizon must be positive and finite, got {cfg.horizon}")
-    for key, low in (("n_trajectories", 1), ("out_times", 2), ("threads", 1)):
+    for key, low in (("n_trajectories", 1), ("out_times", 2), ("threads", 1), ("seed", 0)):
         value = getattr(cfg, key)
         if not isinstance(value, int) or isinstance(value, bool) or value < low:
             raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")

@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .exceptions import GridMismatchError
-from .limits import AveragedTrajectory, CovarianceTrajectory, gaussian_charfn
+from .limits import AveragedTrajectory, CovarianceTrajectory
 from .orbits import sample_paths_batch
 from .rng import stream_uniforms
 from .standard_pairs import StandardPair, sample_from_uniform
@@ -204,7 +204,9 @@ def run_ensemble(system: FastSlowSystem, pair: StandardPair, eps: float,
                  n_traj: int, T: float, out_times, root_seed: int,
                  avg: AveragedTrajectory, threads: int = 1) -> Ensemble:
     """Simulate n_traj trajectories from the pair and record path data; avg
-    only forms zeta = (theta_lift - theta_bar) / sqrt(eps).
+    only forms zeta = (theta_lift - theta_bar) / sqrt(eps). As for
+    sample_paths_batch, eps must be > 0 and out_times sorted within [0, T],
+    else ValueError.
 
     Trajectory k draws its initial point with stream root_seed XOR k. The
     deterministic iteration is vectorized over threads * ceil(n_traj /
@@ -239,11 +241,8 @@ def run_ensemble(system: FastSlowSystem, pair: StandardPair, eps: float,
         for sl in slices:
             work(sl)
 
-    if eps > 0:
-        zeta = np.subtract(lifts, avg.at(out_times)[:, None])
-        zeta /= np.sqrt(eps)
-    else:
-        zeta = np.zeros_like(lifts)
+    zeta = np.subtract(lifts, avg.at(out_times)[:, None])
+    zeta /= np.sqrt(eps)
     lifts.flags.writeable = False
     zeta.flags.writeable = False
     return Ensemble(eps=eps, n_traj=n_traj, root_seed=root_seed, T=T, out_times=out_times,
@@ -447,7 +446,9 @@ def clt_test(ensemble: Ensemble, cov: CovarianceTrajectory) -> Report:
 
     Per output time: mean, covariance against Sigma(t), marginal skewness and
     excess kurtosis. At the final time: characteristic function at the
-    CHARFN_LAMBDAS frequencies. Across the time pairs (T/4, T/2) and (T/2, T):
+    CHARFN_LAMBDAS frequencies along e_1, against the limit's
+    exp(-<lam, Sigma(T) lam>/2), Sigma(T) read as the law's conditional
+    covariance given zeta(0) = 0. Across the time pairs (T/4, T/2) and (T/2, T):
     cross-covariance against the flow prediction
     Cov(zeta(s), zeta(t)^T) = Sigma(s) Phi(s, t)^T. The law is read at the
     ensemble's times; one beyond the law's horizon raises ValueError.
@@ -492,7 +493,7 @@ def clt_test(ensemble: Ensemble, cov: CovarianceTrajectory) -> Report:
         lam[0] = lv
         phase = zT @ lam
         re, im = np.cos(phase), np.sin(phase)
-        logmag, _ = gaussian_charfn(cov, lam, 0.0, float(T), np.zeros(d))
+        logmag = float(-0.5 * lam @ cov.conditional_covariance(0.0, float(T)) @ lam)
         char_rows.append({
             "lambda": _f(lv),
             "emp_re": _f(re.mean()), "emp_re_se": _f(re.std(ddof=1) / np.sqrt(N)),

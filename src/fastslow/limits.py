@@ -16,6 +16,10 @@ integrator failure. Note the right multiplication in S' = -S B: with a left
 product the reconstruction identity fails whenever B(t) does not commute
 with its history, and the flow inverse S(t)^-1 would not solve Phi' = B Phi.
 
+Given zeta(s), zeta(t) is Gaussian with mean Phi(s, t) zeta(s) and covariance
+`conditional_covariance(s, t)`; with zeta(0) = 0 the characteristic function
+at t is exp(-<lam, Sigma(t) lam>/2), which is what `experiments.clt_test` reads.
+
 Both ODEs are solved by the in-package DOP853 of `ode` (Hairer, Norsett &
 Wanner, Solving ODEs I, II.5-II.6): bit-identical to, and tested against,
 scipy 1.17.1's solve_ivp(method="DOP853", dense_output=True).
@@ -168,24 +172,3 @@ def covariance_evolve(avg: AveragedTrajectory, sigma2_provider: Provider,
 
     return CovarianceTrajectory(avg=avg, jac_provider=jac_provider,
                                 sigma2_provider=sigma2_provider, sol=sol, cross_check=worst)
-
-
-def gaussian_charfn(cov: CovarianceTrajectory, lam, s: float, t: float,
-                    zeta_s) -> tuple[float, float]:
-    """Conditional characteristic function E(e^{i<lam, zeta(t)>} | zeta(s)).
-
-    Returns (log magnitude, phase): the conditional law is Gaussian with mean
-    Phi(s,t) zeta_s and covariance S(t)^-1 [int_s^t S sigma2 S^T] S(t)^-T, so
-    the value is exp(-<lam, C lam>/2) * e^{i <lam, Phi zeta_s>}. For s = 0 and
-    zeta_0 = 0 this reduces to exp(-<lam, Sigma(t) lam>/2).
-    """
-    if s > t:
-        raise ValueError("needs s <= t")
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    zeta_s = np.atleast_1d(np.asarray(zeta_s, dtype=float))
-    if s == t:
-        return 0.0, float(lam @ zeta_s)
-    C = cov.conditional_covariance(s, t)
-    phase = float(lam @ (cov.flow(s, t) @ zeta_s))
-    return float(-0.5 * lam @ C @ lam), phase
-

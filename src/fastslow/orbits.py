@@ -40,6 +40,7 @@ def sample_paths_batch(system: FastSlowSystem, eps: float, x0: np.ndarray,
 
     Parameters
     ----------
+    eps : time-scale separation, > 0
     x0 : (N,) fast initial points
     theta0 : (N, d) slow initial points
     out_times : sorted times in [0, T] at which the polygonal path is read off
@@ -52,18 +53,22 @@ def sample_paths_batch(system: FastSlowSystem, eps: float, x0: np.ndarray,
     (N, len(out_times), d) array of lifted slow values, which is `out` when
     given. Row i is the path of initial point i. Memory stays at
     O(N * len(out_times) * d); the full orbit is never stored.
+
+    Raises ValueError unless eps > 0 and out_times is sorted with no time
+    outside [0, T]: every row is then written, and read between two nodes.
     """
     out_times = np.asarray(out_times, dtype=float)
+    if not (eps > 0 and np.all(np.diff(out_times) >= 0)
+            and np.all((0.0 <= out_times) & (out_times <= T))):
+        raise ValueError(f"sampled paths need eps > 0 and sorted out_times, none outside "
+                         f"[0, {T}]; got eps = {eps}, out_times = {out_times}")
     N, d = theta0.shape
     m = out_times.shape[0]
     rec = np.empty((N, m, d)) if out is None else out
-    if eps == 0.0:
-        rec[:] = theta0[:, None, :]
-        return rec
     n_steps = int(np.floor(T / eps)) + 1
     if n_steps > MAX_ORBIT_STEPS:
         raise OrbitLengthError(f"{n_steps} steps exceed maximum {MAX_ORBIT_STEPS}")
-    node = np.minimum(np.floor(out_times / eps).astype(int), n_steps)
+    node = np.floor(out_times / eps).astype(int)
     frac = out_times / eps - node
     x = torus(np.asarray(x0, dtype=float))
     th = torus(np.asarray(theta0, dtype=float))

@@ -548,9 +548,47 @@ def test_non_finite_input_exits_2_and_writes_strict_json(runner, tmp_path, comma
     with wall_bound(10.0):
         res = runner.invoke(main, ["--out", str(tmp_path), "--fixture", "LIN", "--n", "10",
                                    f"{option}={value}", command])
+    assert_config_error(res, tmp_path / command)
+
+
+def assert_config_error(res, run_dir: Path) -> None:
+    """Exit 2 with a config-error manifest, and every JSON file written is strict."""
     assert res.exit_code == 2, res.output
     assert "config error" in res.output
-    written = sorted((tmp_path / command).glob("*.json"))
+    written = sorted(run_dir.glob("*.json"))
     assert "manifest.json" in [p.name for p in written]
     docs = {p.name: strict_json(p.read_text()) for p in written}
     assert docs["manifest.json"]["status"] == "config-error"
+
+
+WRONG_TYPE = {
+    "theta0-str": {"theta0": ["a"]}, "theta0-bool": {"theta0": [True]},
+    "eps-str": {"eps": "x"}, "eps-null": {"eps": [None]}, "eps-empty": {"eps": []},
+    "horizon-str": {"horizon": "1"}, "horizon-bool": {"horizon": True},
+    "out_dir-int": {"out_dir": 5}, "fixture-int": {"fixture": 1},
+    "seed-float": {"seed": 1.5}, "seed-str": {"seed": "7"}, "seed-negative": {"seed": -1},
+}
+SYSTEM_KEYS = {"LIN": {"fixture": "LIN"}, "CPL": {"fixture": "CPL"},
+               "planar": {"system": system_dict(planar_system())}}
+
+
+@pytest.mark.parametrize("values", WRONG_TYPE.values(), ids=WRONG_TYPE.keys())
+@pytest.mark.parametrize("system", SYSTEM_KEYS.values(), ids=SYSTEM_KEYS.keys())
+@pytest.mark.parametrize("command", ["sigma", "average", "shadow", "fluctuate", "verify-all"])
+def test_wrong_type_in_config_exits_2_and_writes_strict_json(runner, tmp_path, command,
+                                                              system, values):
+    # these once exited 3 (internal-error, or no manifest at all), or ran on a
+    # bool read as 1 or a seed that is not a non-negative integer
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**system, "n_trajectories": 10, **values}))
+    with wall_bound(10.0):
+        res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path), command])
+    assert_config_error(res, tmp_path / command)
+
+
+def test_verify_all_negative_seed_flag_exits_2(runner, tmp_path):
+    # once exited 3 internal-error in criterion 8's generator
+    with wall_bound(10.0):
+        res = runner.invoke(main, ["--seed", "-1", "--out", str(tmp_path), "verify-all",
+                                   "--criteria", "8"])
+    assert_config_error(res, tmp_path / "verify-all")

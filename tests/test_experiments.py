@@ -75,13 +75,14 @@ def frozen_fluctuation_sums(system, pair, theta_freeze, n_steps, n_traj, root_se
     return acc / np.sqrt(n_steps)
 
 
-def test_eps_zero_freezes_slow_paths():
+def test_eps_zero_ensemble_is_rejected():
+    # at eps = 0 zeta was set to 0, clt_test and moment_scaling wrote NaN, and
+    # a martingale row passed at threshold 0.0
     lin = fixture("LIN")
     pair = constant_pair([0.4], 0.2, 0.3, 0.0)
     avg = solve_averaged(lambda th: np.zeros(1), [0.4], 1.0)
-    ens = run_ensemble(lin, pair, 0.0, 1, 1.0, default_out_times(1.0), 1, avg)
-    assert np.all(ens.theta_lift == 0.4)
-    assert np.all(ens.zeta == 0.0)
+    with pytest.raises(ValueError, match="eps > 0"):
+        run_ensemble(lin, pair, 0.0, 2, 1.0, default_out_times(1.0), 1, avg, threads=2)
 
 
 def test_same_seed_bit_identical():
@@ -183,8 +184,12 @@ def test_moment_scaling_needs_dyadic_grid():
 
 
 def test_generator_residual_exact_zero_cases():
-    # the unconditioned martingale residual over [0, T] is the generator residual
-    _, ens, cov = lin_setup(0.0, 50)
+    # the unconditioned martingale residual over [0, T] is the generator residual;
+    # on paths held at zeta = 0 every term of the z0 residual is an exact zero
+    _, _, cov = lin_setup(1e-3, 2)
+    ot = default_out_times(1.0)
+    ens = Ensemble(eps=1e-3, n_traj=50, root_seed=42, T=1.0, out_times=ot,
+                   theta_lift=np.full((50, 33, 1), 0.3), zeta=np.zeros((50, 33, 1)))
     z0 = function_library(1)[0]
     rep = martingale_residual(ens, z0, [], 0.0, 1.0, cov)
     assert rep.data["mean"] == 0.0

@@ -6,7 +6,7 @@ import pytest
 from fastslow import limits
 from fastslow.diffusion import sym_sqrt
 from fastslow.exceptions import CovarianceCrossCheckError
-from fastslow.limits import covariance_evolve, gaussian_charfn, solve_averaged
+from fastslow.limits import covariance_evolve, solve_averaged
 from fastslow.srb_cache import SRBCache
 from fastslow.systems import fixture
 
@@ -210,16 +210,15 @@ def test_route_disagreement_raises(monkeypatch):
         covariance_evolve(avg, sig2, jac, 1.0)
 
 
-def test_charfn_degenerate_cases():
+def test_conditional_covariance_degenerate_cases():
+    # B = 0, sigma2 = 1/2: the flow is the identity and Cov(zeta(t) | zeta(s)) = (t - s)/2
     avg = _avg_const(1)
     cov = covariance_evolve(avg, lambda th: np.array([[0.5]]),
                             lambda th: np.array([[0.0]]), 1.0)
-    logmag, phase = gaussian_charfn(cov, [0.0], 0.0, 1.0, [0.0])
-    assert (logmag, phase) == (0.0, 0.0)
-    logmag, phase = gaussian_charfn(cov, [2.0], 0.5, 0.5, [0.3])
-    assert logmag == 0.0 and phase == pytest.approx(0.6)
-    logmag, _ = gaussian_charfn(cov, [1.0], 0.0, 1.0, [0.0])
-    assert logmag == pytest.approx(-0.25, abs=1e-10)   # Sigma(1) = 1/2
+    assert cov.conditional_covariance(0.5, 0.5)[0, 0] == 0.0
+    assert cov.conditional_covariance(0.0, 1.0)[0, 0] == pytest.approx(0.5, abs=1e-10)
+    assert cov.conditional_covariance(0.5, 1.0)[0, 0] == pytest.approx(0.25, abs=1e-10)
+    assert cov.flow(0.5, 1.0)[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sde_zero_noise_stays_at_zero():
@@ -257,8 +256,10 @@ def test_charfn_consistency_with_sampler():
     cov = covariance_evolve(avg, sig2, jac, 1.0)
     _, paths = sde_sample(cov, np.random.default_rng(9), 1e-3, 1.0, n_paths=100_000)
     z = paths[:, -1, 0]
+    C = cov.conditional_covariance(0.0, 1.0)   # zeta(0) = 0, so this is Sigma(1)
     for lv in (0.5, 1.0, 1.5, 2.0, 3.0):
-        logmag, _ = gaussian_charfn(cov, [lv], 0.0, 1.0, [0.0])
+        lam = np.array([lv])
+        logmag = float(-0.5 * lam @ C @ lam)
         re, im = np.cos(lv * z), np.sin(lv * z)
         # EM has O(dt) weak bias on top of Monte Carlo noise
         assert re.mean() == pytest.approx(np.exp(logmag),

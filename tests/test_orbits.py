@@ -111,7 +111,7 @@ def test_polygonalization_constant_drift_has_unit_slope():
 def test_polygonalization_lipschitz_bound(cpl):
     eps, T = 2e-3, 0.5
     ts = eps * np.arange(int(T / eps) + 2)
-    path = sample_paths_batch(cpl, eps, np.array([0.11]), np.array([[0.73]]), ts, T)[0]
+    path = sample_paths_batch(cpl, eps, np.array([0.11]), np.array([[0.73]]), ts, ts[-1])[0]
     slopes = np.linalg.norm(np.diff(path, axis=0), axis=1) / np.diff(ts)
     assert slopes.max() <= cpl.omega_sup + 1e-9
 
@@ -128,22 +128,42 @@ def test_batch_paths_match_single_orbits(cpl):
         assert np.allclose(rec[i, :, 0], path, atol=1e-13)
 
 
-def test_batch_paths_eps_zero(cpl):
-    out_times = np.linspace(0, 1.0, 5)
-    rec = sample_paths_batch(cpl, 0.0, np.array([0.3]), np.array([[0.7]]), out_times, 1.0)
-    assert np.all(rec == 0.7)
+@pytest.mark.parametrize("eps", [0.0, -1e-3, float("nan")], ids=["zero", "negative", "nan"])
+def test_batch_paths_reject_eps_that_is_not_positive(cpl, eps):
+    # there is no zeta = (theta - theta_bar) / sqrt(eps) at eps <= 0
+    with pytest.raises(ValueError, match="outside"):
+        sample_paths_batch(cpl, eps, np.array([0.3]), np.array([[0.7]]),
+                           np.linspace(0, 1.0, 5), 1.0)
+
+
+def test_batch_paths_reject_an_unsorted_grid(cpl):
+    # rows 1 and 2 of an unsorted grid were never written: np.empty memory came back
+    with pytest.raises(ValueError, match="outside"):
+        sample_paths_batch(cpl, 1e-2, np.array([0.3]), np.array([[0.7]]),
+                           np.array([0.5, 0.0, 1.0]), 1.0)
+
+
+@pytest.mark.parametrize("t", [1.5, 1.0 + 1e-9, -1e-9])
+def test_batch_paths_reject_a_time_outside_the_horizon(cpl, t):
+    # a path run to T = 1 read at 1.5 extrapolated its last segment: 0.5264
+    # here, where the path run to T = 1.5 reads 0.5110
+    x0, th0 = np.array([0.3]), np.array([[0.7]])
+    with pytest.raises(ValueError, match="outside"):
+        sample_paths_batch(cpl, 1e-2, x0, th0, np.array([0.0, t]), 1.0)
+    # within the horizon a reading does not depend on how far the path runs
+    end = max(t, 1.0)
+    inside = sample_paths_batch(cpl, 1e-2, x0, th0, np.array([0.0, end]), end)
+    longer = sample_paths_batch(cpl, 1e-2, x0, th0, np.array([0.0, end]), 2.0)
+    assert np.array_equal(inside, longer)
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
-@given(st.floats(0.0, 0.02), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+@given(st.floats(0.0, 0.02, exclude_min=True), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 def test_lipschitz_property_random(eps, x0, th0):
     cpl = fixture("CPL")
     n = 50
     ts = eps * np.arange(n - 1)
     path = sample_paths_batch(cpl, eps, np.array([x0]), np.array([[th0]]), ts, eps * (n - 2))[0]
-    if eps == 0.0:
-        assert np.all(path == path[0])
-        return
     slopes = np.linalg.norm(np.diff(path, axis=0), axis=1) / np.diff(ts)
     assert slopes.max() <= cpl.omega_sup + 1e-9
 

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .exceptions import ConfigError, SystemValidationError
+from .exceptions import ConfigError
 from .systems import FIXTURES, FastSlowSystem, fixture
 
 EPS_MAX = 0.05      # largest admissible time-scale separation
@@ -57,6 +57,14 @@ class ExperimentConfig:
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """math.isfinite, and False for an integer too large for a float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -106,23 +114,23 @@ def configured_system(cfg: ExperimentConfig) -> FastSlowSystem:
         return fixture(cfg.fixture)
     try:
         return FastSlowSystem.from_dict(cfg.system)
-    except (KeyError, TypeError, ValueError, SystemValidationError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed inline system: {exc!r}") from exc
 
 
 def check_config(cfg: ExperimentConfig) -> None:
     """Reject values a run cannot use, among them a system `configured_system` rejects,
-    a theta0 whose length is not its d, a theta0, eps or horizon that is not finite,
-    and a seed that is not a non-negative integer."""
+    a theta0 whose length is not its d, a theta0, eps or horizon that is not finite
+    (an integer too large for a float is not), and a seed that is not a non-negative integer."""
     d = configured_system(cfg).d
     if cfg.theta0 is not None and len(cfg.theta0) != d:
         raise ConfigError(f"theta0 has {len(cfg.theta0)} coordinates; the system has d = {d}")
-    if cfg.theta0 is not None and not all(map(math.isfinite, cfg.theta0)):
+    if cfg.theta0 is not None and not all(map(_is_finite, cfg.theta0)):
         raise ConfigError(f"theta0 must be finite, got {cfg.theta0}")
     for e in cfg.eps:
         if not (0 <= e <= EPS_MAX):
             raise ConfigError(f"eps={e} outside [0, {EPS_MAX}]")
-    if not 0 < cfg.horizon < math.inf:
+    if not (cfg.horizon > 0 and _is_finite(cfg.horizon)):
         raise ConfigError(f"horizon must be positive and finite, got {cfg.horizon}")
     for key, low in (("n_trajectories", 1), ("out_times", 2), ("threads", 1), ("seed", 0)):
         value = getattr(cfg, key)

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exceptions import NegativeEigenvalueError, TruncationTailError
+from .exceptions import FastSlowError
 from .systems import FastSlowSystem
 from .ulam import SRBDensity, block_diagonal, srb_density, ulam_operator
 
@@ -123,18 +123,16 @@ def green_kubo(gam: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     sigma2 = gam[0] + tail_sum + tail_sum.T
     asym = float(np.abs(sigma2 - sigma2.T).max())
     if asym > 1e-12:
-        raise NegativeEigenvalueError(f"sigma2 asymmetry {asym:.2e} above 1e-12")
+        raise FastSlowError(f"sigma2 asymmetry {asym:.2e} above 1e-12")
     sigma2 = 0.5 * (sigma2 + sigma2.T)
 
     tail = float(np.linalg.norm(gam[M // 2:], axis=(1, 2)).max())
     if tail > TAIL_TOL:
-        raise TruncationTailError(f"||Gamma_k|| tail {tail:.2e} above {TAIL_TOL:.1e} at M = {M}")
+        raise FastSlowError(f"||Gamma_k|| tail {tail:.2e} above {TAIL_TOL:.1e} at M = {M}")
 
     evals = np.linalg.eigvalsh(sigma2)
     if evals.min() < -CLAMP_TOL:
-        raise NegativeEigenvalueError(
-            f"sigma2 eigenvalue {evals.min():.3e} below -{CLAMP_TOL:.1e}"
-        )
+        raise FastSlowError(f"sigma2 eigenvalue {evals.min():.3e} below -{CLAMP_TOL:.1e}")
     return sigma2, np.maximum(evals, 0.0), tail
 
 
@@ -162,7 +160,7 @@ def diffusion_matrix(system: FastSlowSystem, theta, N: int,
     and ctx.M reports it. The checks are those of green_kubo: a materially
     negative eigenvalue signals a truncation that is too short or a grid that
     is too coarse, and the tail of ||Gamma_k|| over [M/2, M] must fall below
-    TAIL_TOL, which past MAX_TRUNCATION raises TruncationTailError.
+    TAIL_TOL, which past MAX_TRUNCATION raises FastSlowError.
     """
     op = ulam_operator(system, theta, N)
     density = srb_density(op)
@@ -202,7 +200,7 @@ def sym_sqrt(A: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via the eigendecomposition."""
     w, V = np.linalg.eigh(np.asarray(A, dtype=float))
     if w.min() < -CLAMP_TOL:
-        raise NegativeEigenvalueError(f"matrix eigenvalue {w.min():.3e} below -{CLAMP_TOL:.1e}")
+        raise FastSlowError(f"matrix eigenvalue {w.min():.3e} below -{CLAMP_TOL:.1e}")
     w = np.maximum(w, 0.0)
     S = (V * np.sqrt(w)) @ V.T
     return 0.5 * (S + S.T)

@@ -10,9 +10,7 @@ Reports are pure functions of stored arrays, reduced in a fixed order, so
 identical configurations give byte-identical JSON no matter how many threads
 ran the simulation.
 
-Statistical pass/fail bands are always 3 standard errors plus an explicit
-slack RESIDUAL_SLACK * sqrt(eps); the slack absorbs the finite-eps bias of
-the limit identities, whose rate the theory leaves unquantified.
+Every statistical pass/fail band comes from _band.
 """
 from __future__ import annotations
 
@@ -23,7 +21,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .exceptions import GridMismatchError
 from .limits import AveragedTrajectory, CovarianceTrajectory
 from .orbits import sample_paths_batch
 from .rng import stream_uniforms
@@ -31,10 +28,9 @@ from .standard_pairs import StandardPair, sample_from_uniform
 from .systems import FastSlowSystem, torus
 
 CHUNK = 16_384   # most trajectories in one slice; results do not depend on the slicing
-# Slack of the statistical passes: the band is 3*stderr + RESIDUAL_SLACK*sqrt(eps).
-# Calibrated once on the LIN fixture (observed finite-eps bias ~0.3*sqrt(eps)
-# on the worst test function) and frozen here; it is an engineering constant,
-# not a derived rate.
+# Slack of the statistical passes (see _band). Calibrated once on the LIN
+# fixture (observed finite-eps bias ~0.3*sqrt(eps) on the worst test function)
+# and frozen here; it is an engineering constant, not a derived rate.
 RESIDUAL_SLACK = 1.0
 CHARFN_LAMBDAS = (0.5, 1.0, 1.5, 2.0, 3.0)   # frequencies of the charfn check
 
@@ -192,7 +188,7 @@ class Ensemble:
     def time_index(self, t: float) -> int:
         i = int(np.argmin(np.abs(self.out_times - t)))
         if abs(self.out_times[i] - t) > 1e-9 * max(1.0, self.T):
-            raise GridMismatchError(f"time {t} not on the output grid")
+            raise ValueError(f"time {t} not on the output grid")
         return i
 
 
@@ -254,6 +250,13 @@ def run_ensemble(system: FastSlowSystem, pair: StandardPair, eps: float,
 def _f(x):
     """JSON-safe scalar."""
     return float(x)
+
+
+def _band(se: float, eps: float):
+    """Pass band of a statistical check: 3 standard errors plus an explicit
+    slack RESIDUAL_SLACK * sqrt(eps); the slack absorbs the finite-eps bias of
+    the limit identities, whose rate the theory leaves unquantified."""
+    return 3.0 * se + RESIDUAL_SLACK * np.sqrt(eps)
 
 
 @dataclass
@@ -336,7 +339,7 @@ def moment_scaling(ensemble: Ensemble) -> Report:
     m = ensemble.out_times.shape[0] - 1
     levels = int(np.log2(m))
     if 2 ** levels != m:
-        raise GridMismatchError("moment scaling needs 2^j + 1 output times")
+        raise ValueError("moment scaling needs 2^j + 1 output times")
     T = ensemble.T
     n = ensemble.n_traj
     rows = []
@@ -406,7 +409,7 @@ def martingale_residual(ensemble: Ensemble, A: Observable,
                         cov: CovarianceTrajectory) -> Report:
     """Conditioned residual E[ prod B_i(Theta(t_i)) * (A(zeta(t)) - A(zeta(s))
     - int_s^t L_tau A d tau) ]; the martingale property makes this vanish in
-    the limit, so the pass band is 3 stderr + RESIDUAL_SLACK * sqrt(eps).
+    the limit, so the pass band is _band(stderr, eps).
 
     conditioning is a sequence of (t_i, B_i) with t_i < s and B_i a callable
     weight on the slow torus; t beyond the law's horizon raises ValueError.
@@ -429,7 +432,7 @@ def martingale_residual(ensemble: Ensemble, A: Observable,
     resid = w * ensemble.residuals[key][2]
     mean = _f(resid.mean())
     se = _f(resid.std(ddof=1) / np.sqrt(ensemble.n_traj)) if ensemble.n_traj > 1 else 0.0
-    thr = 3.0 * se + RESIDUAL_SLACK * np.sqrt(ensemble.eps)
+    thr = _band(se, ensemble.eps)
     return Report(
         kind="martingale_residual",
         inputs={"A": A.name, "s": _f(s), "t": _f(t),
@@ -455,7 +458,6 @@ def clt_test(ensemble: Ensemble, cov: CovarianceTrajectory) -> Report:
     """
     z = ensemble.zeta
     N, m, d = z.shape
-    slack = RESIDUAL_SLACK * np.sqrt(ensemble.eps)
     T = ensemble.T
     times_rows = []
     for i, t in enumerate(ensemble.out_times):
@@ -482,7 +484,7 @@ def clt_test(ensemble: Ensemble, cov: CovarianceTrajectory) -> Report:
             "excess_kurtosis": [_f(v) for v in kurt],
         })
     mean_ok = all(
-        abs(r["mean"][j]) <= 3.0 * r["mean_se"][j] + slack
+        abs(r["mean"][j]) <= _band(r["mean_se"][j], ensemble.eps)
         for r in times_rows for j in range(d)
     )
 
@@ -502,8 +504,8 @@ def clt_test(ensemble: Ensemble, cov: CovarianceTrajectory) -> Report:
             "analytic_im": 0.0,
         })
     char_ok = all(
-        abs(r["emp_re"] - r["analytic_re"]) <= 3.0 * r["emp_re_se"] + slack
-        and abs(r["emp_im"]) <= 3.0 * r["emp_im_se"] + slack
+        abs(r["emp_re"] - r["analytic_re"]) <= _band(r["emp_re_se"], ensemble.eps)
+        and abs(r["emp_im"]) <= _band(r["emp_im_se"], ensemble.eps)
         for r in char_rows
     )
 

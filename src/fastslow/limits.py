@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .exceptions import CovarianceCrossCheckError, FastSlowError
+from .exceptions import FastSlowError
 from .ode import DenseOutput, dop853
 
 Provider = Callable[[np.ndarray], np.ndarray]
@@ -157,18 +157,17 @@ def covariance_evolve(avg: AveragedTrajectory, sigma2_provider: Provider,
     S, Sig, Ii = (ys[k * d * d: (k + 1) * d * d].T.reshape(-1, d, d) for k in range(3))
     vs = ys[-1]
     if np.any(vs <= 0.0):
-        raise CovarianceCrossCheckError("conjugation flow determinant hit zero")
+        raise FastSlowError("conjugation flow determinant hit zero")
     if np.any(np.abs(np.linalg.det(S) - vs) > 1e-6 * np.abs(vs)):
-        raise CovarianceCrossCheckError("det(S) disagrees with the trace equation")
+        raise FastSlowError("det(S) disagrees with the trace equation")
 
     worst = 0.0
     for i in range(out_times.shape[0]):
         scale = 1.0 + float(np.abs(Sig[i]).max())
         worst = max(worst, float(np.abs(_conjugated(S[i], Ii[i]) - Sig[i]).max()) / scale)
     if worst > ROUTE_TOL:
-        raise CovarianceCrossCheckError(
-            f"covariance routes disagree by {worst:.3e} (tolerance {ROUTE_TOL:.1e})"
-        )
+        raise FastSlowError(f"covariance routes disagree by {worst:.3e} "
+                            f"(tolerance {ROUTE_TOL:.1e})")
 
     return CovarianceTrajectory(avg=avg, jac_provider=jac_provider,
                                 sigma2_provider=sigma2_provider, sol=sol, cross_check=worst)

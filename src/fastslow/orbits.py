@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import OrbitLengthError
+from .exceptions import FastSlowError
 from .systems import FastSlowSystem, torus
 
 MAX_ORBIT_STEPS = 50_000_000
@@ -67,7 +67,7 @@ def sample_paths_batch(system: FastSlowSystem, eps: float, x0: np.ndarray,
     rec = np.empty((N, m, d)) if out is None else out
     n_steps = int(np.floor(T / eps)) + 1
     if n_steps > MAX_ORBIT_STEPS:
-        raise OrbitLengthError(f"{n_steps} steps exceed maximum {MAX_ORBIT_STEPS}")
+        raise FastSlowError(f"{n_steps} steps exceed maximum {MAX_ORBIT_STEPS}")
     node = np.floor(out_times / eps).astype(int)
     frac = out_times / eps - node
     x = torus(np.asarray(x0, dtype=float))

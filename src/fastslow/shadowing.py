@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ShadowSolveError
+from .exceptions import FastSlowError
 from .orbits import step
 from .systems import FastSlowSystem, invert_monotone, torus
 
@@ -72,16 +72,12 @@ def shadow_solve_batch(system: FastSlowSystem, eps: float, x0: np.ndarray,
     """
     N = x0.shape[0]
     if not eps > 0:
-        raise ShadowSolveError(f"shadowing needs eps > 0, got {eps}")
+        raise ValueError(f"shadowing needs eps > 0, got {eps}")
     if n > eps ** -0.5 * (1 + 1e-12):
-        raise ShadowSolveError(
-            f"n={n} beyond shadowing range eps^-1/2 = {eps ** -0.5:.1f}"
-        )
+        raise ValueError(f"n={n} beyond shadowing range eps^-1/2 = {eps ** -0.5:.1f}")
     sep = np.linalg.norm(theta_star - theta0, axis=-1)
     if np.any(sep > eps * (1 + 1e-9)):
-        raise ShadowSolveError(
-            f"||theta_star - theta0|| = {sep.max():.3e} exceeds eps = {eps:.3e}"
-        )
+        raise ValueError(f"||theta_star - theta0|| = {sep.max():.3e} exceeds eps = {eps:.3e}")
 
     # true orbits, vectorized over the batch, and the tangent pass along them
     xs = np.empty((n + 1, N))
@@ -112,15 +108,12 @@ def shadow_solve_batch(system: FastSlowSystem, eps: float, x0: np.ndarray,
         hi = guess - np.minimum(delta / system.lam, delta / system.dfx_sup) + 1e-12
         w, r = invert_monotone(F, dF, lo, hi, target, 0.5 * (lo + hi))
         if np.any(np.abs(w - guess) > 0.5 / system.degree + 0.05):
-            raise ShadowSolveError(
-                f"branch ambiguity at step {k}: shadow point too far from orbit"
-            )
+            raise FastSlowError(f"branch ambiguity at step {k}: shadow point too far from orbit")
         defect = np.maximum(defect, np.abs(r))
         shadow[k] = torus(w)
     if np.any(defect > DEFECT_TOL):
-        raise ShadowSolveError(
-            f"inversion residual {defect.max():.3e} above tolerance {DEFECT_TOL:.1e}"
-        )
+        raise FastSlowError(f"inversion residual {defect.max():.3e} "
+                            f"above tolerance {DEFECT_TOL:.1e}")
 
     errors = _circle_dist(xs, shadow)
     # row sums of the transpose keep the reduction order of a per-point sum

@@ -15,7 +15,7 @@ keeping the old nodes. Each doubling measures the coarse interpolant's worst
 miss at the new nodes, relative to sup |value|, for omega_bar and sigma2. The
 miss levels off at the noise of the Ulam solves, so refinement stops at the
 first doubling that does not halve the larger miss, or when it is 0, and
-keeps the finer table; outgrowing MAX_NODES raises TableResolutionError.
+keeps the finer table; outgrowing MAX_NODES raises FastSlowError.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .diffusion import ULAM_N, average_drift, green_kubo, push_autocovariances
-from .exceptions import TableResolutionError
+from .exceptions import FastSlowError
 from .systems import FastSlowSystem, torus
 from .ulam import block_diagonal, srb_density, ulam_operator
 
@@ -68,7 +68,7 @@ class SRBCache:
         n, table, last = START_NODES, None, np.inf
         while True:
             if (2 * n) ** d > MAX_NODES:
-                raise TableResolutionError(
+                raise FastSlowError(
                     f"drift/diffusion table still refining at {n}^{d} nodes "
                     f"(miss {last:.2e}); the next doubling exceeds {MAX_NODES} nodes"
                 )

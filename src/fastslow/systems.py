@@ -31,8 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import SystemValidationError
-
 _TWO_PI = 2.0 * math.pi
 SYSTEM_KEYS = ("name", "d", "degree", "f_terms", "omega_terms")   # read by from_dict
 
@@ -217,11 +215,11 @@ class FastSlowSystem:
         name: str = "custom",
     ):
         if d < 1:
-            raise SystemValidationError("slow dimension d must be >= 1")
+            raise ValueError("slow dimension d must be >= 1")
         if len(omega_terms) != d:
-            raise SystemValidationError("omega_terms must have one list per component")
+            raise ValueError("omega_terms must have one list per component")
         if not (isinstance(degree, numbers.Real) and float(degree).is_integer()):
-            raise SystemValidationError(f"degree {degree!r} is not an integer")
+            raise ValueError(f"degree {degree!r} is not an integer")
         self.d = d
         self.degree = int(degree)
         self.name = name
@@ -229,13 +227,13 @@ class FastSlowSystem:
         self.omega_terms = [list(comp) for comp in omega_terms]
         for t in self.f_terms + [t for comp in self.omega_terms for t in comp]:
             if len(t.lt) not in (0, d):
-                raise SystemValidationError("theta frequency vector has wrong length")
+                raise ValueError("theta frequency vector has wrong length")
             if {t.fx, t.ft} - {"sin", "cos", "none"}:
                 raise ValueError(f"unknown trig kind in {t}")
             if not all(isinstance(v, numbers.Real) for v in (t.amp, t.kx, t.px, t.pt, *t.lt)):
                 raise TypeError(f"non-numeric coefficient in {t}")
             if not all(float(k).is_integer() for k in (t.kx, *t.lt)):
-                raise SystemValidationError(f"non-integer frequency in {t}")
+                raise ValueError(f"non-integer frequency in {t}")
 
         # certified coefficient-sum bounds
         fs, comps = [self.f_terms], self.omega_terms
@@ -247,7 +245,7 @@ class FastSlowSystem:
         fx_wobble = sup(fs, 1, 0)
         self.lam = self.degree - fx_wobble
         if self.lam <= 2.0:
-            raise SystemValidationError(f"expansion bound lam={self.lam:.4f} <= 2")
+            raise ValueError(f"expansion bound lam={self.lam:.4f} <= 2")
         self.dfx_sup = self.degree + fx_wobble
         self.dft_sup = sup(fs, 0, 1)
         self.domx_sup = sup(comps, 1, 0)

@@ -24,11 +24,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .exceptions import BranchInversionError, SRBConvergenceError
+from .exceptions import FastSlowError
 from .systems import FastSlowSystem, invert_monotone, torus
 
 DENSITY_TOL = 1e-12       # L1 fixed-point residual of the power iteration
-DENSITY_MAX_ITER = 5000   # power-iteration steps before SRBConvergenceError
+DENSITY_MAX_ITER = 5000   # power-iteration steps before FastSlowError
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def ulam_operator(system: FastSlowSystem, theta, N: int) -> UlamOperator:
     Fb = F(xb)
     dFb = np.diff(Fb)
     if np.any(dFb <= 0):
-        raise BranchInversionError("lifted fast map is not increasing across cells")
+        raise FastSlowError("lifted fast map is not increasing across cells")
 
     # inner crossing levels k/N with Fb[j] < k/N < Fb[j+1], column by column;
     # each image is longer than lam/N > 2/N, so every column holds a crossing
@@ -91,8 +91,8 @@ def ulam_operator(system: FastSlowSystem, theta, N: int) -> UlamOperator:
     resid = float(np.abs(r).max())
     del r       # one float per crossing, not needed through the assembly's peak
     if resid > 1e-10:
-        raise BranchInversionError(f"crossing inversion residual {resid:.2e}; grid too "
-                                   "coarse or map not monotone on a cell")
+        raise FastSlowError(f"crossing inversion residual {resid:.2e}; grid too "
+                            "coarse or map not monotone on a cell")
 
     # xb[0], the crossings of column 0, xb[1], ..., xb[N]: consecutive points bound
     # the segments, already grouped by column, and the cell edges sit at the indptr
@@ -106,7 +106,7 @@ def ulam_operator(system: FastSlowSystem, theta, N: int) -> UlamOperator:
     colsum = np.add.reduceat(weight, indptr[:-1])
     defect = float(np.abs(colsum - 1.0).max())
     if defect > 1e-12:
-        raise BranchInversionError(f"column mass defect {defect:.2e} above 1e-12")
+        raise FastSlowError(f"column mass defect {defect:.2e} above 1e-12")
     P = sp.csc_matrix((weight / np.repeat(colsum, counts + 1), cell, indptr), shape=(N, N))
     return UlamOperator(theta=theta, N=N, P=P.tocsr(), column_defect=defect)
 
@@ -156,4 +156,5 @@ def srb_density(op: UlamOperator) -> SRBDensity:
         if res <= DENSITY_TOL:
             return SRBDensity(theta=op.theta, N=op.N, rho=rho, residual=res, iterations=it)
         res_prev = res
-    raise SRBConvergenceError(res, DENSITY_MAX_ITER, float(ratio))
+    raise FastSlowError(f"invariant density iteration stalled: residual {res:.3e} "
+                        f"after {DENSITY_MAX_ITER} iterations (second eigenvalue ~ {ratio:.4f})")

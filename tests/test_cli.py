@@ -539,14 +539,24 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=reject)
 
 
+CPL_INLINE = {"system": system_dict(fixture("CPL"))}
+# one column per system; a LIN row's id is its command alone
+NON_FINITE_RUNS = [pytest.param(command, system, id=command if name == "LIN" else
+                                f"{command}-{name}")
+                   for name, system in (("LIN", {"fixture": "LIN"}), ("CPL-inline", CPL_INLINE))
+                   for command in ("sigma", "average", "fluctuate")]
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("option", ["--theta0", "--t-final", "--eps"])
-@pytest.mark.parametrize("command", ["sigma", "average", "fluctuate"])
-def test_non_finite_input_exits_2_and_writes_strict_json(runner, tmp_path, command, option,
-                                                          value):
+@pytest.mark.parametrize("command, system", NON_FINITE_RUNS)
+def test_non_finite_input_exits_2_and_writes_strict_json(runner, tmp_path, command, system,
+                                                          option, value):
     # these once exited 3 or ran for ever; each run is wall-bounded so a hang fails here
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(system))
     with wall_bound(10.0):
-        res = runner.invoke(main, ["--out", str(tmp_path), "--fixture", "LIN", "--n", "10",
+        res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path), "--n", "10",
                                    f"{option}={value}", command])
     assert_config_error(res, tmp_path / command)
 
@@ -567,9 +577,12 @@ WRONG_TYPE = {
     "horizon-str": {"horizon": "1"}, "horizon-bool": {"horizon": True},
     "out_dir-int": {"out_dir": 5}, "fixture-int": {"fixture": 1},
     "seed-float": {"seed": 1.5}, "seed-str": {"seed": "7"}, "seed-negative": {"seed": -1},
+    # a number too large for a float: the first two once exited 3 with an OverflowError
+    "theta0-huge": {"theta0": [10 ** 400]}, "horizon-huge": {"horizon": 10 ** 400},
+    "eps-huge": {"eps": 10 ** 400},
 }
 SYSTEM_KEYS = {"LIN": {"fixture": "LIN"}, "CPL": {"fixture": "CPL"},
-               "planar": {"system": system_dict(planar_system())}}
+               "planar": {"system": system_dict(planar_system())}, "CPL-inline": CPL_INLINE}
 
 
 @pytest.mark.parametrize("values", WRONG_TYPE.values(), ids=WRONG_TYPE.keys())

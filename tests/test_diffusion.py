@@ -4,7 +4,7 @@ import pytest
 from fastslow import diffusion
 from fastslow.diffusion import (autocovariances, average_drift,
                                 diffusion_matrix, drift_jacobian, green_kubo, sym_sqrt)
-from fastslow.exceptions import NegativeEigenvalueError, TruncationTailError
+from fastslow.exceptions import FastSlowError
 from fastslow.systems import FastSlowSystem, TrigTerm, fixture, torus
 from fastslow.ulam import srb_density, ulam_operator
 from test_srb_cache import counted_pushes, per_node_autocovariances, tail_tol_between_windows
@@ -145,7 +145,7 @@ def test_sigma2_theta_continuity(cpl):
 def test_tail_check_raises_for_short_truncation(cpl):
     op = ulam_operator(cpl, [0.25], 512)
     dens = srb_density(op)
-    with pytest.raises(TruncationTailError):
+    with pytest.raises(FastSlowError, match=r"\|\|Gamma_k\|\| tail"):
         green_kubo(autocovariances(cpl, op.P, [dens], 4)[0])
 
 
@@ -193,7 +193,7 @@ def test_sym_sqrt_and_negative_rejection():
     A = np.array([[2.0, 0.5], [0.5, 1.0]])
     S = sym_sqrt(A)
     assert np.abs(S @ S - A).max() <= 1e-12
-    with pytest.raises(NegativeEigenvalueError):
+    with pytest.raises(FastSlowError, match="matrix eigenvalue"):
         sym_sqrt(np.array([[-1.0]]))
 
 
@@ -224,6 +224,6 @@ def test_tail_check_raises_past_the_ceiling(cpl, monkeypatch):
     monkeypatch.setattr(diffusion, "TAIL_TOL", 1e-40)
     monkeypatch.setattr(diffusion, "default_truncation", lambda lam: m0)
     pushes = counted_pushes(monkeypatch)
-    with pytest.raises(TruncationTailError):
+    with pytest.raises(FastSlowError, match=r"\|\|Gamma_k\|\| tail"):
         diffusion_matrix(cpl, [0.3], 512, with_jacobian=False)
     assert pushes == [56, 112, 224, diffusion.MAX_TRUNCATION] and diffusion.MAX_TRUNCATION == 400

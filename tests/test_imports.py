@@ -28,6 +28,29 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {k: v for k, v in found.items() if v} == {}
 
 
+def caught_names(tree: ast.Module) -> set[str]:
+    """Names that an except clause of the module catches, alone or in a tuple."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            for n in ast.walk(node.type):
+                if isinstance(n, (ast.Name, ast.Attribute)):
+                    names.add(n.id if isinstance(n, ast.Name) else n.attr)
+    return names
+
+
+def test_every_exception_class_is_caught_by_name():
+    """A class in fastslow.exceptions earns its place by a caller that handles
+    it apart from its base: a broken precondition is a ValueError, and a
+    numerical failure that nobody catches by name is a FastSlowError."""
+    root = SRC.parents[1]
+    defined = [node.name for node in ast.parse((SRC / "exceptions.py").read_text()).body
+               if isinstance(node, ast.ClassDef)]
+    caught = set().union(*(caught_names(ast.parse(p.read_text())) for d in ("src", "perfbench")
+                           for p in sorted((root / d).rglob("*.py"))))
+    assert [name for name in defined if name not in caught] == []
+
+
 def float_mod_one(tree: ast.Module) -> list[int]:
     """Lines that reduce mod 1 with np.mod/np.remainder or %, instead of systems.torus."""
 

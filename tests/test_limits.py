@@ -5,7 +5,7 @@ import pytest
 
 from fastslow import limits
 from fastslow.diffusion import sym_sqrt
-from fastslow.exceptions import CovarianceCrossCheckError
+from fastslow.exceptions import FastSlowError
 from fastslow.limits import covariance_evolve, solve_averaged
 from fastslow.srb_cache import SRBCache
 from fastslow.systems import fixture
@@ -206,7 +206,7 @@ def test_route_disagreement_raises(monkeypatch):
     monkeypatch.setattr(limits, "ROUTE_TOL", 1e-16)
     jac, sig2 = _random_profile(2, 1)
     avg = _avg_const(2)
-    with pytest.raises(CovarianceCrossCheckError):
+    with pytest.raises(FastSlowError, match="covariance routes disagree"):
         covariance_evolve(avg, sig2, jac, 1.0)
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import orbit
 from fastslow import orbits
-from fastslow.exceptions import OrbitLengthError
+from fastslow.exceptions import FastSlowError
 from fastslow.experiments import default_out_times, run_ensemble
 from fastslow.limits import solve_averaged
 from fastslow.orbits import sample_paths_batch, step
@@ -79,7 +79,7 @@ def test_orbit_length_guard(lin, monkeypatch):
     eps = 0.5 / orbits.MAX_ORBIT_STEPS
     pair = constant_pair([0.3], 0.2, 0.3, eps)
     avg = solve_averaged(lambda th: np.zeros(1), [0.3], 1.0)
-    with pytest.raises(OrbitLengthError):
+    with pytest.raises(FastSlowError, match="steps exceed maximum"):
         run_ensemble(lin, pair, eps, 4, 1.0, default_out_times(1.0), 1, avg)
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from conftest import orbit
-from fastslow.exceptions import ShadowSolveError
 from fastslow.orbits import step
 from fastslow.shadowing import SHADOW_C_SHARP, shadow_diagnostic, shadow_solve_batch, \
     tangent_forward
@@ -78,11 +77,11 @@ def test_derivative_bounds_random_points(cpl):
 
 def test_preconditions(cpl):
     x0, th0 = np.array([0.3]), np.array([[0.4]])
-    with pytest.raises(ShadowSolveError):
+    with pytest.raises(ValueError, match="exceeds eps"):
         shadow_solve_batch(cpl, 1e-4, x0, th0, np.array([[0.45]]), 10)      # theta gap > eps
-    with pytest.raises(ShadowSolveError):
+    with pytest.raises(ValueError, match="beyond shadowing range"):
         shadow_solve_batch(cpl, 1e-4, x0, th0, np.array([[0.40005]]), 500)  # n beyond eps^-1/2
-    with pytest.raises(ShadowSolveError):
+    with pytest.raises(ValueError, match="shadowing needs eps > 0"):
         shadow_solve_batch(cpl, 0.0, x0, th0, th0, 10)                      # no range at eps = 0
 
 

@@ -8,7 +8,7 @@ import pytest
 from fastslow import diffusion, srb_cache
 from fastslow.diffusion import (ULAM_N, autocovariances, average_drift, centered_drift_values,
                                 diffusion_matrix, green_kubo, push_autocovariances)
-from fastslow.exceptions import TableResolutionError, TruncationTailError
+from fastslow.exceptions import FastSlowError
 from fastslow.srb_cache import SRBCache
 from fastslow.systems import FastSlowSystem, TrigTerm, fixture
 from fastslow.ulam import block_diagonal, srb_density, ulam_operator
@@ -152,7 +152,7 @@ def test_node_ceiling_raises_before_solving(lin, monkeypatch):
     solves = []
     monkeypatch.setattr(srb_cache, "MAX_NODES", 8)
     monkeypatch.setattr(srb_cache, "ulam_operator", lambda *a: solves.append(a))
-    with pytest.raises(TableResolutionError):
+    with pytest.raises(FastSlowError, match="table still refining at"):
         SRBCache(lin, N=64)
     assert solves == []
 
@@ -211,7 +211,7 @@ def test_fill_drops_the_operators_before_the_pushes(cpl, monkeypatch):
 
 def test_fill_still_raises_on_a_long_tail(cpl, monkeypatch):
     monkeypatch.setattr(diffusion, "TAIL_TOL", 1e-40)
-    with pytest.raises(TruncationTailError):
+    with pytest.raises(FastSlowError, match=r"\|\|Gamma_k\|\| tail"):
         SRBCache(cpl, N=512)
 
 

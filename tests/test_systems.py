@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import system_dict
 from fastslow import shadowing, standard_pairs, ulam
-from fastslow.exceptions import SystemValidationError
 from fastslow.shadowing import shadow_diagnostic, shadow_solve_batch
 from fastslow.standard_pairs import as_family, constant_pair, default_constants, \
     pushforward_decompose, random_admissible_pair
@@ -117,20 +116,22 @@ def test_roundtrip_serialization():
 
 
 def test_expansion_below_two_rejected():
-    with pytest.raises(SystemValidationError):
+    with pytest.raises(ValueError, match="expansion bound lam="):
         FastSlowSystem(d=1, degree=2, f_terms=[],
                        omega_terms=[[TrigTerm(1.0, kx=1, fx="cos")]])
 
 
-@pytest.mark.parametrize("degree, f_term, omega_term", [
-    (3.7, TrigTerm(0.1, kx=1, fx="sin"), TrigTerm(1.0, kx=1, fx="cos")),
-    (3, TrigTerm(0.1, kx=0.5, fx="sin"), TrigTerm(1.0, kx=1, fx="cos")),
-    (3, TrigTerm(0.1, kx=1, fx="sin"), TrigTerm(1.0, kx=0.5, fx="cos")),
-    (3, TrigTerm(0.1, kx=1, fx="sin", lt=(1.5,), ft="cos"), TrigTerm(1.0, kx=1, fx="cos")),
-    (3, TrigTerm(0.1, kx=1, fx="sin"), TrigTerm(1.0, lt=(0.25,), ft="sin")),
+@pytest.mark.parametrize("degree, f_term, omega_term, message", [
+    (3.7, TrigTerm(0.1, kx=1, fx="sin"), TrigTerm(1.0, kx=1, fx="cos"), "is not an integer"),
+    (3, TrigTerm(0.1, kx=0.5, fx="sin"), TrigTerm(1.0, kx=1, fx="cos"), "non-integer frequency"),
+    (3, TrigTerm(0.1, kx=1, fx="sin"), TrigTerm(1.0, kx=0.5, fx="cos"), "non-integer frequency"),
+    (3, TrigTerm(0.1, kx=1, fx="sin", lt=(1.5,), ft="cos"), TrigTerm(1.0, kx=1, fx="cos"),
+     "non-integer frequency"),
+    (3, TrigTerm(0.1, kx=1, fx="sin"), TrigTerm(1.0, lt=(0.25,), ft="sin"),
+     "non-integer frequency"),
 ], ids=["degree", "f-kx", "omega-kx", "f-lt", "omega-lt"])
-def test_non_integral_degree_or_frequency_rejected(degree, f_term, omega_term):
-    with pytest.raises(SystemValidationError):
+def test_non_integral_degree_or_frequency_rejected(degree, f_term, omega_term, message):
+    with pytest.raises(ValueError, match=message):
         FastSlowSystem(d=1, degree=degree, f_terms=[f_term], omega_terms=[[omega_term]])
 
 
